@@ -180,6 +180,33 @@ def _fill_interface_rows(
                 a[rows, model.col_slice(comp, n)] -= hi[alpha]
 
 
+def available_memory_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_memory(n_rows: int, n_cols: int) -> None:
+    """Refuse a system whose matrix and weighted copy would not fit in memory.
+
+    A solve holds two matrix-sized arrays: the raw matrix and the weighted
+    copy that the SVD factorizes in place.
+    """
+    need = 2 * n_rows * n_cols * 8
+    available = available_memory_bytes()
+    if available is not None and need > available:
+        raise ValueError(
+            "a %dx%d system needs %.0f MB for its matrix and weighted copy, "
+            "but only %.0f MB of memory is available" % (n_rows, n_cols, need / 1e6, available / 1e6)
+        )
+
+
 def assemble(
     problem: PdeProblem, model: RfmModel, colloc: CollocationSet
 ) -> WeightedSystem:
@@ -193,6 +220,7 @@ def assemble(
     n_ifc = colloc.n_interface * 2 * model.n_components
     pins = problem.extra_point_conditions
     n_rows = n_int + n_bnd + n_ifc + len(pins)
+    _check_memory(n_rows, model.n_columns)
     a = np.zeros((n_rows, model.n_columns))
     b = np.zeros(n_rows)
     meta: list[RowMeta] = []

@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .geometry import Domain
 
 # Feature stream index reserved for the patchless global expansion.
 GLOBAL_STREAM = 2**32 - 1
+
+# Points per chunk of RfmModel.eval_many.
+EVAL_CHUNK = 16384
 
 
 # ----------------------------------------------------------------------
@@ -464,25 +466,47 @@ class RfmModel:
         Returns shape (P, K).  Coefficients are the flat column vector in
         the model's column order.
         """
+        alpha = (0,) * self.dim if alpha is None else tuple(alpha)
+        return self.eval_many(coefficients, points, [alpha])[alpha]
+
+    def eval_many(
+        self,
+        coefficients: np.ndarray,
+        points: np.ndarray,
+        alphas: list[tuple[int, ...]],
+    ) -> dict[tuple[int, ...], np.ndarray]:
+        """Evaluate the expansion for several multi-indices in one pass.
+
+        Returns one (P, K) array per multi-index.  Each patch's features are
+        evaluated once for all of ``alphas``, and the points are walked in
+        chunks of EVAL_CHUNK so the (points x features) temporaries stay
+        bounded however large the evaluation grid is.
+        """
         points = np.atleast_2d(np.asarray(points, float))
         coefficients = np.asarray(coefficients, float)
         if coefficients.shape != (self.n_columns,):
             raise ValueError(
                 "expected %d coefficients, got %s" % (self.n_columns, coefficients.shape)
             )
-        if alpha is None:
-            alpha = (0,) * self.dim
-        out = np.zeros((len(points), self.n_components))
-        for comp in range(self.n_components):
-            for n in range(len(self.patches)):
-                mask = self.support_mask(n, points)
-                if not mask.any():
-                    continue
-                block = self.basis_block(n, comp, points[mask], [alpha])[alpha]
-                out[mask, comp] += block @ coefficients[self.col_slice(comp, n)]
-            if self.global_patch is not None:
-                block = feature_block(self.global_patch, comp, points, [alpha])[alpha]
-                out[:, comp] += block @ coefficients[self.global_col_slice(comp)]
+        alphas = [tuple(a) for a in alphas]
+        out = {a: np.zeros((len(points), self.n_components)) for a in alphas}
+        for lo in range(0, len(points), EVAL_CHUNK):
+            chunk = points[lo : lo + EVAL_CHUNK]
+            rows = slice(lo, lo + len(chunk))
+            for comp in range(self.n_components):
+                for n in range(len(self.patches)):
+                    mask = self.support_mask(n, chunk)
+                    if not mask.any():
+                        continue
+                    blocks = self.basis_block(n, comp, chunk[mask], alphas)
+                    coef = coefficients[self.col_slice(comp, n)]
+                    for a in alphas:
+                        out[a][rows][mask, comp] += blocks[a] @ coef
+                if self.global_patch is not None:
+                    blocks = feature_block(self.global_patch, comp, chunk, alphas)
+                    coef = coefficients[self.global_col_slice(comp)]
+                    for a in alphas:
+                        out[a][rows, comp] += blocks[a] @ coef
         return out
 
 

@@ -302,7 +302,6 @@ def run_experiment(
     if config.rescale_on:
         system = system.rescale(config.rescale_scale)
     coefficients, report = solve_system(system, config.rank_tol)
-    loss = system.loss(coefficients)
     errors: dict[str, float] = {}
     if problem.exact is not None:
         err = evaluate_error(
@@ -322,7 +321,7 @@ def run_experiment(
         rank=report.rank,
         sigma_max=report.sigma_max,
         sigma_min_kept=report.sigma_min_kept,
-        loss=loss,
+        loss=report.residual_norm,
         wall_time_s=wall,
         errors=errors,
     )

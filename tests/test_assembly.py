@@ -4,6 +4,7 @@ interface structure, and the dump/load round trip."""
 import numpy as np
 import pytest
 
+from rfm import assembly
 from rfm.assembly import assemble, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
@@ -212,3 +213,21 @@ def test_assembly_is_deterministic():
     s2 = assemble(problem, model, colloc)
     assert np.array_equal(s1.matrix, s2.matrix)
     assert np.array_equal(s1.rhs, s2.rhs)
+
+
+def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
+    problem, model, colloc = _single_feature_setup()
+    need = 2 * 3 * 1 * 8  # matrix and weighted copy of the 3x1 system
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"3x1 system needs 0 MB .* only 0 MB"):
+        assemble(problem, model, colloc)
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need)
+    assert assemble(problem, model, colloc).shape == (3, 1)
+    # an unreadable probe skips the guard
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: None)
+    assert assemble(problem, model, colloc).shape == (3, 1)
+
+
+def test_available_memory_probe_reads_a_positive_byte_count():
+    available = assembly.available_memory_bytes()
+    assert available is None or available > 0

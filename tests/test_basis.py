@@ -4,6 +4,7 @@ oracles, partition-of-unity identities, and sampling determinism."""
 import numpy as np
 import pytest
 
+from rfm import basis
 from rfm.basis import (
     FeatureSampler,
     Patch,
@@ -323,3 +324,35 @@ def test_model_eval_single_unit_coefficient_matches_basis_block():
     want = block[:, 3]
     got = model.eval(coef, pts)[:, 0]
     assert np.allclose(got, want, atol=1e-14)
+
+
+def _eval_one_alpha_unchunked(model, coef, pts, alpha):
+    """The per-multi-index evaluation loop over all points at once, as reference."""
+    out = np.zeros((len(pts), model.n_components))
+    for comp in range(model.n_components):
+        for n in range(len(model.patches)):
+            mask = model.support_mask(n, pts)
+            if mask.any():
+                block = model.basis_block(n, comp, pts[mask], [alpha])[alpha]
+                out[mask, comp] += block @ coef[model.col_slice(comp, n)]
+        if model.global_patch is not None:
+            block = feature_block(model.global_patch, comp, pts, [alpha])[alpha]
+            out[:, comp] += block @ coef[model.global_col_slice(comp)]
+    return out
+
+
+@pytest.mark.parametrize("pou", ["a", "b"])
+def test_eval_many_matches_per_alpha_loop_across_chunks(pou, monkeypatch):
+    monkeypatch.setattr(basis, "EVAL_CHUNK", 7)  # 50 points: 7 full chunks and a partial one
+    dom = box((0.0, 0.0), (1.0, 1.0))
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=5)
+    model = build_model(dom, (2, 2), 20, sampler, pou=pou, n_components=2, global_features=10)
+    coef = RNG.standard_normal(model.n_columns)
+    pts = RNG.uniform(0.0, 1.0, size=(50, 2))
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+    got = model.eval_many(coef, pts, alphas)
+    assert set(got) == set(alphas)
+    for alpha in alphas:
+        want = _eval_one_alpha_unchunked(model, coef, pts, alpha)
+        assert np.abs(got[alpha] - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(model.eval(coef, pts, alpha), got[alpha])

@@ -5,6 +5,7 @@ import pytest
 
 from rfm.basis import FeatureSampler, build_model
 from rfm.evaluation import (
+    _group_errors,
     evaluate_error,
     evaluation_grid,
     field_difference,
@@ -12,6 +13,7 @@ from rfm.evaluation import (
     low_frequency_energy,
     self_convergence,
 )
+from rfm.experiments import load_suite, run_experiment
 from rfm.geometry import Hole, box, interval
 from rfm.problems import make_helmholtz_1d
 
@@ -110,3 +112,25 @@ def test_low_frequency_energy_gate():
     assert low_frequency_energy(low, kmax=3) > 100 * low_frequency_energy(high, kmax=3)
     # for the low-frequency field nearly all energy sits in the gate
     assert low_frequency_energy(low, kmax=3) == pytest.approx(np.mean(low**2), rel=1e-6)
+
+
+def test_near_zero_reference_is_measured_against_its_group_scale():
+    big = np.array([3.0, -4.0])  # norm 5
+    noise = np.array([1e-13, -1e-13])  # zero up to rounding
+    got = [big + 0.01, noise + 0.01]
+    errs = _group_errors(got, [big, noise])
+    want = np.linalg.norm([0.01, 0.01]) / 5.0
+    assert errs[0].l2_rel == pytest.approx(want, rel=1e-12)
+    assert errs[1].l2_rel == pytest.approx(want, rel=1e-12)
+    assert errs[1].linf_rel == pytest.approx(0.01 / 4.0, rel=1e-9)
+    # a group of zero references reports absolute error
+    (zero,) = _group_errors([np.array([0.0, 0.5])], [np.zeros(2)])
+    assert zero.l2_rel == 0.5 and zero.linf_rel == 0.5
+
+
+def test_beam_sy_l2rel_is_not_divided_by_rounding_noise():
+    # the exact sigma_y of the beam is 0; its reference norm is about 1e-13
+    config = {c.name: c for c in load_suite("timoshenko")}["M=800 Q=1600"]
+    record = run_experiment(config)
+    assert record.errors["sy_l2rel"] <= 1e-6
+    assert record.errors["sx_l2rel"] <= 1e-6

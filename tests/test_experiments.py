@@ -263,6 +263,17 @@ def test_cli_seed_override(tmp_path):
     assert "seed=5" in out.stdout
 
 
+def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, capsys):
+    from rfm import assembly
+    from rfm.cli import main
+
+    path = tmp_path / "cfg.json"
+    _fast_config().save(path)
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**5)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "208x200 system needs 1 MB" in capsys.readouterr().err
+
+
 def test_cli_table_unknown_suite_fails():
     out = _run_cli("table", "--suite", "bogus")
     assert out.returncode != 0

@@ -1,10 +1,17 @@
 """Minimum-norm least squares: hand-checkable oracles, rank reporting,
-null-space behavior, and scaling equivariance."""
+null-space behavior, scaling equivariance, and agreement with scipy's
+gelsd least squares on random matrices and on every suite."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rfm.solver import condition_report, solve_min_norm
+from rfm.assembly import assemble
+from rfm.experiments import SUITE_NAMES, build_run, load_suite
+from rfm.solver import condition_report, solve_min_norm, solve_system
 
 RNG = np.random.default_rng(77)
 
@@ -97,3 +104,98 @@ def test_condition_report_full_svd():
     assert info["sigma_max"] == pytest.approx(3.0)
     assert info["sigma_min"] == pytest.approx(0.5)
     assert info["condition"] == pytest.approx(6.0)
+
+
+# ----------------------------------------------------------------------
+# agreement with scipy.linalg.lstsq(..., lapack_driver="gelsd")
+# ----------------------------------------------------------------------
+
+# tenths in [-10, 10]: zeros and repeats make rank deficiency common, and no
+# tiny (subnormal) entry pushes the solution past the float range
+ENTRIES = st.integers(-100, 100).map(lambda k: k / 10)
+
+
+def _assert_matches_scipy(x, report, a, b, rank_tol=None):
+    cond = np.finfo(float).eps * max(a.shape) if rank_tol is None else rank_tol
+    x_ref, _, rank, sv = scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsd")
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert report.rank == rank
+    assert report.sigma_max == pytest.approx(sv[0], rel=1e-12)
+    assert report.sigma_min_kept == pytest.approx(sv[rank - 1] if rank else 0.0, rel=1e-12)
+
+
+@st.composite
+def _problems(draw, kind):
+    """(a, b) of one shape kind; a rank-deficient a is a product through r < min(m, n)."""
+    if kind == "tall":
+        n = draw(st.integers(1, 12))
+        m = draw(st.integers(n, 3 * n))
+        a = draw(arrays(float, (m, n), elements=ENTRIES))
+    elif kind == "wide":
+        m = draw(st.integers(1, 11))
+        n = draw(st.integers(m + 1, 24))
+        a = draw(arrays(float, (m, n), elements=ENTRIES))
+    else:
+        m, n = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+        r = draw(st.integers(1, min(m, n) - 1))
+        a = draw(arrays(float, (m, r), elements=ENTRIES)) @ draw(
+            arrays(float, (r, n), elements=ENTRIES)
+        )
+    return a, draw(arrays(float, m, elements=ENTRIES))
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient"])
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_solve_min_norm_matches_scipy_gelsd(kind, data):
+    a, b = data.draw(_problems(kind))
+    a_before, b_before = a.copy(), b.copy()
+    x, report = solve_min_norm(a, b)
+    assert x.shape == (a.shape[1],)
+    _assert_matches_scipy(x, report, a, b)
+    assert report.residual_norm == np.linalg.norm(a @ x - b)
+    # the caller's arrays are copied, never factorized in place
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+def _smallest_system(suite):
+    """The assembled, rescaled system of a suite's first (smallest) config."""
+    config = load_suite(suite)[0]
+    problem, model, colloc = build_run(config)
+    system = assemble(problem, model, colloc)
+    if config.rescale_on:
+        system.rescale(config.rescale_scale)
+    return system, config.rank_tol
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_solve_system_matches_scipy_gelsd_on_each_suite(suite):
+    system, rank_tol = _smallest_system(suite)
+    before = [system.matrix.copy(), system.rhs.copy(), system.weights.copy()]
+    x, report = solve_system(system, rank_tol)
+    for kept, now in zip(before, (system.matrix, system.rhs, system.weights)):
+        assert np.array_equal(kept, now)
+    _assert_matches_scipy(x, report, system.weighted_matrix(), system.weighted_rhs(), rank_tol)
+    assert report.residual_norm == system.loss(x)
+    assert (report.n_rows, report.n_cols) == system.shape
+
+
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(where, bad):
+    a = RNG.standard_normal((12, 5))
+    b = RNG.standard_normal(12)
+    if where == "matrix":
+        a[7, 3] = bad
+    else:
+        b[7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_min_norm(a, b)
+
+
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_solve_system_rejects_nan(where):
+    system, rank_tol = _smallest_system("helmholtz-pou")
+    getattr(system, where)[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_system(system, rank_tol)
