@@ -44,10 +44,6 @@ class ErrorReport:
     stresses: tuple[ComponentError, ...] = ()
     n_points: int = 0
 
-    @property
-    def worst_l2_rel(self) -> float:
-        return max(c.l2_rel for c in self.components + self.stresses)
-
 
 # A reference field whose norm is below this fraction of the largest norm in
 # its group (the solution components, or the stresses) is zero up to

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -126,6 +126,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown config key(s): %s" % ", ".join(map(repr, unknown)))
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+        ]
+        if missing:
+            raise ValueError("missing config key(s): %s" % ", ".join(map(repr, missing)))
         data = dict(data)
         for key in ("patch_counts", "interior", "eval_counts"):
             if data.get(key) is not None:
@@ -158,35 +168,45 @@ class ExperimentConfig:
 
 
 def make_problem(params: dict) -> PdeProblem:
-    """Instantiate a benchmark problem from its config dict."""
+    """Instantiate a benchmark problem from its config dict.
+
+    A key that the problem does not take raises ValueError naming it.
+    """
     params = dict(params)
     pid = params.pop("id")
     if pid == "helmholtz":
         sol = params.pop("solution", "wave-product")
         exact = {"wave-product": wave_product_1d, "four-tones": four_tones_1d}[sol]()
-        return make_helmholtz_1d(lam=params.pop("lam", 4.0), exact=exact)
-    if pid == "poisson":
+        problem = make_helmholtz_1d(lam=params.pop("lam", 4.0), exact=exact)
+    elif pid == "poisson":
         exact = two_band_2d(params.pop("a_low", 1.0), params.pop("b_high", 0.0))
-        return make_poisson_2d(exact=exact)
-    if pid == "beam":
-        return make_beam_problem()
-    if pid == "plate":
+        problem = make_poisson_2d(exact=exact)
+    elif pid == "beam":
+        problem = make_beam_problem()
+    elif pid == "plate":
         holes = params.pop("holes", None)
         if holes is None:
-            return make_plate_problem()
-        return make_plate_problem(tuple(Hole((h[0], h[1]), h[2]) for h in holes))
-    if pid == "stokes":
-        return make_stokes_manufactured()
-    if pid == "channel":
-        return make_channel_flow()
-    if pid == "varcoef":
+            problem = make_plate_problem()
+        else:
+            problem = make_plate_problem(tuple(Hole((h[0], h[1]), h[2]) for h in holes))
+    elif pid == "stokes":
+        problem = make_stokes_manufactured()
+    elif pid == "channel":
+        problem = make_channel_flow()
+    elif pid == "varcoef":
         coef = HomogenizationCoefficient(
             seed=params.pop("coef_seed", 0),
             bound=params.pop("bound", 6),
             amp=params.pop("amp", 0.3),
         )
-        return make_varcoef_elliptic(coef, forcing_value=params.pop("forcing", 1.0))
-    raise ValueError("unknown problem id %r" % pid)
+        problem = make_varcoef_elliptic(coef, forcing_value=params.pop("forcing", 1.0))
+    else:
+        raise ValueError("unknown problem id %r" % pid)
+    if params:
+        raise ValueError(
+            "unknown key(s) for problem %r: %s" % (pid, ", ".join(map(repr, sorted(params))))
+        )
+    return problem
 
 
 def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
@@ -265,9 +285,6 @@ class RunRecord:
     wall_time_s: float
     errors: dict[str, float] = field(default_factory=dict)
 
-    def error(self, key: str) -> float:
-        return self.errors[key]
-
 
 def _error_dict(report: ErrorReport, n_components: int) -> dict[str, float]:
     out = {}
@@ -302,6 +319,11 @@ def run_experiment(
     if config.rescale_on:
         system = system.rescale(config.rescale_scale)
     coefficients, report = solve_system(system, config.rank_tol)
+    if dump_system is not None:
+        system.dump(dump_system)
+    # the raw matrix is not needed past the solve; free it before evaluation
+    n_rows, n_columns = system.shape
+    del system
     errors: dict[str, float] = {}
     if problem.exact is not None:
         err = evaluate_error(
@@ -316,8 +338,8 @@ def run_experiment(
         config_hash=config.config_hash,
         seed=config.seed,
         m_features=model.n_features,
-        n_rows=system.shape[0],
-        n_columns=system.shape[1],
+        n_rows=n_rows,
+        n_columns=n_columns,
         rank=report.rank,
         sigma_max=report.sigma_max,
         sigma_min_kept=report.sigma_min_kept,
@@ -325,8 +347,6 @@ def run_experiment(
         wall_time_s=wall,
         errors=errors,
     )
-    if dump_system is not None:
-        system.dump(dump_system)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

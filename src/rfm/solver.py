@@ -1,4 +1,14 @@
-"""Minimum-norm least-squares solve and conditioning diagnostics."""
+"""Minimum-norm least-squares solve and conditioning diagnostics.
+
+A collocation system is solved in two steps.  Rows that touch the same set
+of column blocks (one block per patch and component, plus the global block)
+form a row group; a group with at least two more rows than columns is
+replaced by the R factor of its orthogonal QR, as in TSQR (Demmel,
+Grigori, Hoemmen & Langou, SISC 2012).  An orthogonal transform of a row
+group leaves A^T A and A^T b unchanged, so the singular values, the set of
+minimizers and the minimum-norm solution are those of the full system.
+The compressed system then goes through one SVD solve (gelsd).
+"""
 
 from __future__ import annotations
 
@@ -7,9 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
-from .assembly import WeightedSystem
+from .assembly import ROW_CHUNK, WeightedSystem
+from .basis import RfmModel
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -21,6 +32,7 @@ class LstsqReport:
 
     n_rows: int
     n_cols: int
+    solved_rows: int  # rows the SVD factorized, after any row compression
     rank: int
     sigma_max: float
     sigma_min_kept: float
@@ -92,6 +104,7 @@ def solve_min_norm(
     report = LstsqReport(
         n_rows=m,
         n_cols=n,
+        solved_rows=m,
         rank=int(rank),
         sigma_max=sigma_max,
         sigma_min_kept=sigma_min_kept,
@@ -119,16 +132,134 @@ def solve_system(
 ) -> tuple[np.ndarray, LstsqReport]:
     """Solve a weighted collocation system in the rescaled norm.
 
-    The weighted matrix is written into one Fortran-ordered buffer that
-    gelsd factorizes in place, so a solve holds two matrix-sized arrays:
-    the raw matrix and that buffer.  ``system.matrix``, ``rhs`` and
-    ``weights`` are left as they were; the report's residual norm is the
-    system's weighted loss at the solution.
+    Tall row groups are QR-compressed exactly (see the module docstring)
+    and the weighted, compressed system is written into one Fortran-ordered
+    buffer that gelsd factorizes in place, so a solve holds at most two
+    matrix-sized arrays: the raw matrix and that buffer.  The rank cut-off
+    is taken from the full system's shape.  ``system.matrix``, ``rhs`` and
+    ``weights`` are left as they were; the report's ``n_rows`` is the
+    system's row count, ``solved_rows`` the compressed one, and its residual
+    norm is the system's weighted loss at the solution.
     """
-    weighted = np.empty(system.shape, order="F")
-    np.multiply(system.weights[:, None], system.matrix, out=weighted)
-    x, report = solve_min_norm(weighted, system.weighted_rhs(), rank_tol, overwrite_a=True)
-    return x, replace(report, residual_norm=system.loss(x))
+    a, b = _compress_rows(system)
+    if rank_tol is None:
+        rank_tol = np.finfo(float).eps * max(system.shape)
+    x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
+    return x, replace(report, n_rows=system.shape[0], residual_norm=system.loss(x))
+
+
+def column_blocks(model: RfmModel) -> list[slice]:
+    """The model's column blocks: one per component and patch, then the global ones."""
+    blocks = [
+        model.col_slice(comp, n)
+        for comp in range(model.n_components)
+        for n in range(len(model.patches))
+    ]
+    if model.global_patch is not None:
+        blocks += [model.global_col_slice(comp) for comp in range(model.n_components)]
+    return blocks
+
+
+def _row_groups(matrix: np.ndarray, blocks: list[slice]) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by the set of column blocks they hold a nonzero in.
+
+    Returns ``(sets, labels)``: ``sets[g, j]`` says whether group ``g``
+    touches ``blocks[j]``, and ``labels[i]`` is the group of row ``i``.
+    Rows are scanned in chunks, so no matrix-sized temporary is made.
+    """
+    touched = np.empty((len(matrix), len(blocks)), bool)
+    step = max(1, ROW_CHUNK // max(1, matrix.shape[1]))
+    for start in range(0, len(matrix), step):
+        rows = slice(start, start + step)
+        nonzero = matrix[rows] != 0
+        for j, cols in enumerate(blocks):
+            np.any(nonzero[:, cols], axis=1, out=touched[rows, j])
+    # one byte string per row, so any number of blocks makes a sortable key
+    packed = np.packbits(touched, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    unique, labels = np.unique(keys, return_inverse=True)
+    sets = np.unpackbits(
+        unique.view(np.uint8).reshape(len(unique), -1), axis=1, count=len(blocks)
+    ).astype(bool)
+    return sets, labels.ravel()
+
+
+def _compress_rows(system: WeightedSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted system with every tall row group replaced by its R factor.
+
+    A group is tall when it has more rows than its column count + 1.  The
+    other rows come first, in their original order, weighted exactly as
+    ``weights[:, None] * matrix`` would; each tall group then contributes
+    as many rows as it has columns.  Returns a Fortran-ordered matrix and
+    its right-hand side.
+    """
+    matrix, weights = system.matrix, system.weights
+    rhs = system.weighted_rhs()
+    blocks = column_blocks(system.model)
+    sets, labels = _row_groups(matrix, blocks)
+    widths = sets @ np.array([b.stop - b.start for b in blocks])
+    tall = np.flatnonzero(np.bincount(labels, minlength=len(sets)) > widths + 1)
+    kept = np.flatnonzero(~np.isin(labels, tall))
+    out = np.empty((len(kept) + widths[tall].sum(), matrix.shape[1]), order="F")
+    out_rhs = np.empty(len(out))
+    top = 0
+    # kept rows by runs of consecutive rows, with no temporary
+    for run in np.split(kept, np.flatnonzero(np.diff(kept) != 1) + 1):
+        if len(run):
+            rows = slice(run[0], run[-1] + 1)
+            np.multiply(weights[rows, None], matrix[rows], out=out[top : top + len(run)])
+            top += len(run)
+    out_rhs[:top] = rhs[kept]
+    for g in tall:
+        cols = [blocks[j] for j in np.flatnonzero(sets[g])]
+        r = _group_r(matrix, weights, rhs, np.flatnonzero(labels == g), cols)
+        n = widths[g]
+        out[top : top + n] = 0.0
+        offset = 0
+        for c in cols:
+            out[top : top + n, c] = r[:, offset : offset + c.stop - c.start]
+            offset += c.stop - c.start
+        out_rhs[top : top + n] = r[:, n]
+        top += n
+    return out, out_rhs
+
+
+def _group_r(
+    matrix: np.ndarray,
+    weights: np.ndarray,
+    rhs: np.ndarray,
+    rows: np.ndarray,
+    cols: list[slice],
+) -> np.ndarray:
+    """Top rows of the R factor of ``[W A | W b]`` over a group's rows and columns.
+
+    ``rhs`` is already weighted.  The result has one row per column: the
+    last row of R, which holds only the group's orthogonal residual, is
+    dropped.  A NaN or inf in the group raises ValueError.
+    """
+    n = sum(c.stop - c.start for c in cols)
+    group = np.empty((len(rows), n + 1), order="F")
+    step = max(1, ROW_CHUNK // (n + 1))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        offset = 0
+        for c in cols:
+            width = c.stop - c.start
+            np.multiply(
+                weights[chunk, None],
+                matrix[chunk, c],
+                out=group[start : start + len(chunk), offset : offset + width],
+            )
+            offset += width
+    group[:, n] = rhs[rows]
+    _require_finite(group)
+    lwork, info = dgeqrf_lwork(*group.shape)
+    if info != 0:
+        raise ValueError("geqrf workspace query failed (info=%d)" % info)
+    qr, _, _, info = dgeqrf(group, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise ValueError("illegal value in argument %d of geqrf" % -info)
+    return np.triu(qr[:n])
 
 
 def condition_report(a: np.ndarray) -> dict:

@@ -151,6 +151,23 @@ def test_rescale_flags_zero_rows_with_unit_weight():
     assert np.all(system.weights[system.zero_rows] == 1.0)
 
 
+def test_rescale_row_maxima_are_exact_across_chunks():
+    problem, model, colloc = _single_feature_setup()
+    system = assemble(problem, model, colloc)
+    cols = 300
+    step = assembly.ROW_CHUNK // cols
+    matrix = RNG.standard_normal((2 * step + 17, cols)) * 10.0 ** RNG.integers(-8, 8, (2 * step + 17, 1))
+    zero = [0, step - 1, step, 2 * step + 16]  # at both edges of a chunk and at the end
+    matrix[zero] = 0.0
+    system.matrix = matrix
+    system.rescale(100.0)
+    rowmax = np.abs(matrix).max(axis=1)
+    want = np.ones(len(matrix))
+    np.divide(100.0, rowmax, out=want, where=rowmax != 0)
+    assert np.array_equal(system.weights, want)
+    assert system.zero_rows.tolist() == zero
+
+
 def test_weighted_residual_and_loss():
     problem, model, colloc = _single_feature_setup()
     system = assemble(problem, model, colloc).rescale(10.0)

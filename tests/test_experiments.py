@@ -274,6 +274,27 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
     assert "208x200 system needs 1 MB" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda cfg: cfg["problem"].update(holez=3), "holez"),
+        (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee"),
+        (lambda cfg: cfg.pop("boundary"), "boundary"),
+    ],
+    ids=["problem-key", "top-level-key", "missing-key"],
+)
+def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key):
+    from rfm.cli import main
+
+    cfg = json.loads((suite_dir() / "stokes-exact" / "00.json").read_text())
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert ("missing" if key == "boundary" else "unknown") in err and repr(key) in err
+
+
 def test_cli_table_unknown_suite_fails():
     out = _run_cli("table", "--suite", "bogus")
     assert out.returncode != 0

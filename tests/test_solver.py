@@ -1,6 +1,9 @@
 """Minimum-norm least squares: hand-checkable oracles, rank reporting,
-null-space behavior, scaling equivariance, and agreement with scipy's
-gelsd least squares on random matrices and on every suite."""
+null-space behavior, scaling equivariance, agreement with scipy's gelsd
+least squares on random matrices and on every suite, and exactness of the
+row compression that solve_system applies first."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rfm.assembly import assemble
+from rfm.assembly import WeightedSystem, assemble
+from rfm.basis import FeatureSampler, build_model
 from rfm.experiments import SUITE_NAMES, build_run, load_suite
-from rfm.solver import condition_report, solve_min_norm, solve_system
+from rfm.geometry import interval
+from rfm.solver import column_blocks, condition_report, solve_min_norm, solve_system
 
 RNG = np.random.default_rng(77)
 
@@ -158,9 +163,10 @@ def test_solve_min_norm_matches_scipy_gelsd(kind, data):
     assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
-def _smallest_system(suite):
-    """The assembled, rescaled system of a suite's first (smallest) config."""
-    config = load_suite(suite)[0]
+def _system(suite, name=None):
+    """The assembled, rescaled system of a suite config (by default the first, smallest)."""
+    configs = load_suite(suite)
+    config = configs[0] if name is None else {c.name: c for c in configs}[name]
     problem, model, colloc = build_run(config)
     system = assemble(problem, model, colloc)
     if config.rescale_on:
@@ -170,14 +176,99 @@ def _smallest_system(suite):
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_solve_system_matches_scipy_gelsd_on_each_suite(suite):
-    system, rank_tol = _smallest_system(suite)
+    """The LAPACK wrapper on the full weighted system of every suite.
+
+    solve_system itself compresses rows first, which moves the solution
+    along near-null directions; test_row_compression_matches_direct_gelsd
+    covers it against this direct solve.
+    """
+    system, rank_tol = _system(suite)
+    a, b = system.weighted_matrix(), system.weighted_rhs()
+    x, report = solve_min_norm(a, b, rank_tol)
+    _assert_matches_scipy(x, report, a, b, rank_tol)
+    assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
+
+
+# (suite, config name or None for the first, whether it has a tall row group):
+# the first config of every suite, and a larger beam
+COMPRESSION_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_NAMES] + [
+    ("timoshenko", "M=800 Q=1600", True)
+]
+
+
+@pytest.mark.parametrize(
+    "suite,name,compresses",
+    COMPRESSION_CASES,
+    ids=[f"{s}-{n or 'first'}" for s, n, _ in COMPRESSION_CASES],
+)
+def test_row_compression_matches_direct_gelsd(suite, name, compresses):
+    system, rank_tol = _system(suite, name)
     before = [system.matrix.copy(), system.rhs.copy(), system.weights.copy()]
     x, report = solve_system(system, rank_tol)
     for kept, now in zip(before, (system.matrix, system.rhs, system.weights)):
         assert np.array_equal(kept, now)
-    _assert_matches_scipy(x, report, system.weighted_matrix(), system.weighted_rhs(), rank_tol)
-    assert report.residual_norm == system.loss(x)
     assert (report.n_rows, report.n_cols) == system.shape
+    assert report.residual_norm == system.loss(x)
+    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
+    assert (report.solved_rows < report.n_rows) == compresses
+    if not compresses:
+        # nothing compressed: the same gelsd call on the same bits
+        assert np.array_equal(x, x_d)
+        ignore = dict(wall_time_s=0.0, residual_norm=0.0)
+        assert replace(report, **ignore) == replace(direct, **ignore)
+        return
+    assert report.rank == direct.rank
+    assert report.sigma_max == pytest.approx(direct.sigma_max, rel=1e-12)
+    fitted = system.weights * (system.matrix @ (x - x_d))
+    assert np.linalg.norm(fitted) <= 1e-8 * np.linalg.norm(system.weighted_rhs())
+    assert report.residual_norm == pytest.approx(system.loss(x_d), rel=1e-4)
+
+
+@st.composite
+def _block_systems(draw):
+    """A weighted system on a real column layout whose rows each touch a random
+    set of column blocks, plus up to three zero rows.  Every block lies in
+    some group with at least two more Gaussian rows than columns, so the
+    tall groups, and the whole system, have full column rank."""
+    model = build_model(
+        interval(0.0, 1.0),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 6)),
+        FeatureSampler(rm=1.0, mode="uniform_random", seed=0),
+        n_components=draw(st.integers(1, 2)),
+        global_features=draw(st.sampled_from([0, 3])),
+    )
+    blocks = column_blocks(model)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    some_blocks = st.sets(st.integers(0, len(blocks) - 1), max_size=len(blocks))
+    sets = [draw(some_blocks) | {j} for j in range(len(blocks))]
+    tall = len(sets)
+    sets += draw(st.lists(some_blocks, max_size=4))
+    parts = []
+    for g, chosen in enumerate(sets):
+        width = sum(blocks[j].stop - blocks[j].start for j in chosen)
+        count = draw(st.integers(width + 2, 2 * width + 4) if g < tall else st.integers(1, width + 1))
+        part = np.zeros((count, model.n_columns))
+        for j in chosen:
+            part[:, blocks[j]] = rng.standard_normal((count, blocks[j].stop - blocks[j].start))
+        parts.append(part * 10.0 ** rng.uniform(-3, 3, (count, 1)))
+    parts.append(np.zeros((draw(st.integers(0, 3)), model.n_columns)))
+    matrix = np.vstack(parts)[rng.permutation(sum(len(p) for p in parts))]
+    n = len(matrix)
+    system = WeightedSystem(
+        matrix, rng.standard_normal(n), np.ones(n), [], model, None, n, 0, 0, 0
+    )
+    return system.rescale()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(system=_block_systems())
+def test_row_compression_is_exact_on_random_block_systems(system):
+    x, report = solve_system(system)
+    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs())
+    assert report.solved_rows < report.n_rows == len(system.matrix)
+    assert report.rank == direct.rank == system.shape[1]
+    assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
@@ -195,7 +286,19 @@ def test_non_finite_input_is_rejected(where, bad):
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_solve_system_rejects_nan(where):
-    system, rank_tol = _smallest_system("helmholtz-pou")
+    system, rank_tol = _system("helmholtz-pou")
     getattr(system, where)[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_system(system, rank_tol)
+
+
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+def test_row_compression_rejects_nan_in_a_tall_group(where):
+    system, rank_tol = _system("poisson-multiscale")
+    row = 5  # an interior row, in its patch's tall group
+    if where == "matrix":
+        system.matrix[row, np.flatnonzero(system.matrix[row])[0]] = np.nan
+    else:
+        system.rhs[row] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_system(system, rank_tol)
