@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import RfmModel, feature_block
 from .geometry import CollocationSet
-from .problems import BoundaryStencil, OperatorStencil, PdeProblem
+from .problems import BoundaryStencil, OperatorStencil, PdeProblem, Term
 
 # Elements of matrix rows that a pass over the whole matrix (rescaling, row
 # grouping) handles at a time: 2 MB of float64.  An 8 MB chunk raised peak
@@ -26,24 +26,17 @@ from .problems import BoundaryStencil, OperatorStencil, PdeProblem
 ROW_CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
-class RowMeta:
-    """Provenance of one matrix row (which condition at which point)."""
-
-    kind: str  # "interior" | "boundary" | "interface" | "pin"
-    row: int  # condition row within the point's block
-    point: tuple[float, ...]
-    tag: str = ""
-
-
 @dataclass
 class WeightedSystem:
-    """A @ u ~ b with per-row rescale weights kept separate from A."""
+    """A @ u ~ b with per-row rescale weights kept separate from A.
+
+    The four row counts give each row family as a contiguous slice, in the
+    order interior, boundary, interface, pin.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     weights: np.ndarray
-    meta: list[RowMeta]
     model: RfmModel
     problem: PdeProblem
     n_interior_rows: int
@@ -126,6 +119,8 @@ def _fill_stencil_rows(
     """Scatter one stencil's conditions for a batch of points into ``a``.
 
     Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
+    Every expansion of the model (local patches and the global patch) adds
+    its block at the points in its support.
     """
     n_rows = stencil.n_rows
     base = start + np.arange(len(points)) * n_rows
@@ -133,7 +128,7 @@ def _fill_stencil_rows(
     for comp in comps:
         terms = [t for t in stencil.terms if t.comp == comp]
         alphas = stencil.alphas_for(comp)
-        for n in range(len(model.patches)):
+        for n in range(len(model.expansions)):
             mask = model.support_mask(n, points)
             if not mask.any():
                 continue
@@ -143,12 +138,6 @@ def _fill_stencil_rows(
             for t in terms:
                 coeff = t.coeff_at(points[mask], sub_n)
                 a[base[mask] + t.row, cols] += coeff[:, None] * blocks[t.alpha]
-        if model.global_patch is not None:
-            blocks = feature_block(model.global_patch, comp, points, alphas)
-            cols = model.global_col_slice(comp)
-            for t in terms:
-                coeff = t.coeff_at(points, normals)
-                a[base + t.row, cols] += coeff[:, None] * blocks[t.alpha]
 
 
 def _fill_interface_rows(
@@ -228,13 +217,10 @@ def assemble(
     _check_memory(n_rows, model.n_columns)
     a = np.zeros((n_rows, model.n_columns))
     b = np.zeros(n_rows)
-    meta: list[RowMeta] = []
 
     # interior conditions
     _fill_stencil_rows(a, 0, model, colloc.interior, problem.operator)
     b[:n_int] = problem.forcing_values(colloc.interior).ravel()
-    for p in colloc.interior:
-        meta.extend(RowMeta("interior", k, tuple(p)) for k in range(k_i))
 
     # boundary conditions, grouped per stencil but kept in collocation order
     tags = np.asarray(colloc.boundary_tags)
@@ -258,41 +244,24 @@ def assemble(
             [colloc.boundary_tags[i] for i in sel],
         )
         b[start : start + len(sel) * k_b] = vals.ravel()
-        for i in sel:
-            meta.extend(
-                RowMeta("boundary", k, tuple(colloc.boundary_points[i]), colloc.boundary_tags[i])
-                for k in range(k_b)
-            )
         start += len(sel) * k_b
 
     # interface continuity (right-hand side stays zero)
     if colloc.n_interface:
         _fill_interface_rows(a, start, model, colloc)
-        for p, pair in zip(colloc.interface.points, colloc.interface.pairs):
-            tag = "%d|%d" % (pair[0], pair[1])
-            for comp in range(model.n_components):
-                meta.append(RowMeta("interface", 2 * comp, tuple(p), tag))
-                meta.append(RowMeta("interface", 2 * comp + 1, tuple(p), tag))
         start += n_ifc
 
-    # pointwise pins
+    # pointwise pins: one-point Dirichlet conditions on one component
     for j, (point, comp, value) in enumerate(pins):
-        pt = np.asarray([point], float)
-        for n in range(len(model.patches)):
-            if model.support_mask(n, pt)[0]:
-                blk = model.basis_block(n, comp, pt, [(0,) * model.dim])
-                a[start + j, model.col_slice(comp, n)] += blk[(0,) * model.dim][0]
-        if model.global_patch is not None:
-            blk = feature_block(model.global_patch, comp, pt, [(0,) * model.dim])
-            a[start + j, model.global_col_slice(comp)] += blk[(0,) * model.dim][0]
+        term = Term(0, comp, (0,) * model.dim, 1.0)
+        pin = BoundaryStencil((), (term,), 1, model.n_components, model.dim)
+        _fill_stencil_rows(a, start + j, model, np.asarray([point], float), pin)
         b[start + j] = value
-        meta.append(RowMeta("pin", comp, tuple(point)))
 
     return WeightedSystem(
         matrix=a,
         rhs=b,
         weights=np.ones(n_rows),
-        meta=meta,
         model=model,
         problem=problem,
         n_interior_rows=n_int,

@@ -289,9 +289,11 @@ def feature_block(
 class RfmModel:
     """A full random feature expansion over a tiled patch grid.
 
+    ``expansions`` lists the local patches in construction order, then the
+    global patch (if any); every per-patch method takes an index into it.
+    The global patch's support is the whole domain and its PoU factor is 1.
     Columns of the collocation system are ordered component-major, then by
-    patch in construction order, with the global patch (if any) last inside
-    each component block.
+    expansion, so the global features come last inside each component block.
     """
 
     patches: list[Patch]
@@ -310,8 +312,10 @@ class RfmModel:
             raise ValueError("patches disagree on dimension or component count")
         if sum(p.n_features for p in self.patches) == 0:
             raise ValueError("model has no features")
+        global_ = [] if self.global_patch is None else [self.global_patch]
+        self.expansions = self.patches + global_
         self._offsets = np.concatenate(
-            [[0], np.cumsum([p.n_features for p in self.patches])]
+            [[0], np.cumsum([p.n_features for p in self.expansions])]
         )
         self._validate_layout()
 
@@ -350,14 +354,9 @@ class RfmModel:
         return self.patches[0].dim
 
     @property
-    def n_local_features(self) -> int:
-        return int(self._offsets[-1])
-
-    @property
     def n_features(self) -> int:
         """Feature count per component, global expansion included."""
-        g = self.global_patch.n_features if self.global_patch is not None else 0
-        return self.n_local_features + g
+        return int(self._offsets[-1])
 
     @property
     def n_columns(self) -> int:
@@ -369,12 +368,6 @@ class RfmModel:
             base + self._offsets[patch_index], base + self._offsets[patch_index + 1]
         )
 
-    def global_col_slice(self, comp: int) -> slice:
-        if self.global_patch is None:
-            raise ValueError("model has no global patch")
-        base = comp * self.n_features + self.n_local_features
-        return slice(base, base + self.global_patch.n_features)
-
     def boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [p.box for p in self.patches]
 
@@ -382,11 +375,16 @@ class RfmModel:
     # evaluation
     # ------------------------------------------------------------------
 
+    def _is_global(self, patch_index: int) -> bool:
+        return patch_index == len(self.patches)
+
     def support_mask(self, patch_index: int, points: np.ndarray) -> np.ndarray:
-        """Points where the patch's PoU weight can be nonzero."""
-        p = self.patches[patch_index]
+        """Points where the patch's PoU weight can be nonzero (all, for the global patch)."""
+        p = self.expansions[patch_index]
         xt = p.normalize(points)
         mask = np.ones(len(xt), bool)
+        if self._is_global(patch_index):
+            return mask
         for a in range(p.dim):
             if self.pou == "a":
                 hi_ok = (xt[:, a] <= 1.0) if p.clamp_hi[a] else (xt[:, a] < 1.0)
@@ -422,8 +420,11 @@ class RfmModel:
 
         The product rule runs over all sub-multi-indices; for kind "a" the
         PoU factor is the indicator, so only the bare feature term survives.
+        The global patch's factor is 1: its block is the bare features.
         """
-        p = self.patches[patch_index]
+        p = self.expansions[patch_index]
+        if self._is_global(patch_index):
+            return feature_block(p, comp, points, alphas)
         phis_needed = sorted(
             {tuple(g) for a in alphas for g in np.ndindex(*[i + 1 for i in a])}
         )
@@ -494,7 +495,7 @@ class RfmModel:
             chunk = points[lo : lo + EVAL_CHUNK]
             rows = slice(lo, lo + len(chunk))
             for comp in range(self.n_components):
-                for n in range(len(self.patches)):
+                for n in range(len(self.expansions)):
                     mask = self.support_mask(n, chunk)
                     if not mask.any():
                         continue
@@ -502,11 +503,6 @@ class RfmModel:
                     coef = coefficients[self.col_slice(comp, n)]
                     for a in alphas:
                         out[a][rows][mask, comp] += blocks[a] @ coef
-                if self.global_patch is not None:
-                    blocks = feature_block(self.global_patch, comp, chunk, alphas)
-                    coef = coefficients[self.global_col_slice(comp)]
-                    for a in alphas:
-                        out[a][rows, comp] += blocks[a] @ coef
         return out
 
 

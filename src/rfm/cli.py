@@ -1,5 +1,5 @@
-"""Command-line interface: run one config, run a suite table, or ablate
-row rescaling.
+"""Command-line interface: run one config, run a suite table, ablate row
+rescaling, or print a suite config.
 
 The RFM_THREADS environment variable caps the BLAS thread count; it is
 applied before numpy loads, which is why all numerical imports happen
@@ -49,6 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate = sub.add_parser("ablate-rescale", help="run a config with and without rescaling")
     ablate.add_argument("--config", required=True, help="path to a config JSON file")
 
+    config = sub.add_parser("config", help="print a suite config as JSON")
+    config.add_argument("--suite", required=True, help="suite name")
+    config.add_argument("--name", default=None, help="config name (default: the suite's first)")
+
     return parser
 
 
@@ -72,6 +76,7 @@ def main(argv=None) -> int:
 
     from .experiments import (
         ExperimentConfig,
+        load_suite,
         rescale_ablation,
         run_experiment,
         run_table,
@@ -105,6 +110,15 @@ def main(argv=None) -> int:
             _print_record(on)
             print("rescaling off:")
             _print_record(off)
+        elif args.command == "config":
+            configs = {c.name: c for c in load_suite(args.suite)}
+            name = next(iter(configs)) if args.name is None else args.name
+            if name not in configs:
+                raise ValueError(
+                    "unknown config %r in suite %r (known: %s)"
+                    % (name, args.suite, ", ".join(configs))
+                )
+            print(configs[name].to_json())
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

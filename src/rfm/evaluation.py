@@ -32,7 +32,6 @@ class ComponentError:
     """Error of one solution component against a reference field."""
 
     linf: float
-    linf_rel: float
     l2_rel: float
 
 
@@ -66,20 +65,13 @@ def _group_errors(got, ref) -> tuple[ComponentError, ...]:
     A reference that is identically zero in a group whose references are
     all zero falls back to absolute error.
     """
-    scales_inf = _floored([float(np.abs(r).max()) if len(r) else 0.0 for r in ref])
-    scales_2 = _floored([float(np.linalg.norm(r)) for r in ref])
+    scales = _floored([float(np.linalg.norm(r)) for r in ref])
     out = []
-    for g, r, s_inf, s_2 in zip(got, ref, scales_inf, scales_2):
+    for g, r, scale in zip(got, ref, scales):
         diff = g - r
         linf = float(np.abs(diff).max()) if len(diff) else 0.0
         l2 = float(np.linalg.norm(diff))
-        out.append(
-            ComponentError(
-                linf=linf,
-                linf_rel=linf / s_inf if s_inf > 0 else linf,
-                l2_rel=l2 / s_2 if s_2 > 0 else l2,
-            )
-        )
+        out.append(ComponentError(linf=linf, l2_rel=l2 / scale if scale > 0 else l2))
     return tuple(out)
 
 
@@ -107,23 +99,6 @@ def evaluate_error(
         ref_s = exact_stress(problem.constants, problem.exact, pts)
         stresses = _group_errors(got_s, ref_s)
     return ErrorReport(components=comps, stresses=stresses, n_points=len(pts))
-
-
-def field_difference(
-    model_a: RfmModel,
-    coef_a: np.ndarray,
-    model_b: RfmModel,
-    coef_b: np.ndarray,
-    points: np.ndarray,
-) -> tuple[ComponentError, ...]:
-    """Per-component error of solution a measured against solution b.
-
-    This is the self-convergence metric: coarser runs are compared with
-    the finest run in place of an unknown exact solution.
-    """
-    got = model_a.eval(coef_a, points)
-    ref = model_b.eval(coef_b, points)
-    return _group_errors(got.T, ref.T)
 
 
 def self_convergence(

@@ -2,8 +2,9 @@
 
 A config is a flat, JSON-serializable description of one solve: problem,
 model layout, collocation counts, rescaling, solver tolerance, and seed.
-Suites are named lists of configs shipped as package data; running a suite
-produces one CSV row per config with median-over-seeds errors.
+Suites are named lists of configs built in code (``rfm config`` prints one
+as JSON); running a suite produces one CSV row per config with
+median-over-seeds errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +450,7 @@ def rescale_ablation(config: ExperimentConfig) -> tuple[RunRecord, RunRecord]:
 
 
 # ----------------------------------------------------------------------
-# suite definitions (shipped as package data, regenerable from code)
+# suite definitions
 # ----------------------------------------------------------------------
 
 
@@ -632,32 +632,10 @@ def default_suite_configs() -> dict[str, list[ExperimentConfig]]:
     return suites
 
 
-def suite_dir():
-    return resources.files("rfm") / "suite_configs"
-
-
 def load_suite(suite: str) -> list[ExperimentConfig]:
-    """Load a packaged suite's configs in manifest order."""
+    """A shipped suite's configs, in definition order."""
     if suite not in SUITE_NAMES:
         raise ValueError(
             "unknown suite %r (known: %s)" % (suite, ", ".join(SUITE_NAMES))
         )
-    root = suite_dir() / suite
-    manifest = json.loads((root / "manifest.json").read_text())
-    return [ExperimentConfig.from_json((root / fn).read_text()) for fn in manifest["configs"]]
-
-
-def write_suite_files(base_path) -> None:
-    """Materialize default_suite_configs() as the packaged JSON tree."""
-    base = Path(base_path)
-    for suite, configs in default_suite_configs().items():
-        d = base / suite
-        d.mkdir(parents=True, exist_ok=True)
-        names = []
-        for i, config in enumerate(configs):
-            fn = "%02d.json" % i
-            (d / fn).write_text(config.to_json() + "\n")
-            names.append(fn)
-        (d / "manifest.json").write_text(
-            json.dumps({"suite": suite, "configs": names}, indent=2) + "\n"
-        )
+    return default_suite_configs()[suite]

@@ -1,10 +1,10 @@
 """Minimum-norm least-squares solve and conditioning diagnostics.
 
 A collocation system is solved in two steps.  Rows that touch the same set
-of column blocks (one block per patch and component, plus the global block)
-form a row group; a group with at least two more rows than columns is
-replaced by the R factor of its orthogonal QR, as in TSQR (Demmel,
-Grigori, Hoemmen & Langou, SISC 2012).  An orthogonal transform of a row
+of column blocks (one block per component and expansion, the global patch
+included) form a row group; a group with at least two more rows than
+columns is replaced by the R factor of its orthogonal QR, as in TSQR
+(Demmel, Grigori, Hoemmen & Langou, SISC 2012).  An orthogonal transform of a row
 group leaves A^T A and A^T b unchanged, so the singular values, the set of
 minimizers and the minimum-norm solution are those of the full system.
 The compressed system then goes through one SVD solve (gelsd).
@@ -149,15 +149,12 @@ def solve_system(
 
 
 def column_blocks(model: RfmModel) -> list[slice]:
-    """The model's column blocks: one per component and patch, then the global ones."""
-    blocks = [
+    """The model's column blocks, in column order: one per component and expansion."""
+    return [
         model.col_slice(comp, n)
         for comp in range(model.n_components)
-        for n in range(len(model.patches))
+        for n in range(len(model.expansions))
     ]
-    if model.global_patch is not None:
-        blocks += [model.global_col_slice(comp) for comp in range(model.n_components)]
-    return blocks
 
 
 def _row_groups(matrix: np.ndarray, blocks: list[slice]) -> tuple[np.ndarray, np.ndarray]:

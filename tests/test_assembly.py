@@ -6,7 +6,7 @@ import pytest
 
 from rfm import assembly
 from rfm.assembly import assemble, load_system_dump
-from rfm.basis import FeatureSampler, Patch, RfmModel, build_model
+from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
 from rfm.problems import make_helmholtz_1d, make_poisson_2d, make_stokes_manufactured
 
@@ -64,18 +64,18 @@ def test_row_ordering_and_meta_kinds():
         interval(0.0, 8.0), 40, {"left": 1, "right": 1}, model.boxes(), 1
     )
     system = assemble(problem, model, colloc)
-    kinds = [m.kind for m in system.meta]
-    assert kinds == (
-        ["interior"] * 40 + ["boundary"] * 2 + ["interface"] * 6
-    )
     assert system.n_interior_rows == 40
     assert system.n_boundary_rows == 2
     assert system.n_interface_rows == 6
     assert system.n_pin_rows == 0
     assert system.shape == (48, 100)
-    # interior rows preserve collocation order
-    xs = [m.point[0] for m in system.meta[:40]]
-    assert xs == sorted(xs)
+    # interior rows preserve collocation order, which runs left to right
+    xs = colloc.interior[:, 0]
+    assert xs.tolist() == sorted(xs)
+    assert np.array_equal(system.rhs[:40], problem.forcing_values(colloc.interior)[:, 0])
+    # boundary rows follow, then interface rows with a zero right-hand side
+    assert np.array_equal(system.rhs[40:42], problem.exact(colloc.boundary_points)[:, 0])
+    assert np.all(system.rhs[42:] == 0.0)
 
 
 def test_interface_rows_have_opposite_sign_blocks_and_no_global_columns():
@@ -91,8 +91,7 @@ def test_interface_rows_have_opposite_sign_blocks_and_no_global_columns():
     iface_rows = system.matrix[-2:]
     cols0 = model.col_slice(0, 0)
     cols1 = model.col_slice(0, 1)
-    gcols = model.global_col_slice(0)
-    from rfm.basis import feature_block
+    gcols = model.col_slice(0, len(model.patches))
 
     x = np.array([[4.0]])
     for local_row, alpha in ((0, (0,)), (1, (1,))):
@@ -186,7 +185,9 @@ def test_stokes_assembly_has_pin_row():
     colloc = build_collocation(problem.domain, (10, 10), boundary, model.boxes(), 4)
     system = assemble(problem, model, colloc)
     assert system.n_pin_rows == 1
-    assert system.meta[-1].kind == "pin"
+    assert system.shape[0] == (
+        system.n_interior_rows + system.n_boundary_rows + system.n_interface_rows + 1
+    )
     pin_row = system.matrix[-1]
     # the pin anchors the pressure component only
     for comp in (0, 1):
@@ -194,8 +195,53 @@ def test_stokes_assembly_has_pin_row():
             assert np.all(pin_row[model.col_slice(comp, p)] == 0.0)
     assert system.rhs[-1] == pytest.approx(-4.0 / 3.0)
     # interior block: 3 operator rows per point, point-major
-    assert [m.row for m in system.meta[: 3]] == [0, 1, 2]
-    assert system.n_interior_rows % 3 == 0
+    assert system.n_interior_rows == 3 * colloc.n_interior
+    want = problem.forcing_values(colloc.interior).ravel()
+    assert np.array_equal(system.rhs[: system.n_interior_rows], want)
+
+
+def test_stokes_pin_and_global_block_share_the_stencil_fill():
+    problem = make_stokes_manufactured()
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=3)
+    model = build_model(
+        problem.domain, (2, 2), 20, sampler, pou="a", n_components=3, global_features=12
+    )
+    boundary = {t: 4 for t in ("left", "right", "bottom", "top")}
+    boundary.update({f"hole{i}": 6 for i in range(3)})
+    colloc = build_collocation(problem.domain, (10, 10), boundary, model.boxes(), 4)
+    system = assemble(problem, model, colloc)
+    glob = len(model.patches)
+    zero = (0, 0)
+
+    # the pin row holds the bare pressure basis of every patch containing the
+    # pin point, plus the global features, and nothing else
+    ((point, comp, value),) = problem.extra_point_conditions
+    pt = np.asarray([point], float)
+    want = np.zeros(model.n_columns)
+    holders = 0
+    for n in range(len(model.patches)):
+        if model.support_mask(n, pt)[0]:
+            want[model.col_slice(comp, n)] = model.basis_block(n, comp, pt, [zero])[zero][0]
+            holders += 1
+    bare = feature_block(model.global_patch, comp, pt, [zero])[zero]
+    want[model.col_slice(comp, glob)] = bare[0]
+    assert holders >= 1
+    assert np.array_equal(system.matrix[-1], want)
+    assert system.rhs[-1] == value
+
+    # interior rows: each global block is the operator applied to the bare
+    # global features
+    n_int = system.n_interior_rows
+    k = problem.k_interior
+    want = np.zeros((n_int, model.n_columns))
+    for t in problem.operator.terms:
+        block = feature_block(model.global_patch, t.comp, colloc.interior, [t.alpha])[t.alpha]
+        coeff = t.coeff_at(colloc.interior)
+        want[t.row :: k, model.col_slice(t.comp, glob)] += coeff[:, None] * block
+    for c in range(model.n_components):
+        cols = model.col_slice(c, glob)
+        assert np.any(want[:, cols] != 0.0)
+        assert np.allclose(system.matrix[:n_int, cols], want[:, cols], rtol=1e-14, atol=1e-14)
 
 
 def test_dump_and_load_round_trip(tmp_path):

@@ -307,7 +307,8 @@ def test_build_model_column_layout_and_global_patch():
     assert model.n_columns == 1600
     s = model.col_slice(1, 0)
     assert s.start == 800 and s.stop == 960
-    g = model.global_col_slice(0)
+    assert model.expansions == model.patches + [model.global_patch]
+    g = model.col_slice(0, len(model.patches))
     assert g.start == 640 and g.stop == 800
     gp = model.global_patch
     assert np.allclose(gp.center, (5.0, 5.0)) and np.allclose(gp.radius, (5.0, 5.0))
@@ -337,7 +338,7 @@ def _eval_one_alpha_unchunked(model, coef, pts, alpha):
                 out[mask, comp] += block @ coef[model.col_slice(comp, n)]
         if model.global_patch is not None:
             block = feature_block(model.global_patch, comp, pts, [alpha])[alpha]
-            out[:, comp] += block @ coef[model.global_col_slice(comp)]
+            out[:, comp] += block @ coef[model.col_slice(comp, len(model.patches))]
     return out
 
 

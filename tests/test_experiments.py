@@ -15,14 +15,12 @@ from rfm.experiments import (
     CSV_COLUMNS,
     SUITE_NAMES,
     ExperimentConfig,
-    default_suite_configs,
     load_suite,
     make_problem,
     median_record,
     rescale_ablation,
     run_experiment,
     run_table,
-    suite_dir,
 )
 
 
@@ -89,24 +87,6 @@ def test_make_problem_dispatch_covers_all_ids():
 # ----------------------------------------------------------------------
 # shipped suites
 # ----------------------------------------------------------------------
-
-
-def test_shipped_suites_match_generated_definitions():
-    generated = default_suite_configs()
-    assert set(generated) == set(SUITE_NAMES)
-    for suite in SUITE_NAMES:
-        shipped = load_suite(suite)
-        assert shipped == generated[suite], suite
-
-
-def test_suite_manifests_list_every_config_file():
-    for suite in SUITE_NAMES:
-        root = suite_dir() / suite
-        manifest = json.loads((root / "manifest.json").read_text())
-        assert manifest["suite"] == suite
-        listed = set(manifest["configs"])
-        present = {p.name for p in root.iterdir() if p.name != "manifest.json"}
-        assert listed == present
 
 
 def test_unknown_suite_is_rejected_with_known_names():
@@ -286,13 +266,40 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key):
     from rfm.cli import main
 
-    cfg = json.loads((suite_dir() / "stokes-exact" / "00.json").read_text())
+    cfg = load_suite("stokes-exact")[0].to_dict()
     edit(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert ("missing" if key == "boundary" else "unknown") in err and repr(key) in err
+
+
+@pytest.mark.parametrize("suite,name", [("stokes-exact", None), ("timoshenko", "M=800 Q=1600")])
+def test_cli_config_prints_a_suite_config_that_round_trips(capsys, suite, name):
+    from rfm.cli import main
+
+    argv = ["config", "--suite", suite] + ([] if name is None else ["--name", name])
+    assert main(argv) == 0
+    configs = load_suite(suite)
+    want = configs[0] if name is None else {c.name: c for c in configs}[name]
+    assert ExperimentConfig.from_json(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--suite", "bogus"], "unknown suite 'bogus'"),
+        (["--suite", "stokes-exact", "--name", "bogus"], "unknown config 'bogus'"),
+    ],
+    ids=["suite", "name"],
+)
+def test_cli_config_rejects_an_unknown_suite_or_name(capsys, argv, message):
+    from rfm.cli import main
+
+    assert main(["config", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_cli_table_unknown_suite_fails():

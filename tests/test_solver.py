@@ -174,42 +174,58 @@ def _system(suite, name=None):
     return system, config.rank_tol
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_solve_system_matches_scipy_gelsd_on_each_suite(suite):
+# (suite, config name or None for the first, whether it has a tall row group):
+# the first config of every suite, and a larger beam
+SUITE_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_NAMES] + [
+    ("timoshenko", "M=800 Q=1600", True)
+]
+
+
+@pytest.fixture(scope="module")
+def suite_solve(request):
+    """A case's rescaled system, its rank tolerance, and the direct gelsd solve
+    of the full weighted system, plus whether the case compresses.
+
+    Module scope lets the two tests below share one assembly and one
+    full-system solve per case: pytest runs the tests of one case together
+    and drops the system before the next case.
+    """
+    suite, name, compresses = request.param
+    system, rank_tol = _system(suite, name)
+    x, report = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
+    return system, rank_tol, x, report, compresses
+
+
+@pytest.mark.parametrize(
+    "suite_solve", SUITE_CASES[: len(SUITE_NAMES)], ids=SUITE_NAMES, indirect=True
+)
+def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
     """The LAPACK wrapper on the full weighted system of every suite.
 
     solve_system itself compresses rows first, which moves the solution
     along near-null directions; test_row_compression_matches_direct_gelsd
     covers it against this direct solve.
     """
-    system, rank_tol = _system(suite)
+    system, rank_tol, x, report, _ = suite_solve
     a, b = system.weighted_matrix(), system.weighted_rhs()
-    x, report = solve_min_norm(a, b, rank_tol)
     _assert_matches_scipy(x, report, a, b, rank_tol)
     assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
 
 
-# (suite, config name or None for the first, whether it has a tall row group):
-# the first config of every suite, and a larger beam
-COMPRESSION_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_NAMES] + [
-    ("timoshenko", "M=800 Q=1600", True)
-]
-
-
 @pytest.mark.parametrize(
-    "suite,name,compresses",
-    COMPRESSION_CASES,
-    ids=[f"{s}-{n or 'first'}" for s, n, _ in COMPRESSION_CASES],
+    "suite_solve",
+    SUITE_CASES,
+    ids=[f"{s}-{n or 'first'}" for s, n, _ in SUITE_CASES],
+    indirect=True,
 )
-def test_row_compression_matches_direct_gelsd(suite, name, compresses):
-    system, rank_tol = _system(suite, name)
+def test_row_compression_matches_direct_gelsd(suite_solve):
+    system, rank_tol, x_d, direct, compresses = suite_solve
     before = [system.matrix.copy(), system.rhs.copy(), system.weights.copy()]
     x, report = solve_system(system, rank_tol)
     for kept, now in zip(before, (system.matrix, system.rhs, system.weights)):
         assert np.array_equal(kept, now)
     assert (report.n_rows, report.n_cols) == system.shape
     assert report.residual_norm == system.loss(x)
-    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
     assert (report.solved_rows < report.n_rows) == compresses
     if not compresses:
         # nothing compressed: the same gelsd call on the same bits
@@ -256,7 +272,7 @@ def _block_systems(draw):
     matrix = np.vstack(parts)[rng.permutation(sum(len(p) for p in parts))]
     n = len(matrix)
     system = WeightedSystem(
-        matrix, rng.standard_normal(n), np.ones(n), [], model, None, n, 0, 0, 0
+        matrix, rng.standard_normal(n), np.ones(n), model, None, n, 0, 0, 0
     )
     return system.rescale()
 
