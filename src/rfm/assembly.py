@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import RfmModel, feature_block
 from .geometry import CollocationSet
-from .problems import BoundaryStencil, OperatorStencil, PdeProblem, Term
+from .problems import PdeProblem, Stencil, Term
 
 # Elements of matrix rows that a pass over the whole matrix (rescaling, row
 # grouping) handles at a time: 2 MB of float64.  An 8 MB chunk raised peak
@@ -113,31 +113,30 @@ def _fill_stencil_rows(
     start: int,
     model: RfmModel,
     points: np.ndarray,
-    stencil: OperatorStencil | BoundaryStencil,
+    stencil: Stencil,
     normals: np.ndarray | None = None,
 ) -> None:
     """Scatter one stencil's conditions for a batch of points into ``a``.
 
     Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
     Every expansion of the model (local patches and the global patch) adds
-    its block at the points in its support.
+    its block at the points in its support.  Term coefficients are
+    evaluated once on the whole point set.
     """
-    n_rows = stencil.n_rows
-    base = start + np.arange(len(points)) * n_rows
+    base = start + np.arange(len(points)) * stencil.n_rows
+    coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
     comps = sorted({t.comp for t in stencil.terms})
-    for comp in comps:
-        terms = [t for t in stencil.terms if t.comp == comp]
-        alphas = stencil.alphas_for(comp)
-        for n in range(len(model.expansions)):
-            mask = model.support_mask(n, points)
-            if not mask.any():
-                continue
-            blocks = model.basis_block(n, comp, points[mask], alphas)
+    for n in range(len(model.expansions)):
+        mask = model.support_mask(n, points)
+        if not mask.any():
+            continue
+        sub, rows = points[mask], base[mask]
+        for comp in comps:
+            blocks = model.basis_block(n, comp, sub, stencil.alphas_for(comp))
             cols = model.col_slice(comp, n)
-            sub_n = None if normals is None else normals[mask]
-            for t in terms:
-                coeff = t.coeff_at(points[mask], sub_n)
-                a[base[mask] + t.row, cols] += coeff[:, None] * blocks[t.alpha]
+            for t, coeff in zip(stencil.terms, coeffs):
+                if t.comp == comp:
+                    a[rows + t.row, cols] += coeff[mask, None] * blocks[t.alpha]
 
 
 def _fill_interface_rows(
@@ -207,6 +206,10 @@ def assemble(
     """Build the full collocation system for a problem/model pair."""
     if model.dim != problem.domain.dim or model.n_components != problem.n_components:
         raise ValueError("model does not match the problem layout")
+    sampled = set(colloc.boundary_tags)
+    missing = [t for t in problem.domain.boundary_tags() if t not in sampled]
+    if missing:
+        raise ValueError("boundary segments %s have no collocation points" % missing)
 
     k_i, k_b = problem.k_interior, problem.k_boundary
     n_int = colloc.n_interior * k_i
@@ -224,26 +227,16 @@ def assemble(
 
     # boundary conditions, grouped per stencil but kept in collocation order
     tags = np.asarray(colloc.boundary_tags)
+    values = problem.boundary_values(
+        colloc.boundary_points, colloc.boundary_normals, colloc.boundary_tags
+    )
     start = n_int
-    order = np.arange(colloc.n_boundary)
     for st in problem.boundary:
-        sel = order[np.isin(tags, st.tags)]
-        if len(sel) == 0:
-            continue
+        sel = np.flatnonzero(np.isin(tags, st.tags))
         _fill_stencil_rows(
-            a,
-            start,
-            model,
-            colloc.boundary_points[sel],
-            st,
-            colloc.boundary_normals[sel],
+            a, start, model, colloc.boundary_points[sel], st, colloc.boundary_normals[sel]
         )
-        vals = problem.boundary_values(
-            colloc.boundary_points[sel],
-            colloc.boundary_normals[sel],
-            [colloc.boundary_tags[i] for i in sel],
-        )
-        b[start : start + len(sel) * k_b] = vals.ravel()
+        b[start : start + len(sel) * k_b] = values[sel].ravel()
         start += len(sel) * k_b
 
     # interface continuity (right-hand side stays zero)
@@ -253,8 +246,7 @@ def assemble(
 
     # pointwise pins: one-point Dirichlet conditions on one component
     for j, (point, comp, value) in enumerate(pins):
-        term = Term(0, comp, (0,) * model.dim, 1.0)
-        pin = BoundaryStencil((), (term,), 1, model.n_components, model.dim)
+        pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, model.n_components, model.dim)
         _fill_stencil_rows(a, start + j, model, np.asarray([point], float), pin)
         b[start + j] = value
 

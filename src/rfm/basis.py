@@ -21,7 +21,7 @@ domain edge so the bumps still sum to one inside the domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -32,6 +32,10 @@ GLOBAL_STREAM = 2**32 - 1
 
 # Points per chunk of RfmModel.eval_many.
 EVAL_CHUNK = 16384
+
+# Kind-"a" points this close to a patch facet, in normalized coordinates, are
+# assigned to one patch by RfmModel._facet_owner.
+FACET_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +98,7 @@ def pou_eval(
     if kind == "a":
         if order > 0:
             return np.zeros_like(x)
-        hi_ok = (x <= 1.0) if clamp_hi else (x < 1.0)
+        hi_ok = np.where(clamp_hi, x <= 1.0, x < 1.0)
         return ((x >= -1.0) & hi_ok).astype(float)
     if kind != "b":
         raise ValueError("unknown PoU kind %r" % kind)
@@ -128,6 +132,14 @@ def pou_eval(
     else:
         raise ValueError("PoU derivatives implemented up to order 2")
     return np.select([rise, fall, flat], vals, default=0.0)
+
+
+def _pou_product(factors: list[list[np.ndarray]], alpha: tuple[int, ...]) -> np.ndarray:
+    """prod over axes of factors[axis][alpha[axis]]: one derivative of psi_n."""
+    out = factors[0][alpha[0]]
+    for ax in range(1, len(alpha)):
+        out = out * factors[ax][alpha[ax]]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -317,6 +329,9 @@ class RfmModel:
         self._offsets = np.concatenate(
             [[0], np.cumsum([p.n_features for p in self.expansions])]
         )
+        self._centers = np.array([p.center for p in self.patches])
+        self._radii = np.array([p.radius for p in self.patches])
+        self._clamp_hi = np.array([p.clamp_hi for p in self.patches])
         self._validate_layout()
 
     def _validate_layout(self) -> None:
@@ -380,34 +395,66 @@ class RfmModel:
 
     def support_mask(self, patch_index: int, points: np.ndarray) -> np.ndarray:
         """Points where the patch's PoU weight can be nonzero (all, for the global patch)."""
-        p = self.expansions[patch_index]
-        xt = p.normalize(points)
-        mask = np.ones(len(xt), bool)
         if self._is_global(patch_index):
-            return mask
-        for a in range(p.dim):
-            if self.pou == "a":
-                hi_ok = (xt[:, a] <= 1.0) if p.clamp_hi[a] else (xt[:, a] < 1.0)
-                mask &= (xt[:, a] >= -1.0) & hi_ok
-            else:
-                lo_ok = np.ones(len(xt), bool) if p.clamp_lo[a] else (xt[:, a] >= -1.25)
-                hi_ok = np.ones(len(xt), bool) if p.clamp_hi[a] else (xt[:, a] <= 1.25)
-                mask &= lo_ok & hi_ok
-        return mask
+            return np.ones(len(points), bool)
+        if self.pou == "a":
+            return self.pou_weight(patch_index, points) > 0.0
+        p = self.patches[patch_index]
+        lo = np.where(p.clamp_lo, -np.inf, -1.25)
+        hi = np.where(p.clamp_hi, np.inf, 1.25)
+        xt = p.normalize(points)
+        return np.all((xt >= lo) & (xt <= hi), axis=1)
+
+    def _axis_factors(
+        self, p: Patch, xt: np.ndarray, max_order: int
+    ) -> list[list[np.ndarray]]:
+        """factors[axis][order]: derivative ``order`` of the patch's PoU factor
+        along ``axis`` at normalized points ``xt``, in physical coordinates;
+        psi_n is their product."""
+        return [
+            [
+                pou_eval(self.pou, xt[:, ax], o, bool(p.clamp_lo[ax]), bool(p.clamp_hi[ax]))
+                / p.radius[ax] ** o
+                for o in range(max_order + 1)
+            ]
+            for ax in range(p.dim)
+        ]
 
     def pou_weight(self, patch_index: int, points: np.ndarray, alpha=None) -> np.ndarray:
         """psi_n (or a derivative of it) at ``points``, physical coordinates."""
         p = self.patches[patch_index]
+        alpha = (0,) * p.dim if alpha is None else tuple(alpha)
         xt = p.normalize(points)
-        if alpha is None:
-            alpha = (0,) * p.dim
-        out = np.ones(len(xt))
-        for a in range(p.dim):
-            fac = pou_eval(
-                self.pou, xt[:, a], alpha[a], bool(p.clamp_lo[a]), bool(p.clamp_hi[a])
-            )
-            out = out * fac / p.radius[a] ** alpha[a]
+        out = _pou_product(self._axis_factors(p, xt, max(alpha)), alpha)
+        if self.pou == "a" and not any(alpha):
+            near = np.any(np.abs(np.abs(xt) - 1.0) <= FACET_TOL, axis=1)
+            if near.any():
+                out[near] = self._facet_owner(points[near]) == patch_index
         return out
+
+    def _facet_owner(self, points: np.ndarray) -> np.ndarray:
+        """The one kind-"a" patch that holds each point (-1 for none).
+
+        Two patches test a point on their shared facet in two normalized
+        coordinates, which can round so that neither or both hold it; the
+        domain edge can round outside the last patch.  Where the indicators
+        do not give exactly one patch, the point goes to the last patch
+        whose box, widened by FACET_TOL, holds it: on a grid that is the
+        upper patch, as the half-open rule says.
+        """
+        # (points, patches, axes), as Patch.normalize computes it
+        xt = (points[:, None, :] - self._centers) / self._radii
+        held = np.all(
+            [
+                pou_eval("a", xt[..., ax], 0, clamp_hi=self._clamp_hi[:, ax]) > 0.0
+                for ax in range(self.dim)
+            ],
+            axis=0,
+        )
+        near = np.all(np.abs(xt) <= 1.0 + FACET_TOL, axis=2)
+        last_near = near.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
+        fallback = np.where(near.any(axis=1), last_near, -1)
+        return np.where(held.sum(axis=1) == 1, np.argmax(held, axis=1), fallback)
 
     def basis_block(
         self,
@@ -418,39 +465,29 @@ class RfmModel:
     ) -> dict[tuple[int, ...], np.ndarray]:
         """Derivatives of psi_n * phi_nj for every feature of one patch.
 
-        The product rule runs over all sub-multi-indices; for kind "a" the
-        PoU factor is the indicator, so only the bare feature term survives.
+        For kind "a" the PoU factor is the indicator, so only the bare
+        features of the requested alphas are needed; for kind "b" the product
+        rule runs over all sub-multi-indices.
         The global patch's factor is 1: its block is the bare features.
         """
         p = self.expansions[patch_index]
         if self._is_global(patch_index):
             return feature_block(p, comp, points, alphas)
+        if self.pou == "a":
+            phi = feature_block(p, comp, points, alphas)
+            ind = self.pou_weight(patch_index, points)
+            return {a: phi[a] * ind[:, None] for a in alphas}
         phis_needed = sorted(
             {tuple(g) for a in alphas for g in np.ndindex(*[i + 1 for i in a])}
         )
         phi = feature_block(p, comp, points, phis_needed)
-        if self.pou == "a":
-            ind = self.pou_weight(patch_index, points)
-            return {a: phi[a] * ind[:, None] for a in alphas}
-        xt = p.normalize(points)
-        max_order = max(max(a) for a in alphas)
-        axis_fac = [
-            [
-                pou_eval(self.pou, xt[:, ax], o, bool(p.clamp_lo[ax]), bool(p.clamp_hi[ax]))
-                / p.radius[ax] ** o
-                for o in range(max_order + 1)
-            ]
-            for ax in range(p.dim)
-        ]
+        axis_fac = self._axis_factors(p, p.normalize(points), max(max(a) for a in alphas))
         out = {}
         for a in alphas:
             total = np.zeros((len(points), p.n_features))
             for beta in np.ndindex(*[i + 1 for i in a]):
-                coeff = 1.0
-                psi = np.ones(len(points))
-                for ax in range(p.dim):
-                    coeff *= comb(a[ax], beta[ax])
-                    psi = psi * axis_fac[ax][beta[ax]]
+                coeff = prod(comb(a[ax], beta[ax]) for ax in range(p.dim))
+                psi = _pou_product(axis_fac, beta)
                 rest = tuple(a[ax] - beta[ax] for ax in range(p.dim))
                 total += coeff * psi[:, None] * phi[rest]
             out[a] = total

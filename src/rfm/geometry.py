@@ -120,7 +120,7 @@ class Domain:
         inside = np.all(pts > lo + tol, axis=1) & np.all(pts < hi - tol, axis=1)
         if self.disk:
             r = np.hypot(*(pts - self.disk_center).T)
-            inside = r < self.disk_radius - tol
+            inside &= r < self.disk_radius - tol
         for h in self.holes:
             inside &= h.signed_distance(pts) > tol
         return inside
@@ -301,8 +301,7 @@ def sample_interface(
             p = np.empty((per_edge, 2))
             p[:, axis] = coord
             p[:, 1 - axis] = t
-        keep = _interface_keep(domain, p, tol)
-        p = p[keep]
+        p = p[domain.strictly_inside(p, tol)]
         if not len(p):
             continue
         e = np.zeros(dim)
@@ -315,19 +314,6 @@ def sample_interface(
             np.zeros((0, dim)), np.zeros((0, dim)), np.zeros((0, 2), dtype=int)
         )
     return InterfaceSet(np.concatenate(pts), np.concatenate(nrm), np.concatenate(prs))
-
-
-def _interface_keep(domain: Domain, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Interface points must sit strictly inside the domain, but they lie on
-    the bounding box facets of the partition, so only hole/disk membership
-    can reject them."""
-    keep = np.ones(len(pts), bool)
-    if domain.disk:
-        r = np.hypot(*(pts - domain.disk_center).T)
-        keep &= r < domain.disk_radius - tol
-    for h in domain.holes:
-        keep &= h.signed_distance(pts) > tol
-    return keep
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Linear PDE problems as collocation stencils plus manufactured data.
 
-A problem couples an interior operator stencil (conditions applied at every
+A problem couples an interior operator (conditions applied at every
 interior point), one boundary stencil per group of boundary segments, and
-optional pointwise pins (e.g. fixing the pressure at one corner).  When an
+optional pointwise pins (e.g. fixing the pressure at one corner); all three
+are the same ``Stencil`` type, applied at different point sets.  When an
 exact solution with closed-form derivatives is attached, forcing and
 boundary data are generated by applying the stencils to it, so the same
 machinery serves manufactured-solution verification and real data.
@@ -10,7 +11,8 @@ machinery serves manufactured-solution verification and real data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,45 +42,29 @@ class Term:
 
 
 @dataclass(frozen=True)
-class OperatorStencil:
-    """Interior conditions: n_rows linear combinations of derivatives."""
+class Stencil:
+    """n_rows linear combinations of derivatives, applied at each point of a set.
+
+    A stencil with ``tags`` holds the boundary conditions on those segments:
+    its terms have |alpha| <= 1 and their coefficients take the outward
+    normals as a second argument.  A stencil without tags is the interior
+    operator or a pin, with |alpha| <= 2.
+    """
 
     terms: tuple[Term, ...]
     n_rows: int
     n_components: int
     dim: int
+    tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        order = 1 if self.tags else 2
         for t in self.terms:
-            if len(t.alpha) != self.dim or sum(t.alpha) > 2:
-                raise ValueError("operator terms must have |alpha| <= 2 in dim %d" % self.dim)
-            if not (0 <= t.row < self.n_rows and 0 <= t.comp < self.n_components):
-                raise ValueError("term indices out of range")
-
-    def alphas_for(self, comp: int) -> list[tuple[int, ...]]:
-        return sorted({t.alpha for t in self.terms if t.comp == comp})
-
-    def apply_to_exact(self, exact: "ManufacturedSolution", points: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(points), self.n_rows))
-        for t in self.terms:
-            out[:, t.row] += t.coeff_at(points) * exact.deriv(t.comp, points, t.alpha)
-        return out
-
-
-@dataclass(frozen=True)
-class BoundaryStencil:
-    """Boundary conditions on a group of segment tags (|alpha| <= 1)."""
-
-    tags: tuple[str, ...]
-    terms: tuple[Term, ...]
-    n_rows: int
-    n_components: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        for t in self.terms:
-            if len(t.alpha) != self.dim or sum(t.alpha) > 1:
-                raise ValueError("boundary terms must have |alpha| <= 1")
+            if len(t.alpha) != self.dim or sum(t.alpha) > order:
+                raise ValueError(
+                    "%s terms must have |alpha| <= %d in dim %d"
+                    % ("boundary" if self.tags else "operator", order, self.dim)
+                )
             if not (0 <= t.row < self.n_rows and 0 <= t.comp < self.n_components):
                 raise ValueError("term indices out of range")
 
@@ -86,7 +72,10 @@ class BoundaryStencil:
         return sorted({t.alpha for t in self.terms if t.comp == comp})
 
     def apply_to_exact(
-        self, exact: "ManufacturedSolution", points: np.ndarray, normals: np.ndarray
+        self,
+        exact: "ManufacturedSolution",
+        points: np.ndarray,
+        normals: np.ndarray | None = None,
     ) -> np.ndarray:
         out = np.zeros((len(points), self.n_rows))
         for t in self.terms:
@@ -401,6 +390,7 @@ class HomogenizationCoefficient:
     bound: int = 6
     amp: float = 0.3
 
+    @cached_property
     def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ks = [
             (k1, k2)
@@ -417,7 +407,7 @@ class HomogenizationCoefficient:
         return lattice, a, b
 
     def h(self, points: np.ndarray) -> np.ndarray:
-        lattice, a, b = self._series()
+        lattice, a, b = self._series
         phase = 2.0 * np.pi * np.atleast_2d(points) @ lattice.T
         return np.sin(phase) @ a + np.cos(phase) @ b
 
@@ -425,7 +415,7 @@ class HomogenizationCoefficient:
         return np.exp(self.h(points))
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        lattice, a, b = self._series()
+        lattice, a, b = self._series
         pts = np.atleast_2d(points)
         phase = 2.0 * np.pi * pts @ lattice.T
         dh = np.empty_like(pts)
@@ -446,8 +436,8 @@ class PdeProblem:
 
     name: str
     domain: Domain
-    operator: OperatorStencil
-    boundary: tuple[BoundaryStencil, ...]
+    operator: Stencil
+    boundary: tuple[Stencil, ...]
     n_components: int
     exact: ManufacturedSolution | None = None
     forcing: Callable | None = None
@@ -457,9 +447,11 @@ class PdeProblem:
     coefficient: HomogenizationCoefficient | None = None
 
     def __post_init__(self) -> None:
-        covered: list[str] = []
-        for st in self.boundary:
-            covered.extend(st.tags)
+        if self.operator.tags:
+            raise ValueError("the interior operator must not carry boundary tags")
+        if any(not st.tags for st in self.boundary):
+            raise ValueError("every boundary stencil must name its segment tags")
+        covered = [tag for st in self.boundary for tag in st.tags]
         tags = self.domain.boundary_tags()
         if sorted(covered) != sorted(set(covered)) or set(covered) != set(tags):
             raise ValueError(
@@ -481,12 +473,6 @@ class PdeProblem:
     @property
     def k_boundary(self) -> int:
         return self.boundary[0].n_rows
-
-    def stencil_for_tag(self, tag: str) -> BoundaryStencil:
-        for st in self.boundary:
-            if tag in st.tags:
-                return st
-        raise KeyError("no boundary stencil covers tag %r" % tag)
 
     def forcing_values(self, points: np.ndarray) -> np.ndarray:
         if self.forcing is not None:
@@ -513,12 +499,12 @@ class PdeProblem:
 # ----------------------------------------------------------------------
 
 
-def _dirichlet_stencil(tags, n_components, dim, comps=None) -> BoundaryStencil:
+def _dirichlet_stencil(tags, n_components, dim, comps=None) -> Stencil:
     comps = range(n_components) if comps is None else comps
     terms = tuple(
         Term(row, comp, (0,) * dim, 1.0) for row, comp in enumerate(comps)
     )
-    return BoundaryStencil(tuple(tags), terms, len(terms), n_components, dim)
+    return Stencil(terms, len(terms), n_components, dim, tuple(tags))
 
 
 def make_helmholtz_1d(
@@ -531,7 +517,7 @@ def make_helmholtz_1d(
         raise ValueError("lam must be positive")
     domain = domain or interval(0.0, 8.0)
     exact = exact or wave_product_1d()
-    op = OperatorStencil(
+    op = Stencil(
         (Term(0, 0, (2,), 1.0), Term(0, 0, (0,), -lam)), 1, 1, 1
     )
     bc = _dirichlet_stencil(("left", "right"), 1, 1)
@@ -545,23 +531,17 @@ def make_poisson_2d(
     """u_xx + u_yy = f on a box, Dirichlet on all four edges."""
     domain = domain or box((0.0, 0.0), (1.0, 1.0))
     exact = exact or two_band_2d()
-    op = OperatorStencil(
+    op = Stencil(
         (Term(0, 0, (2, 0), 1.0), Term(0, 0, (0, 2), 1.0)), 1, 1, 2
     )
     bc = _dirichlet_stencil(domain.boundary_tags(), 1, 2)
     return PdeProblem("poisson_2d", domain, op, (bc,), 1, exact=exact)
 
 
-def _traction_stencil(tags, constants: ElasticityConstants) -> BoundaryStencil:
+def _traction_stencil(tags, constants: ElasticityConstants) -> Stencil:
     c = constants.stiffness
     g = constants.shear_factor
     nu = constants.nu
-
-    def nx(points, normals):
-        return normals[:, 0]
-
-    def ny(points, normals):
-        return normals[:, 1]
 
     terms = (
         # t_x = sigma_x n_x + tau n_y
@@ -575,7 +555,7 @@ def _traction_stencil(tags, constants: ElasticityConstants) -> BoundaryStencil:
         Term(1, 1, (0, 1), lambda p, n: c * n[:, 1]),
         Term(1, 0, (1, 0), lambda p, n: c * nu * n[:, 1]),
     )
-    return BoundaryStencil(tuple(tags), terms, 2, 2, 2)
+    return Stencil(terms, 2, 2, 2, tuple(tags))
 
 
 def make_elasticity_2d(
@@ -592,7 +572,7 @@ def make_elasticity_2d(
     c = constants.stiffness
     g = constants.shear_factor
     mixed = c * (constants.nu + g)
-    op = OperatorStencil(
+    op = Stencil(
         (
             Term(0, 0, (2, 0), -c),
             Term(0, 0, (0, 2), -c * g),
@@ -670,7 +650,7 @@ def make_stokes_2d(
     extra condition pins it at ``pin_point`` (to the exact value for a
     manufactured run, or to the given value).
     """
-    op = OperatorStencil(
+    op = Stencil(
         (
             Term(0, 0, (2, 0), -1.0),
             Term(0, 0, (0, 2), -1.0),
@@ -747,7 +727,7 @@ def make_varcoef_elliptic(
     def neg_ay(points):
         return -coef.grad(points)[:, 1]
 
-    op = OperatorStencil(
+    op = Stencil(
         (
             Term(0, 0, (2, 0), neg_a),
             Term(0, 0, (0, 2), neg_a),

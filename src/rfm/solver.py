@@ -257,17 +257,3 @@ def _group_r(
     if info != 0:
         raise ValueError("illegal value in argument %d of geqrf" % -info)
     return np.triu(qr[:n])
-
-
-def condition_report(a: np.ndarray) -> dict:
-    """Full-spectrum conditioning summary of a matrix (for diagnostics)."""
-    sv = np.linalg.svd(a, compute_uv=False)
-    tol = np.finfo(float).eps * max(a.shape) * sv[0]
-    rank = int((sv > tol).sum())
-    return {
-        "sigma_max": float(sv[0]),
-        "sigma_min": float(sv[-1]),
-        "rank": rank,
-        "n_singular": len(sv),
-        "condition": float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf,
-    }

@@ -8,7 +8,14 @@ from rfm import assembly
 from rfm.assembly import assemble, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
-from rfm.problems import make_helmholtz_1d, make_poisson_2d, make_stokes_manufactured
+from rfm.problems import (
+    PdeProblem,
+    Stencil,
+    Term,
+    make_helmholtz_1d,
+    make_poisson_2d,
+    make_stokes_manufactured,
+)
 
 RNG = np.random.default_rng(41)
 
@@ -242,6 +249,38 @@ def test_stokes_pin_and_global_block_share_the_stencil_fill():
         cols = model.col_slice(c, glob)
         assert np.any(want[:, cols] != 0.0)
         assert np.allclose(system.matrix[:n_int, cols], want[:, cols], rtol=1e-14, atol=1e-14)
+
+
+def test_term_coefficients_run_once_per_point_set():
+    plain = make_poisson_2d()
+    calls = []
+
+    def counted(label, value):
+        def coeff(points, normals=None):
+            calls.append((label, len(points)))
+            return np.full(len(points), value)
+
+        return coeff
+
+    terms = plain.operator.terms
+    op = Stencil(tuple(Term(t.row, 0, t.alpha, counted(str(t.alpha), 1.0)) for t in terms), 1, 1, 2)
+    tags = plain.domain.boundary_tags()
+    bc = Stencil((Term(0, 0, (0, 0), counted("bc", 1.0)),), 1, 1, 2, tags)
+    problem = PdeProblem(
+        "counted", plain.domain, op, (bc,), 1,
+        forcing=plain.forcing_values, boundary_data=plain.boundary_values,
+    )
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=2)
+    model = build_model(plain.domain, (2, 2), 10, sampler, pou="b", global_features=6)
+    colloc = build_collocation(plain.domain, (8, 8), {t: 5 for t in tags})
+    system = assemble(problem, model, colloc)
+    # five expansions (four patches and the global one) share each evaluation
+    assert len(model.expansions) == 5
+    assert sorted(calls) == sorted(
+        [("(0, 2)", colloc.n_interior), ("(2, 0)", colloc.n_interior), ("bc", colloc.n_boundary)]
+    )
+    want = assemble(plain, model, colloc)
+    assert np.array_equal(system.matrix, want.matrix) and np.array_equal(system.rhs, want.rhs)
 
 
 def test_dump_and_load_round_trip(tmp_path):

@@ -3,6 +3,8 @@ oracles, partition-of-unity identities, and sampling determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfm import basis
 from rfm.basis import (
@@ -205,6 +207,46 @@ def test_pou_a_support_is_half_open_tiling():
     # the domain's right endpoint stays in the last patch
     end = np.array([[8.0]])
     assert model.support_mask(3, end)[0] == True  # noqa: E712
+    # also where its normalized coordinate rounds to just above 1
+    model = build_model(interval(0.82, 1.12), 1, 5, sampler, pou="a")
+    assert model.patches[0].normalize(np.array([[1.12]]))[0, 0] > 1.0
+    assert model.support_mask(0, np.array([[1.12]]))[0] == True  # noqa: E712
+
+
+@st.composite
+def _pou_grids(draw):
+    """A patch grid of either kind over a random 1D or 2D box, and points of
+    the closed box: arbitrary ones plus patch edges, centers and kind-"b"
+    transition nodes (multiples of an eighth of a patch width)."""
+    dim = draw(st.sampled_from([1, 2]))
+    lo = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
+    hi = lo + np.array([draw(st.floats(0.1, 10.0)) for _ in range(dim)])
+    counts = tuple(draw(st.integers(1, 5)) for _ in range(dim))
+    pou = draw(st.sampled_from(["a", "b"]))
+    dom = interval(lo[0], hi[0]) if dim == 1 else box(tuple(lo), tuple(hi))
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
+    model = build_model(dom, counts if dim > 1 else counts[0], 2, sampler, pou=pou)
+    axis_fractions = [
+        st.one_of(st.floats(0.0, 1.0), st.integers(0, 8 * c).map(lambda i, c=c: i / (8 * c)))
+        for c in counts
+    ]
+    fractions = draw(st.lists(st.tuples(*axis_fractions), min_size=1, max_size=20))
+    pts = np.clip(lo + np.asarray(fractions) * (hi - lo), lo, hi)
+    return model, pts
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grid=_pou_grids())
+def test_support_mask_covers_pou_derivatives_and_weights_sum_to_one(grid):
+    model, pts = grid
+    alphas = [a for a in np.ndindex(*(3,) * model.dim) if sum(a) <= 2]
+    total = np.zeros(len(pts))
+    for n in range(len(model.patches)):
+        total += model.pou_weight(n, pts)
+        outside = ~model.support_mask(n, pts)
+        for alpha in alphas:
+            assert np.all(model.pou_weight(n, pts[outside], alpha) == 0.0)
+    assert np.abs(total - 1.0).max() < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -255,15 +255,16 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
-    "edit,key",
+    "edit,key,word",
     [
-        (lambda cfg: cfg["problem"].update(holez=3), "holez"),
-        (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee"),
-        (lambda cfg: cfg.pop("boundary"), "boundary"),
+        (lambda cfg: cfg["problem"].update(holez=3), "holez", "unknown"),
+        (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee", "unknown"),
+        (lambda cfg: cfg.pop("boundary"), "boundary", "missing"),
+        (lambda cfg: cfg["boundary"].pop("hole0"), "hole0", "no collocation points"),
     ],
-    ids=["problem-key", "top-level-key", "missing-key"],
+    ids=["problem-key", "top-level-key", "missing-key", "missing-boundary-count"],
 )
-def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key):
+def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
     from rfm.cli import main
 
     cfg = load_suite("stokes-exact")[0].to_dict()
@@ -272,7 +273,7 @@ def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert ("missing" if key == "boundary" else "unknown") in err and repr(key) in err
+    assert word in err and repr(key) in err
 
 
 @pytest.mark.parametrize("suite,name", [("stokes-exact", None), ("timoshenko", "M=800 Q=1600")])

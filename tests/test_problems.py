@@ -4,11 +4,15 @@ finite differences, stencil self-consistency, and frozen spot values."""
 import numpy as np
 import pytest
 
+from rfm.geometry import interval
 from rfm.problems import (
     BeamSolution,
     HomogenizationCoefficient,
+    PdeProblem,
     PlateSolution,
+    Stencil,
     StokesPolySolution,
+    Term,
     four_tones_1d,
     make_beam_problem,
     make_channel_flow,
@@ -182,11 +186,34 @@ def test_boundary_data_matches_stencil_applied_to_exact():
     data = prob.boundary_values(pts, normals, tags)
     for tag in ("left", "right", "bottom", "top"):
         idx = [i for i, t in enumerate(tags) if t == tag]
-        stencil = prob.stencil_for_tag(tag)
+        (stencil,) = [st for st in prob.boundary if tag in st.tags]
         want = stencil.apply_to_exact(prob.exact, pts[idx], normals[idx])
         got = np.array([data[i] for i in idx])
         scale = max(np.abs(want).max(), 1.0)
         assert np.abs(got - want).max() <= 1e-9 * scale
+
+
+def test_stencil_order_limit_follows_its_tags():
+    second = (Term(0, 0, (2,), 1.0),)
+    assert Stencil(second, 1, 1, 1).tags == ()
+    with pytest.raises(ValueError, match="boundary terms must have"):
+        Stencil(second, 1, 1, 1, ("left",))
+    with pytest.raises(ValueError, match="operator terms must have"):
+        Stencil((Term(0, 0, (3,), 1.0),), 1, 1, 1)
+
+
+def test_problem_rejects_a_tagged_operator_and_an_untagged_boundary_stencil():
+    op = Stencil((Term(0, 0, (2,), 1.0),), 1, 1, 1)
+    dirichlet = (Term(0, 0, (0,), 1.0),)
+    bc = Stencil(dirichlet, 1, 1, 1, ("left", "right"))
+    exact = wave_product_1d()
+    PdeProblem("ok", interval(0.0, 1.0), op, (bc,), 1, exact=exact)
+    tagged_op = Stencil((Term(0, 0, (1,), 1.0),), 1, 1, 1, ("left",))
+    with pytest.raises(ValueError, match="operator must not carry"):
+        PdeProblem("p", interval(0.0, 1.0), tagged_op, (bc,), 1, exact=exact)
+    untagged = Stencil(dirichlet, 1, 1, 1)
+    with pytest.raises(ValueError, match="must name its segment tags"):
+        PdeProblem("p", interval(0.0, 1.0), op, (bc, untagged), 1, exact=exact)
 
 
 def test_elasticity_rigid_translation_in_kernel():

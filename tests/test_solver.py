@@ -16,7 +16,7 @@ from rfm.assembly import WeightedSystem, assemble
 from rfm.basis import FeatureSampler, build_model
 from rfm.experiments import SUITE_NAMES, build_run, load_suite
 from rfm.geometry import interval
-from rfm.solver import column_blocks, condition_report, solve_min_norm, solve_system
+from rfm.solver import column_blocks, solve_min_norm, solve_system
 
 RNG = np.random.default_rng(77)
 
@@ -101,14 +101,6 @@ def test_uniform_row_scaling_equivariance():
     x1, _ = solve_min_norm(a, b)
     x2, _ = solve_min_norm(10.0 * a, 10.0 * b)
     assert np.allclose(x1, x2, atol=1e-12)
-
-
-def test_condition_report_full_svd():
-    a = np.diag([3.0, 1.5, 0.5])
-    info = condition_report(a)
-    assert info["sigma_max"] == pytest.approx(3.0)
-    assert info["sigma_min"] == pytest.approx(0.5)
-    assert info["condition"] == pytest.approx(6.0)
 
 
 # ----------------------------------------------------------------------
