@@ -98,7 +98,7 @@ def pou_eval(
     if kind == "a":
         if order > 0:
             return np.zeros_like(x)
-        hi_ok = np.where(clamp_hi, x <= 1.0, x < 1.0)
+        hi_ok = (x <= 1.0) if clamp_hi else (x < 1.0)
         return ((x >= -1.0) & hi_ok).astype(float)
     if kind != "b":
         raise ValueError("unknown PoU kind %r" % kind)
@@ -427,8 +427,9 @@ class RfmModel:
         xt = p.normalize(points)
         out = _pou_product(self._axis_factors(p, xt, max(alpha)), alpha)
         if self.pou == "a" and not any(alpha):
-            near = np.any(np.abs(np.abs(xt) - 1.0) <= FACET_TOL, axis=1)
+            near = np.abs(np.abs(xt) - 1.0) <= FACET_TOL
             if near.any():
+                near = near.any(axis=1)
                 out[near] = self._facet_owner(points[near]) == patch_index
         return out
 
@@ -442,15 +443,10 @@ class RfmModel:
         whose box, widened by FACET_TOL, holds it: on a grid that is the
         upper patch, as the half-open rule says.
         """
-        # (points, patches, axes), as Patch.normalize computes it
+        # (points, patches, axes), as Patch.normalize computes it; ``held`` is
+        # pou_eval's kind-"a" indicator for every patch at once
         xt = (points[:, None, :] - self._centers) / self._radii
-        held = np.all(
-            [
-                pou_eval("a", xt[..., ax], 0, clamp_hi=self._clamp_hi[:, ax]) > 0.0
-                for ax in range(self.dim)
-            ],
-            axis=0,
-        )
+        held = np.all((xt >= -1.0) & np.where(self._clamp_hi, xt <= 1.0, xt < 1.0), axis=2)
         near = np.all(np.abs(xt) <= 1.0 + FACET_TOL, axis=2)
         last_near = near.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
         fallback = np.where(near.any(axis=1), last_near, -1)
