@@ -423,7 +423,7 @@ class RfmModel:
     def pou_weight(self, patch_index: int, points: np.ndarray, alpha=None) -> np.ndarray:
         """psi_n (or a derivative of it) at ``points``, physical coordinates."""
         p = self.patches[patch_index]
-        alpha = (0,) * p.dim if alpha is None else tuple(alpha)
+        alpha = (0,) * p.dim if alpha is None else alpha
         xt = p.normalize(points)
         out = _pou_product(self._axis_factors(p, xt, max(alpha)), alpha)
         if self.pou == "a" and not any(alpha):
