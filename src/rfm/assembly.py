@@ -6,8 +6,14 @@ points run in collocation order with the condition rows of one point kept
 adjacent.  Columns follow the model's layout (component-major, patches in
 construction order, global features last within each component).
 
-The matrix is stored unweighted; per-row rescale factors live alongside it
-so rescaling is exactly reproducible and can be recomputed at any time.
+The matrix is block-sparse: a row touches only the column blocks (one per
+component and expansion) of the expansions that hold its point, and of the
+components its condition involves; an interface row touches the two
+patches that meet there.  Rows that touch the same blocks form a row group,
+stored as a dense block over those columns alone, so the full matrix is
+only built on request (``WeightedSystem.matrix``).  The system is stored
+unweighted; per-row rescale factors live alongside it so rescaling is
+exactly reproducible and can be recomputed at any time.
 """
 
 from __future__ import annotations
@@ -20,21 +26,59 @@ from .basis import RfmModel, feature_block
 from .geometry import CollocationSet
 from .problems import PdeProblem, Stencil, Term
 
-# Elements of matrix rows that a pass over the whole matrix (rescaling, row
-# grouping) handles at a time: 2 MB of float64.  An 8 MB chunk raised peak
-# RSS through allocator retention.
+# Elements of matrix rows that a pass over a row group (rescaling) handles at
+# a time: 2 MB of float64.  An 8 MB chunk raised peak RSS through allocator
+# retention.
 ROW_CHUNK = 1 << 18
+
+
+def _tall(n_rows, width):
+    """Whether the solver replaces a row group by its R factor: more rows than
+    its column count + 1 (elementwise for arrays)."""
+    return n_rows > width + 1
+
+
+@dataclass
+class RowGroup:
+    """Rows that touch the same column blocks, stored over those columns only.
+
+    ``rows`` are the group's rows in the system, ascending, and ``cols`` its
+    column blocks in column order.  ``block[i]`` holds row ``rows[i]`` at
+    those columns; the row is zero at every other column.
+    """
+
+    rows: np.ndarray
+    cols: list[slice]
+    block: np.ndarray
+
+    @property
+    def tall(self) -> bool:
+        return _tall(*self.block.shape)
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """The entries of a full-length column vector at the group's columns."""
+        return np.concatenate([x[:0]] + [x[c] for c in self.cols])
+
+    def place(self, out: np.ndarray, at, values: np.ndarray) -> None:
+        """Write ``values``, rows over the group's columns, into rows ``at`` of
+        the full-width ``out``; the other columns of ``out`` are left alone."""
+        offset = 0
+        for c in self.cols:
+            width = c.stop - c.start
+            out[at, c] = values[:, offset : offset + width]
+            offset += width
 
 
 @dataclass
 class WeightedSystem:
     """A @ u ~ b with per-row rescale weights kept separate from A.
 
-    The four row counts give each row family as a contiguous slice, in the
-    order interior, boundary, interface, pin.
+    A is held as row groups, every row in exactly one.  The four row counts
+    give each row family as a contiguous slice, in the order interior,
+    boundary, interface, pin.
     """
 
-    matrix: np.ndarray
+    groups: list[RowGroup]
     rhs: np.ndarray
     weights: np.ndarray
     model: RfmModel
@@ -47,10 +91,20 @@ class WeightedSystem:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return len(self.rhs), self.model.n_columns
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full matrix, stacked from the row groups: a new dense copy per call."""
+        a = np.zeros(self.shape)
+        for g in self.groups:
+            g.place(a, g.rows, g.block)
+        return a
 
     def weighted_matrix(self) -> np.ndarray:
-        return self.weights[:, None] * self.matrix
+        a = self.matrix
+        a *= self.weights[:, None]
+        return a
 
     def weighted_rhs(self) -> np.ndarray:
         return self.weights * self.rhs
@@ -60,13 +114,15 @@ class WeightedSystem:
 
         Weights are always computed from the raw matrix, so calling this
         twice is the same as calling it once.  The row maxima are taken in
-        chunks of rows, so no matrix-sized temporary is made.
+        chunks of a group's rows, so no temporary as large as a group is
+        made.
         """
-        rowmax = np.empty(len(self.matrix))
-        step = max(1, ROW_CHUNK // max(1, self.matrix.shape[1]))
-        for start in range(0, len(self.matrix), step):
-            rows = slice(start, start + step)
-            np.abs(self.matrix[rows]).max(axis=1, out=rowmax[rows])
+        rowmax = np.zeros(self.shape[0])
+        for g in self.groups:
+            step = max(1, ROW_CHUNK // max(1, g.block.shape[1]))
+            for start in range(0, len(g.rows), step):
+                part = slice(start, start + step)
+                rowmax[g.rows[part]] = np.abs(g.block[part]).max(axis=1, initial=0.0)
         zero = rowmax == 0.0
         w = np.ones_like(rowmax)
         np.divide(scale, rowmax, out=w, where=~zero)
@@ -75,7 +131,10 @@ class WeightedSystem:
         return self
 
     def residual(self, coefficients: np.ndarray) -> np.ndarray:
-        return self.matrix @ coefficients - self.rhs
+        out = -self.rhs
+        for g in self.groups:
+            out[g.rows] += g.block @ g.take(coefficients)
+        return out
 
     def loss(self, coefficients: np.ndarray) -> float:
         """Norm of the weighted residual, the quantity least squares minimizes."""
@@ -83,11 +142,12 @@ class WeightedSystem:
 
     def dump(self, path) -> None:
         """Raw binary dump: int64 header (rows, cols, interior-condition count),
-        then the matrix row-major, the right-hand side, and the weights."""
-        n, m = self.matrix.shape
+        then the matrix row-major, the right-hand side, and the weights.  The
+        matrix is stacked from the row groups, one dense copy."""
+        n, m = self.shape
         with open(path, "wb") as fh:
             fh.write(np.asarray([n, m, self.problem.k_interior], np.int64).tobytes())
-            fh.write(np.ascontiguousarray(self.matrix, np.float64).tobytes())
+            fh.write(self.matrix.tobytes())
             fh.write(np.asarray(self.rhs, np.float64).tobytes())
             fh.write(np.asarray(self.weights, np.float64).tobytes())
 
@@ -108,39 +168,116 @@ def load_system_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 # ----------------------------------------------------------------------
 
 
+class _GroupFill:
+    """Row groups being filled: the group of every system row, its row in the
+    group's block, and where each (component, expansion) column block sits
+    in that block.
+
+    ``touched[i, comp, n]`` says whether row ``i`` touches the column block
+    of component ``comp`` and expansion ``n``.  Rows that touch the same
+    blocks form a group, and a group that is not tall joins the first tall
+    group that holds all of its blocks, whose QR then takes its rows at no
+    extra width (the Dirichlet rows of a patch join its interior rows).
+    Blocks are allocated by ``allocate``.
+    """
+
+    def __init__(self, model: RfmModel, touched: np.ndarray):
+        n_exp = len(model.expansions)
+        blocks = [
+            model.col_slice(comp, n) for comp in range(model.n_components) for n in range(n_exp)
+        ]
+        touched = touched.reshape(len(touched), len(blocks))
+        # one byte string per row, so any number of blocks makes a sortable key
+        packed = np.packbits(touched, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        unique, labels = np.unique(keys, return_inverse=True)
+        sets = np.unpackbits(
+            unique.view(np.uint8).reshape(len(unique), -1), axis=1, count=len(blocks)
+        ).astype(bool)
+        counts = np.bincount(labels.ravel(), minlength=len(sets))
+        is_tall = _tall(counts, sets @ np.array([c.stop - c.start for c in blocks]))
+        tall = np.flatnonzero(is_tall)
+        target = np.arange(len(sets))
+        for g in np.flatnonzero(~is_tall):
+            holds = ~np.any(sets[g] & ~sets[tall], axis=1)
+            if holds.any():
+                target[g] = tall[np.argmax(holds)]
+        kept = np.unique(target)
+        self.labels = np.searchsorted(kept, target)[labels.ravel()]
+        order = np.argsort(self.labels, kind="stable")
+        counts = np.bincount(self.labels, minlength=len(kept))
+        self.local = np.empty(len(order), int)
+        self.local[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.rows = np.split(order, np.cumsum(counts)[:-1])
+        self.cols: list[list[slice]] = []
+        self.offsets: list[dict[tuple[int, int], int]] = []
+        for key in sets[kept]:
+            cols, offsets, width = [], {}, 0
+            for j in np.flatnonzero(key):
+                offsets[divmod(int(j), n_exp)] = width
+                cols.append(blocks[j])
+                width += blocks[j].stop - blocks[j].start
+            self.cols.append(cols)
+            self.offsets.append(offsets)
+        self.groups: list[RowGroup] = []
+
+    @property
+    def sizes(self) -> list[tuple[int, int]]:
+        """(rows, columns) of every group's block."""
+        return [
+            (len(rows), sum(c.stop - c.start for c in cols))
+            for rows, cols in zip(self.rows, self.cols)
+        ]
+
+    def allocate(self) -> list[RowGroup]:
+        self.groups = [
+            RowGroup(rows, cols, np.zeros(size))
+            for rows, cols, size in zip(self.rows, self.cols, self.sizes)
+        ]
+        return self.groups
+
+    def add(self, rows: np.ndarray, comp: int, n: int, values: np.ndarray) -> None:
+        """Add ``values`` at system rows ``rows`` and column block (comp, n)."""
+        labels = self.labels[rows]
+        present = np.flatnonzero(np.bincount(labels))
+        for g in present:
+            sel = slice(None) if len(present) == 1 else labels == g
+            at = self.offsets[g][comp, n]
+            self.groups[g].block[self.local[rows[sel]], at : at + values.shape[1]] += values[sel]
+
+
 def _fill_stencil_rows(
-    a: np.ndarray,
+    fill: _GroupFill,
     start: int,
     model: RfmModel,
     points: np.ndarray,
     stencil: Stencil,
+    masks: np.ndarray,
     normals: np.ndarray | None = None,
 ) -> None:
-    """Scatter one stencil's conditions for a batch of points into ``a``.
+    """Add one stencil's conditions for a batch of points into the row groups.
 
     Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
-    Every expansion of the model (local patches and the global patch) adds
-    its block at the points in its support.  Term coefficients are
-    evaluated once on the whole point set.
+    Every expansion ``n`` of the model (local patches and the global patch)
+    adds its block at the points in its support, ``masks[n]``.  Term
+    coefficients are evaluated once on the whole point set.
     """
     base = start + np.arange(len(points)) * stencil.n_rows
     coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
     comps = sorted({t.comp for t in stencil.terms})
-    for n in range(len(model.expansions)):
-        mask = model.support_mask(n, points)
+    for n, mask in enumerate(masks):
         if not mask.any():
             continue
         sub, rows = points[mask], base[mask]
         for comp in comps:
             blocks = model.basis_block(n, comp, sub, stencil.alphas_for(comp))
-            cols = model.col_slice(comp, n)
             for t, coeff in zip(stencil.terms, coeffs):
                 if t.comp == comp:
-                    a[rows + t.row, cols] += coeff[mask, None] * blocks[t.alpha]
+                    fill.add(rows + t.row, comp, n, coeff[mask, None] * blocks[t.alpha])
 
 
 def _fill_interface_rows(
-    a: np.ndarray, start: int, model: RfmModel, colloc: CollocationSet
+    fill: _GroupFill, start: int, model: RfmModel, colloc: CollocationSet
 ) -> None:
     """Continuity of value and normal first derivative across patch facets.
 
@@ -168,8 +305,8 @@ def _fill_interface_rows(
             hi = feature_block(model.patches[n], comp, sub, [alpha0, alpha1])
             for k, alpha in enumerate((alpha0, alpha1)):
                 rows = base + 2 * comp + k
-                a[rows, model.col_slice(comp, m)] += lo[alpha]
-                a[rows, model.col_slice(comp, n)] -= hi[alpha]
+                fill.add(rows, comp, m, lo[alpha])
+                fill.add(rows, comp, n, -hi[alpha])
 
 
 def available_memory_bytes() -> int | None:
@@ -184,26 +321,32 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def _check_memory(n_rows: int, n_cols: int) -> None:
-    """Refuse a system whose matrix and weighted copy would not fit in memory.
+def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
+    """Refuse a system whose row groups and solve buffers would not fit in memory.
 
-    A solve holds at most two matrix-sized arrays: the raw matrix and the
-    weighted copy that the SVD factorizes in place, which is as large as the
-    matrix when no row group compresses.
+    ``sizes`` gives each row group's (rows, columns).  A solve holds the
+    group blocks, the weighted buffer that the SVD factorizes in place (one
+    full-width row for each row of a group that is not tall, and for each
+    column of a tall one) and the weighted copy of the largest tall group.
     """
-    need = 2 * n_rows * n_cols * 8
+    n_rows, n_cols = shape
+    tall = [(r, w) for r, w in sizes if _tall(r, w)]
+    solved = n_rows - sum(r for r, _ in tall) + sum(w for _, w in tall)
+    copy = max((r * (w + 1) for r, w in tall), default=0)
+    need = 8 * (sum(r * w for r, w in sizes) + solved * n_cols + copy)
     available = available_memory_bytes()
     if available is not None and need > available:
         raise ValueError(
-            "a %dx%d system needs %.0f MB for its matrix and weighted copy, "
-            "but only %.0f MB of memory is available" % (n_rows, n_cols, need / 1e6, available / 1e6)
+            "a %dx%d system needs %.1f MB for its row groups and solve buffers, "
+            "but only %.1f MB of memory is available"
+            % (n_rows, n_cols, need / 1e6, available / 1e6)
         )
 
 
 def assemble(
     problem: PdeProblem, model: RfmModel, colloc: CollocationSet
 ) -> WeightedSystem:
-    """Build the full collocation system for a problem/model pair."""
+    """Build the collocation system for a problem/model pair, as row groups."""
     if model.dim != problem.domain.dim or model.n_components != problem.n_components:
         raise ValueError("model does not match the problem layout")
     sampled = set(colloc.boundary_tags)
@@ -217,41 +360,61 @@ def assemble(
     n_ifc = colloc.n_interface * 2 * model.n_components
     pins = problem.extra_point_conditions
     n_rows = n_int + n_bnd + n_ifc + len(pins)
-    _check_memory(n_rows, model.n_columns)
-    a = np.zeros((n_rows, model.n_columns))
-    b = np.zeros(n_rows)
 
-    # interior conditions
-    _fill_stencil_rows(a, 0, model, colloc.interior, problem.operator)
-    b[:n_int] = problem.forcing_values(colloc.interior).ravel()
-
-    # boundary conditions, grouped per stencil but kept in collocation order
+    # every stencil's point set as (first row, points, normals, stencil, data):
+    # the interior, the boundary per stencil in collocation order, and the
+    # pins, one-point Dirichlet conditions on one component
     tags = np.asarray(colloc.boundary_tags)
     values = problem.boundary_values(
         colloc.boundary_points, colloc.boundary_normals, colloc.boundary_tags
     )
+    sets = [(0, colloc.interior, None, problem.operator, problem.forcing_values(colloc.interior))]
     start = n_int
     for st in problem.boundary:
         sel = np.flatnonzero(np.isin(tags, st.tags))
-        _fill_stencil_rows(
-            a, start, model, colloc.boundary_points[sel], st, colloc.boundary_normals[sel]
+        sets.append(
+            (start, colloc.boundary_points[sel], colloc.boundary_normals[sel], st, values[sel])
         )
-        b[start : start + len(sel) * k_b] = values[sel].ravel()
         start += len(sel) * k_b
-
-    # interface continuity (right-hand side stays zero)
-    if colloc.n_interface:
-        _fill_interface_rows(a, start, model, colloc)
-        start += n_ifc
-
-    # pointwise pins: one-point Dirichlet conditions on one component
+    start += n_ifc  # interface rows come between, with a zero right-hand side
     for j, (point, comp, value) in enumerate(pins):
         pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, model.n_components, model.dim)
-        _fill_stencil_rows(a, start + j, model, np.asarray([point], float), pin)
-        b[start + j] = value
+        sets.append((start + j, np.asarray([point], float), None, pin, np.asarray(value)))
+
+    # the column blocks each row touches: a stencil row, those of its terms'
+    # components at the expansions that hold its point; an interface row,
+    # those of its component at the two patches that meet there
+    k = model.n_components
+    touched = np.zeros((n_rows, k, len(model.expansions)), bool)
+    masks = [
+        np.array([model.support_mask(n, points) for n in range(len(model.expansions))])
+        for _, points, _, _, _ in sets
+    ]
+    for (first, points, _, st, _), mask in zip(sets, masks):
+        acts = np.zeros((st.n_rows, k), bool)  # acts[row, comp]: a term of row acts on comp
+        for t in st.terms:
+            acts[t.row, t.comp] = True
+        rows = slice(first, first + len(points) * st.n_rows)
+        touched[rows] = (acts[None, :, :, None] & mask.T[:, None, None, :]).reshape(
+            -1, k, len(model.expansions)
+        )
+    ifc = np.arange(n_ifc)
+    pairs = colloc.interface.pairs[ifc // (2 * k)]
+    rows, comps = n_int + n_bnd + ifc, ifc // 2 % k
+    touched[rows, comps, pairs[:, 0]] = touched[rows, comps, pairs[:, 1]] = True
+
+    fill = _GroupFill(model, touched)
+    _check_memory((n_rows, model.n_columns), fill.sizes)
+    groups = fill.allocate()
+    b = np.zeros(n_rows)
+    for (first, points, normals, st, data), mask in zip(sets, masks):
+        _fill_stencil_rows(fill, first, model, points, st, mask, normals)
+        b[first : first + data.size] = data.ravel()
+    if colloc.n_interface:
+        _fill_interface_rows(fill, n_int + n_bnd, model, colloc)
 
     return WeightedSystem(
-        matrix=a,
+        groups=groups,
         rhs=b,
         weights=np.ones(n_rows),
         model=model,

@@ -31,7 +31,7 @@ from .geometry import Domain
 GLOBAL_STREAM = 2**32 - 1
 
 # Points per chunk of RfmModel.eval_many.
-EVAL_CHUNK = 16384
+EVAL_CHUNK = 2048
 
 # Kind-"a" points this close to a patch facet, in normalized coordinates, are
 # assigned to one patch by RfmModel._facet_owner.

@@ -406,23 +406,29 @@ class HomogenizationCoefficient:
         b = rng.uniform(-self.amp, self.amp, len(lattice))
         return lattice, a, b
 
+    def _phase(self, points: np.ndarray) -> np.ndarray:
+        lattice, _, _ = self._series
+        return 2.0 * np.pi * np.atleast_2d(points) @ lattice.T
+
     def h(self, points: np.ndarray) -> np.ndarray:
-        lattice, a, b = self._series
-        phase = 2.0 * np.pi * np.atleast_2d(points) @ lattice.T
+        _, a, b = self._series
+        phase = self._phase(points)
         return np.sin(phase) @ a + np.cos(phase) @ b
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.h(points))
 
-    def grad(self, points: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """a and its gradient at ``points``, from one phase matrix."""
         lattice, a, b = self._series
-        pts = np.atleast_2d(points)
-        phase = 2.0 * np.pi * pts @ lattice.T
-        dh = np.empty_like(pts)
+        phase = self._phase(points)
+        sin, cos = np.sin(phase), np.cos(phase)
+        value = np.exp(sin @ a + cos @ b)
+        dh = np.empty((len(phase), 2))
         for axis in range(2):
             w = 2.0 * np.pi * lattice[:, axis]
-            dh[:, axis] = np.cos(phase) @ (w * a) - np.sin(phase) @ (w * b)
-        return np.exp(self.h(pts))[:, None] * dh
+            dh[:, axis] = cos @ (w * a) - sin @ (w * b)
+        return value, value[:, None] * dh
 
 
 # ----------------------------------------------------------------------
@@ -718,14 +724,24 @@ def make_varcoef_elliptic(
     """-div(a grad u) = f on the unit disk, homogeneous Dirichlet."""
     domain = domain or disk((0.0, 0.0), 1.0)
 
+    # the four terms are evaluated in turn on the same points array: compute
+    # a and its gradient once per array and let every term read them
+    last: dict = {}
+
+    def field(points):
+        if last.get("points") is not points:
+            value, grad = coef.value_and_grad(points)
+            last.update(points=points, field=(-value, -grad[:, 0], -grad[:, 1]))
+        return last["field"]
+
     def neg_a(points):
-        return -coef.value(points)
+        return field(points)[0]
 
     def neg_ax(points):
-        return -coef.grad(points)[:, 0]
+        return field(points)[1]
 
     def neg_ay(points):
-        return -coef.grad(points)[:, 1]
+        return field(points)[2]
 
     op = Stencil(
         (

@@ -1,13 +1,13 @@
 """Minimum-norm least-squares solve and conditioning diagnostics.
 
-A collocation system is solved in two steps.  Rows that touch the same set
-of column blocks (one block per component and expansion, the global patch
-included) form a row group; a group with at least two more rows than
-columns is replaced by the R factor of its orthogonal QR, as in TSQR
-(Demmel, Grigori, Hoemmen & Langou, SISC 2012).  An orthogonal transform of a row
-group leaves A^T A and A^T b unchanged, so the singular values, the set of
-minimizers and the minimum-norm solution are those of the full system.
-The compressed system then goes through one SVD solve (gelsd).
+A collocation system is solved in two steps.  Assembly stores it as row
+groups, the rows that touch the same column blocks (see ``rfm.assembly``); a
+group with at least two more rows than columns is replaced by the R factor
+of its orthogonal QR, as in TSQR (Demmel, Grigori, Hoemmen & Langou, SISC
+2012).  An orthogonal transform of a row group leaves A^T A and A^T b
+unchanged, so the singular values, the set of minimizers and the
+minimum-norm solution are those of the full system.  The compressed system
+then goes through one SVD solve (gelsd).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
-from .assembly import ROW_CHUNK, WeightedSystem
-from .basis import RfmModel
+from .assembly import RowGroup, WeightedSystem
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -134,12 +133,13 @@ def solve_system(
 
     Tall row groups are QR-compressed exactly (see the module docstring)
     and the weighted, compressed system is written into one Fortran-ordered
-    buffer that gelsd factorizes in place, so a solve holds at most two
-    matrix-sized arrays: the raw matrix and that buffer.  The rank cut-off
-    is taken from the full system's shape.  ``system.matrix``, ``rhs`` and
-    ``weights`` are left as they were; the report's ``n_rows`` is the
-    system's row count, ``solved_rows`` the compressed one, and its residual
-    norm is the system's weighted loss at the solution.
+    buffer that gelsd factorizes in place, so a solve holds the row groups,
+    that buffer and the weighted copy of one tall group at a time.  The
+    rank cut-off is taken from the full system's shape.  The system's row
+    groups, ``rhs`` and ``weights`` are left as they were; the report's
+    ``n_rows`` is the system's row count, ``solved_rows`` the compressed
+    one, and its residual norm is the system's weighted loss at the
+    solution.
     """
     a, b = _compress_rows(system)
     if rank_tol is None:
@@ -148,112 +148,52 @@ def solve_system(
     return x, replace(report, n_rows=system.shape[0], residual_norm=system.loss(x))
 
 
-def column_blocks(model: RfmModel) -> list[slice]:
-    """The model's column blocks, in column order: one per component and expansion."""
-    return [
-        model.col_slice(comp, n)
-        for comp in range(model.n_components)
-        for n in range(len(model.expansions))
-    ]
-
-
-def _row_groups(matrix: np.ndarray, blocks: list[slice]) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows by the set of column blocks they hold a nonzero in.
-
-    Returns ``(sets, labels)``: ``sets[g, j]`` says whether group ``g``
-    touches ``blocks[j]``, and ``labels[i]`` is the group of row ``i``.
-    Rows are scanned in chunks, so no matrix-sized temporary is made.
-    """
-    touched = np.empty((len(matrix), len(blocks)), bool)
-    step = max(1, ROW_CHUNK // max(1, matrix.shape[1]))
-    for start in range(0, len(matrix), step):
-        rows = slice(start, start + step)
-        nonzero = matrix[rows] != 0
-        for j, cols in enumerate(blocks):
-            np.any(nonzero[:, cols], axis=1, out=touched[rows, j])
-    # one byte string per row, so any number of blocks makes a sortable key
-    packed = np.packbits(touched, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    unique, labels = np.unique(keys, return_inverse=True)
-    sets = np.unpackbits(
-        unique.view(np.uint8).reshape(len(unique), -1), axis=1, count=len(blocks)
-    ).astype(bool)
-    return sets, labels.ravel()
-
-
 def _compress_rows(system: WeightedSystem) -> tuple[np.ndarray, np.ndarray]:
     """The weighted system with every tall row group replaced by its R factor.
 
-    A group is tall when it has more rows than its column count + 1.  The
-    other rows come first, in their original order, weighted exactly as
-    ``weights[:, None] * matrix`` would; each tall group then contributes
-    as many rows as it has columns.  Returns a Fortran-ordered matrix and
-    its right-hand side.
+    The rows of the other groups come first, in their order in the system,
+    weighted exactly as ``weights[:, None] * matrix`` would be; each tall
+    group then contributes as many rows as it has columns.  Returns a
+    Fortran-ordered matrix and its right-hand side.
     """
-    matrix, weights = system.matrix, system.weights
+    weights = system.weights
     rhs = system.weighted_rhs()
-    blocks = column_blocks(system.model)
-    sets, labels = _row_groups(matrix, blocks)
-    widths = sets @ np.array([b.stop - b.start for b in blocks])
-    tall = np.flatnonzero(np.bincount(labels, minlength=len(sets)) > widths + 1)
-    kept = np.flatnonzero(~np.isin(labels, tall))
-    out = np.empty((len(kept) + widths[tall].sum(), matrix.shape[1]), order="F")
+    tall = [g for g in system.groups if g.tall]
+    short = [g for g in system.groups if not g.tall]
+    kept = np.sort(np.concatenate([g.rows for g in short] + [np.empty(0, int)]))
+    n_tall = sum(g.block.shape[1] for g in tall)
+    out = np.zeros((len(kept) + n_tall, system.shape[1]), order="F")
     out_rhs = np.empty(len(out))
-    top = 0
-    # kept rows by runs of consecutive rows, with no temporary
-    for run in np.split(kept, np.flatnonzero(np.diff(kept) != 1) + 1):
-        if len(run):
-            rows = slice(run[0], run[-1] + 1)
-            np.multiply(weights[rows, None], matrix[rows], out=out[top : top + len(run)])
-            top += len(run)
-    out_rhs[:top] = rhs[kept]
+    out_rhs[: len(kept)] = rhs[kept]
+    for g in short:
+        g.place(out, np.searchsorted(kept, g.rows), weights[g.rows, None] * g.block)
+    top = len(kept)
     for g in tall:
-        cols = [blocks[j] for j in np.flatnonzero(sets[g])]
-        r = _group_r(matrix, weights, rhs, np.flatnonzero(labels == g), cols)
-        n = widths[g]
-        out[top : top + n] = 0.0
-        offset = 0
-        for c in cols:
-            out[top : top + n, c] = r[:, offset : offset + c.stop - c.start]
-            offset += c.stop - c.start
+        r = _group_r(g, weights, rhs)
+        n = len(r)
+        g.place(out, slice(top, top + n), r[:, :n])
         out_rhs[top : top + n] = r[:, n]
         top += n
     return out, out_rhs
 
 
-def _group_r(
-    matrix: np.ndarray,
-    weights: np.ndarray,
-    rhs: np.ndarray,
-    rows: np.ndarray,
-    cols: list[slice],
-) -> np.ndarray:
+def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Top rows of the R factor of ``[W A | W b]`` over a group's rows and columns.
 
     ``rhs`` is already weighted.  The result has one row per column: the
     last row of R, which holds only the group's orthogonal residual, is
     dropped.  A NaN or inf in the group raises ValueError.
     """
-    n = sum(c.stop - c.start for c in cols)
-    group = np.empty((len(rows), n + 1), order="F")
-    step = max(1, ROW_CHUNK // (n + 1))
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
-        offset = 0
-        for c in cols:
-            width = c.stop - c.start
-            np.multiply(
-                weights[chunk, None],
-                matrix[chunk, c],
-                out=group[start : start + len(chunk), offset : offset + width],
-            )
-            offset += width
-    group[:, n] = rhs[rows]
-    _require_finite(group)
-    lwork, info = dgeqrf_lwork(*group.shape)
+    rows = group.rows
+    n = group.block.shape[1]
+    work = np.empty((len(rows), n + 1), order="F")
+    np.multiply(weights[rows, None], group.block, out=work[:, :n])
+    work[:, n] = rhs[rows]
+    _require_finite(work)
+    lwork, info = dgeqrf_lwork(*work.shape)
     if info != 0:
         raise ValueError("geqrf workspace query failed (info=%d)" % info)
-    qr, _, _, info = dgeqrf(group, lwork=int(lwork), overwrite_a=1)
+    qr, _, _, info = dgeqrf(work, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise ValueError("illegal value in argument %d of geqrf" % -info)
     return np.triu(qr[:n])

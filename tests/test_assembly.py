@@ -1,14 +1,19 @@
-"""System assembly: frozen row values, row ordering, rescaling invariants,
-interface structure, and the dump/load round trip."""
+"""System assembly: frozen row values, row ordering, the row-group layout,
+rescaling invariants, interface structure, memory, and the dump/load round
+trip."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfm import assembly
-from rfm.assembly import assemble, load_system_dump
+from rfm.assembly import RowGroup, assemble, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
+from rfm.experiments import build_run, load_suite
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
 from rfm.problems import (
+    HomogenizationCoefficient,
     PdeProblem,
     Stencil,
     Term,
@@ -16,6 +21,7 @@ from rfm.problems import (
     make_poisson_2d,
     make_stokes_manufactured,
 )
+from rfm.solver import solve_system
 
 RNG = np.random.default_rng(41)
 
@@ -165,7 +171,8 @@ def test_rescale_row_maxima_are_exact_across_chunks():
     matrix = RNG.standard_normal((2 * step + 17, cols)) * 10.0 ** RNG.integers(-8, 8, (2 * step + 17, 1))
     zero = [0, step - 1, step, 2 * step + 16]  # at both edges of a chunk and at the end
     matrix[zero] = 0.0
-    system.matrix = matrix
+    system.groups = [RowGroup(np.arange(len(matrix)), [slice(0, cols)], matrix)]
+    system.rhs = np.zeros(len(matrix))
     system.rescale(100.0)
     rowmax = np.abs(matrix).max(axis=1)
     want = np.ones(len(matrix))
@@ -283,6 +290,90 @@ def test_term_coefficients_run_once_per_point_set():
     assert np.array_equal(system.matrix, want.matrix) and np.array_equal(system.rhs, want.rhs)
 
 
+def test_coefficient_field_is_evaluated_once_per_point_set(monkeypatch):
+    """The four terms of -div(a grad u) share one Fourier phase matrix."""
+    problem, model, colloc = build_run(load_suite("homogenization-desk")[0])
+    calls = []
+    phase = HomogenizationCoefficient._phase
+
+    def counted(self, points):
+        calls.append(len(points))
+        return phase(self, points)
+
+    monkeypatch.setattr(HomogenizationCoefficient, "_phase", counted)
+    assemble(problem, model, colloc)
+    assert calls == [colloc.n_interior]
+
+
+def _stokes_setup(pou):
+    """A Stokes system with a global patch and the pressure pin; kind "a" has
+    interface rows, kind "b" overlapping supports."""
+    problem = make_stokes_manufactured()
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=3)
+    model = build_model(
+        problem.domain, (2, 2), 20, sampler, pou=pou, n_components=3, global_features=12
+    )
+    boundary = {t: 4 for t in ("left", "right", "bottom", "top")}
+    boundary.update({f"hole{i}": 6 for i in range(3)})
+    boxes, per_edge = (model.boxes(), 4) if pou == "a" else (None, 0)
+    colloc = build_collocation(problem.domain, (10, 10), boundary, boxes, per_edge)
+    return problem, model, colloc
+
+
+@pytest.mark.parametrize("pou", ["a", "b"])
+def test_row_groups_stack_to_a_dense_fill(pou, monkeypatch):
+    problem, model, colloc = _stokes_setup(pou)
+    grouped = assemble(problem, model, colloc)
+    assert grouped.n_pin_rows == 1 and (grouped.n_interface_rows > 0) == (pou == "a")
+    # only kind "b" has interior rows on two local patches at once
+    local = [model.col_slice(0, n) for n in range(len(model.patches))]
+    interior = [g for g in grouped.groups if g.rows[0] < grouped.n_interior_rows]
+    assert any(sum(c in g.cols for c in local) > 1 for g in interior) == (pou == "b")
+
+    class OneGroup(assembly._GroupFill):
+        """Every row touches every column block: one group over the model's own columns."""
+
+        def __init__(self, model, touched):
+            super().__init__(model, np.ones_like(touched))
+
+    monkeypatch.setattr(assembly, "_GroupFill", OneGroup)
+    dense = assemble(problem, model, colloc)
+    (group,) = dense.groups
+    assert np.array_equal(group.rows, np.arange(dense.shape[0]))
+    assert np.array_equal(np.r_[tuple(group.cols)], np.arange(model.n_columns))
+    assert len(grouped.groups) > 1
+    assert np.array_equal(grouped.matrix, group.block)
+    assert np.array_equal(grouped.rhs, dense.rhs)
+
+
+@pytest.mark.parametrize("pou", ["a", "b"])
+def test_every_row_lies_in_exactly_one_group(pou):
+    problem, model, colloc = _stokes_setup(pou)
+    system = assemble(problem, model, colloc)
+    rows = np.concatenate([g.rows for g in system.groups])
+    assert np.array_equal(np.sort(rows), np.arange(system.shape[0]))
+    for g in system.groups:
+        assert np.all(np.diff(g.rows) > 0)
+        assert g.block.shape == (len(g.rows), sum(c.stop - c.start for c in g.cols))
+
+
+def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
+    config = {c.name: c for c in load_suite("timoshenko")}["M=800 Q=6400"]
+    problem, model, colloc = build_run(config)
+    tracemalloc.start()
+    try:
+        system = assemble(problem, model, colloc).rescale(config.rescale_scale)
+        _, report = solve_system(system, config.rank_tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.shape == (14400, 1600)
+    assert peak < 8 * system.shape[0] * system.shape[1]
+    # the Dirichlet rows join their patch's tall group: each patch reaches the
+    # SVD as 640 rows, next to eight interface groups of 80
+    assert report.solved_rows == 3200
+
+
 def test_dump_and_load_round_trip(tmp_path):
     problem = make_helmholtz_1d()
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
@@ -319,9 +410,11 @@ def test_assembly_is_deterministic():
 
 def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     problem, model, colloc = _single_feature_setup()
-    need = 2 * 3 * 1 * 8  # matrix and weighted copy of the 3x1 system
+    # the 3x1 system is one tall group: its block (3 values), its R factor in
+    # the solve buffer (1) and its weighted copy with the right-hand side (6)
+    need = (3 + 1 + 6) * 8
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
-    with pytest.raises(ValueError, match=r"3x1 system needs 0 MB .* only 0 MB"):
+    with pytest.raises(ValueError, match=r"3x1 system needs 0.0 MB .* only 0.0 MB"):
         assemble(problem, model, colloc)
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need)
     assert assemble(problem, model, colloc).shape == (3, 1)

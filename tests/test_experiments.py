@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfm.experiments import (
     CSV_COLUMNS,
@@ -53,6 +55,50 @@ def test_config_json_round_trip_is_lossless(tmp_path):
     # hash is stable across the round trip and sensitive to content
     assert ExperimentConfig.load(path).config_hash == cfg.config_hash
     assert replace(cfg, seed=10).config_hash != cfg.config_hash
+
+
+COUNTS = st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _configs(draw):
+    """Any config the constructor accepts, with JSON-representable fields."""
+    problem = draw(st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    problem["id"] = draw(st.sampled_from(["helmholtz", "poisson", "beam", "stokes", "varcoef"]))
+    return ExperimentConfig(
+        suite=draw(st.text()),
+        name=draw(st.text()),
+        problem=problem,
+        patch_counts=draw(COUNTS),
+        features_per_patch=draw(st.integers(1, 10**6)),
+        interior=draw(COUNTS),
+        boundary=draw(st.dictionaries(st.text(), st.integers(1, 10**6), max_size=4)),
+        pou=draw(st.sampled_from(["a", "b"])),
+        activation=draw(st.sampled_from(["tanh", "sin", "cos"])),
+        rm=draw(st.just("auto") | st.floats(1e-300, 1e300)),
+        feature_mode=draw(st.sampled_from(["uniform_random", "equispaced_grid"])),
+        global_features=draw(st.integers(0, 10**6)),
+        interface_per_edge=draw(st.integers(0, 10**6)),
+        rescale_on=draw(st.booleans()),
+        rescale_scale=draw(FLOATS),
+        rank_tol=draw(st.none() | FLOATS),
+        eval_counts=draw(st.none() | COUNTS),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(config=_configs())
+def test_config_json_round_trip_holds_for_generated_configs(config):
+    back = ExperimentConfig.from_json(config.to_json())
+    assert back == config
+    assert back.config_hash == config.config_hash
 
 
 def test_config_validation_rejects_bad_counts():
@@ -251,7 +297,7 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
     _fast_config().save(path)
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**5)
     assert main(["run", "--config", str(path)]) == 1
-    assert "208x200 system needs 1 MB" in capsys.readouterr().err
+    assert "208x200 system needs 0.4 MB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

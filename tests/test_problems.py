@@ -290,7 +290,8 @@ def test_coefficient_gradient_matches_finite_differences():
     a = HomogenizationCoefficient(seed=3, bound=2)
     pts = RNG.uniform(-0.6, 0.6, size=(100, 2))
     h = 1e-5
-    got = a.grad(pts)
+    value, got = a.value_and_grad(pts)
+    assert np.array_equal(value, a.value(pts))
     for axis in range(2):
         e = np.zeros(2)
         e[axis] = h

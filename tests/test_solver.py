@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rfm.assembly import WeightedSystem, assemble
+from rfm.assembly import RowGroup, WeightedSystem, assemble
 from rfm.basis import FeatureSampler, build_model
 from rfm.experiments import SUITE_NAMES, build_run, load_suite
 from rfm.geometry import interval
-from rfm.solver import column_blocks, solve_min_norm, solve_system
+from rfm.solver import solve_min_norm, solve_system
 
 RNG = np.random.default_rng(77)
 
@@ -234,10 +234,12 @@ def test_row_compression_matches_direct_gelsd(suite_solve):
 
 @st.composite
 def _block_systems(draw):
-    """A weighted system on a real column layout whose rows each touch a random
-    set of column blocks, plus up to three zero rows.  Every block lies in
-    some group with at least two more Gaussian rows than columns, so the
-    tall groups, and the whole system, have full column rank."""
+    """A weighted system on a real column layout, as row groups that each
+    touch a random set of column blocks, plus a group of up to three rows
+    that touch none.  Every block lies in some group with at least two more
+    Gaussian rows than columns, so the tall groups, and the whole system,
+    have full column rank.  Each group's rows are a random subset of the
+    system's rows."""
     model = build_model(
         interval(0.0, 1.0),
         draw(st.integers(1, 4)),
@@ -246,7 +248,11 @@ def _block_systems(draw):
         n_components=draw(st.integers(1, 2)),
         global_features=draw(st.sampled_from([0, 3])),
     )
-    blocks = column_blocks(model)
+    blocks = [
+        model.col_slice(comp, n)
+        for comp in range(model.n_components)
+        for n in range(len(model.expansions))
+    ]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     some_blocks = st.sets(st.integers(0, len(blocks) - 1), max_size=len(blocks))
     sets = [draw(some_blocks) | {j} for j in range(len(blocks))]
@@ -254,17 +260,21 @@ def _block_systems(draw):
     sets += draw(st.lists(some_blocks, max_size=4))
     parts = []
     for g, chosen in enumerate(sets):
-        width = sum(blocks[j].stop - blocks[j].start for j in chosen)
+        cols = [blocks[j] for j in sorted(chosen)]
+        width = sum(c.stop - c.start for c in cols)
         count = draw(st.integers(width + 2, 2 * width + 4) if g < tall else st.integers(1, width + 1))
-        part = np.zeros((count, model.n_columns))
-        for j in chosen:
-            part[:, blocks[j]] = rng.standard_normal((count, blocks[j].stop - blocks[j].start))
-        parts.append(part * 10.0 ** rng.uniform(-3, 3, (count, 1)))
-    parts.append(np.zeros((draw(st.integers(0, 3)), model.n_columns)))
-    matrix = np.vstack(parts)[rng.permutation(sum(len(p) for p in parts))]
-    n = len(matrix)
+        block = rng.standard_normal((count, width)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+        parts.append((cols, block))
+    count = draw(st.integers(0, 3))
+    parts.append(([], np.zeros((count, 0))))
+    n = sum(len(block) for _, block in parts)
+    order = rng.permutation(n)
+    groups, top = [], 0
+    for cols, block in parts:
+        groups.append(RowGroup(np.sort(order[top : top + len(block)]), cols, block))
+        top += len(block)
     system = WeightedSystem(
-        matrix, rng.standard_normal(n), np.ones(n), model, None, n, 0, 0, 0
+        groups, rng.standard_normal(n), np.ones(n), model, None, n, 0, 0, 0
     )
     return system.rescale()
 
@@ -292,10 +302,25 @@ def test_non_finite_input_is_rejected(where, bad):
         solve_min_norm(a, b)
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(system=_block_systems(), scale=st.floats(1e-3, 1e3))
+def test_rescale_scale_leaves_the_grouped_solve_unchanged(system, scale):
+    """At full column rank a common factor on every weight changes the
+    least-squares problem only by rounding: the solution agrees to 1e-11."""
+    x1, r1 = solve_system(system.rescale(scale))
+    x2, r2 = solve_system(system.rescale(10.0 * scale))
+    assert r1.rank == r2.rank == system.shape[1]
+    assert np.linalg.norm(x1 - x2) <= 1e-11 * np.linalg.norm(x1)
+
+
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_solve_system_rejects_nan(where):
     system, rank_tol = _system("helmholtz-pou")
-    getattr(system, where)[5] = np.nan
+    group = next(g for g in system.groups if not g.tall)
+    if where == "matrix":
+        group.block[0, 0] = np.nan
+    else:
+        system.rhs[group.rows[0]] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_system(system, rank_tol)
 
@@ -303,10 +328,10 @@ def test_solve_system_rejects_nan(where):
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_row_compression_rejects_nan_in_a_tall_group(where):
     system, rank_tol = _system("poisson-multiscale")
-    row = 5  # an interior row, in its patch's tall group
+    group = next(g for g in system.groups if g.tall)
     if where == "matrix":
-        system.matrix[row, np.flatnonzero(system.matrix[row])[0]] = np.nan
+        group.block[0, np.flatnonzero(group.block[0])[0]] = np.nan
     else:
-        system.rhs[row] = np.nan
+        system.rhs[group.rows[0]] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_system(system, rank_tol)
