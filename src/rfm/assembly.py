@@ -6,10 +6,15 @@ points run in collocation order with the condition rows of one point kept
 adjacent.  Columns follow the model's layout (component-major, patches in
 construction order, global features last within each component).
 
+Every row family is a ``Stencil`` applied at a point set, filled by one
+loop.  Interface continuity is the stencil of value and normal derivative
+per component, fed the facet normals; its lower patch enters with + and its
+upper patch with -.
+
 The matrix is block-sparse: a row touches only the column blocks (one per
-component and expansion) of the expansions that hold its point, and of the
-components its condition involves; an interface row touches the two
-patches that meet there.  Rows that touch the same blocks form a row group,
+component and expansion) of the expansions that hold its point (at an
+interface point, the two patches that meet there), and of the components
+its condition involves.  Rows that touch the same blocks form a row group,
 stored as a dense block over those columns alone, so the full matrix is
 only built on request (``WeightedSystem.matrix``).  The system is stored
 unweighted; per-row rescale factors live alongside it so rescaling is
@@ -22,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import RfmModel, feature_block
+# feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
+from .basis import RfmModel, feature_block  # noqa: F401
 from .geometry import CollocationSet
 from .problems import PdeProblem, Stencil, Term
 
@@ -252,61 +258,42 @@ def _fill_stencil_rows(
     model: RfmModel,
     points: np.ndarray,
     stencil: Stencil,
-    masks: np.ndarray,
+    signs: np.ndarray,
     normals: np.ndarray | None = None,
 ) -> None:
     """Add one stencil's conditions for a batch of points into the row groups.
 
     Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
     Every expansion ``n`` of the model (local patches and the global patch)
-    adds its block at the points in its support, ``masks[n]``.  Term
-    coefficients are evaluated once on the whole point set.
+    adds its block, times ``signs[n]``, at the points where that sign is
+    nonzero.  Term coefficients are evaluated once on the whole point set.
     """
     base = start + np.arange(len(points)) * stencil.n_rows
     coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
     comps = sorted({t.comp for t in stencil.terms})
-    for n, mask in enumerate(masks):
+    for n, sign in enumerate(signs):
+        mask = sign != 0.0
         if not mask.any():
             continue
-        sub, rows = points[mask], base[mask]
+        sub, rows, sign = points[mask], base[mask], sign[mask]
         for comp in comps:
             blocks = model.basis_block(n, comp, sub, stencil.alphas_for(comp))
             for t, coeff in zip(stencil.terms, coeffs):
                 if t.comp == comp:
-                    fill.add(rows + t.row, comp, n, coeff[mask, None] * blocks[t.alpha])
+                    fill.add(rows + t.row, comp, n, (coeff[mask] * sign)[:, None] * blocks[t.alpha])
 
 
-def _fill_interface_rows(
-    fill: _GroupFill, start: int, model: RfmModel, colloc: CollocationSet
-) -> None:
-    """Continuity of value and normal first derivative across patch facets.
-
-    Each interface point contributes, per component, a value row and a
-    derivative row; the lower patch enters with +, the upper with -.  Only
-    the two adjacent local feature blocks are involved: any global
-    expansion is smooth across the facet, so its columns cancel.
-    """
-    iface = colloc.interface
-    pts = iface.points
-    axes = np.argmax(np.abs(iface.normals), axis=1)
-    block = 2 * model.n_components
-    for (m, n, axis) in {
-        (int(p[0]), int(p[1]), int(ax)) for p, ax in zip(iface.pairs, axes)
-    }:
-        sel = np.flatnonzero(
-            (iface.pairs[:, 0] == m) & (iface.pairs[:, 1] == n) & (axes == axis)
-        )
-        sub = pts[sel]
-        alpha0 = (0,) * model.dim
-        alpha1 = tuple(1 if ax == axis else 0 for ax in range(model.dim))
-        base = start + sel * block
-        for comp in range(model.n_components):
-            lo = feature_block(model.patches[m], comp, sub, [alpha0, alpha1])
-            hi = feature_block(model.patches[n], comp, sub, [alpha0, alpha1])
-            for k, alpha in enumerate((alpha0, alpha1)):
-                rows = base + 2 * comp + k
-                fill.add(rows, comp, m, lo[alpha])
-                fill.add(rows, comp, n, -hi[alpha])
+def _interface_stencil(model: RfmModel) -> Stencil:
+    """Continuity across a patch facet, fed the facet normals: per component
+    ``c``, the value (row 2c) and the normal derivative (row 2c+1)."""
+    dim, k = model.dim, model.n_components
+    terms = []
+    for c in range(k):
+        terms.append(Term(2 * c, c, (0,) * dim, 1.0))
+        for ax in range(dim):
+            e = tuple(int(i == ax) for i in range(dim))
+            terms.append(Term(2 * c + 1, c, e, lambda _, normals, ax=ax: normals[:, ax]))
+    return Stencil(tuple(terms), 2 * k, k, dim)
 
 
 def available_memory_bytes() -> int | None:
@@ -354,64 +341,73 @@ def assemble(
     if missing:
         raise ValueError("boundary segments %s have no collocation points" % missing)
 
-    k_i, k_b = problem.k_interior, problem.k_boundary
+    if colloc.n_interface and model.pou != "a":
+        raise ValueError(
+            "interface continuity rows need the sharp partition (pou 'a'), not pou %r"
+            % model.pou
+        )
+
+    k_i, k_b, k = problem.k_interior, problem.k_boundary, model.n_components
     n_int = colloc.n_interior * k_i
     n_bnd = colloc.n_boundary * k_b
-    n_ifc = colloc.n_interface * 2 * model.n_components
+    n_ifc = colloc.n_interface * 2 * k
     pins = problem.extra_point_conditions
     n_rows = n_int + n_bnd + n_ifc + len(pins)
+    n_exp = len(model.expansions)
 
-    # every stencil's point set as (first row, points, normals, stencil, data):
-    # the interior, the boundary per stencil in collocation order, and the
-    # pins, one-point Dirichlet conditions on one component
+    def held(points):
+        return np.array([model.support_mask(n, points) for n in range(n_exp)], float)
+
+    # every stencil's point set as (first row, points, normals, stencil, data,
+    # signs): the interior, the boundary per stencil in collocation order, the
+    # interface, and the pins, one-point Dirichlet conditions on one component.
+    # signs[n, p] weighs expansion n's block at point p: 1 where its support
+    # holds the point, +1 / -1 for the lower / upper patch at an interface
+    # point, 0 elsewhere (the global patch is smooth across a facet)
     tags = np.asarray(colloc.boundary_tags)
     values = problem.boundary_values(
         colloc.boundary_points, colloc.boundary_normals, colloc.boundary_tags
     )
-    sets = [(0, colloc.interior, None, problem.operator, problem.forcing_values(colloc.interior))]
+    interior = colloc.interior
+    sets = [(0, interior, None, problem.operator, problem.forcing_values(interior), held(interior))]
     start = n_int
     for st in problem.boundary:
         sel = np.flatnonzero(np.isin(tags, st.tags))
-        sets.append(
-            (start, colloc.boundary_points[sel], colloc.boundary_normals[sel], st, values[sel])
-        )
+        pts = colloc.boundary_points[sel]
+        sets.append((start, pts, colloc.boundary_normals[sel], st, values[sel], held(pts)))
         start += len(sel) * k_b
-    start += n_ifc  # interface rows come between, with a zero right-hand side
+    if colloc.n_interface:
+        iface = colloc.interface
+        signs = np.zeros((n_exp, len(iface)))
+        signs[iface.pairs[:, 0], np.arange(len(iface))] = 1.0
+        signs[iface.pairs[:, 1], np.arange(len(iface))] = -1.0
+        ifc = _interface_stencil(model)
+        sets.append((start, iface.points, iface.normals, ifc, np.zeros(n_ifc), signs))
+        start += n_ifc
     for j, (point, comp, value) in enumerate(pins):
-        pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, model.n_components, model.dim)
-        sets.append((start + j, np.asarray([point], float), None, pin, np.asarray(value)))
+        pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, k, model.dim)
+        pts = np.asarray([point], float)
+        sets.append((start + j, pts, None, pin, np.asarray(value), held(pts)))
 
-    # the column blocks each row touches: a stencil row, those of its terms'
-    # components at the expansions that hold its point; an interface row,
-    # those of its component at the two patches that meet there
-    k = model.n_components
-    touched = np.zeros((n_rows, k, len(model.expansions)), bool)
-    masks = [
-        np.array([model.support_mask(n, points) for n in range(len(model.expansions))])
-        for _, points, _, _, _ in sets
-    ]
-    for (first, points, _, st, _), mask in zip(sets, masks):
+    # the column blocks each row touches: those of its terms' components at
+    # the expansions with a nonzero sign at its point
+    touched = np.zeros((n_rows, k, n_exp), bool)
+    for first, points, _, st, _, signs in sets:
         acts = np.zeros((st.n_rows, k), bool)  # acts[row, comp]: a term of row acts on comp
         for t in st.terms:
             acts[t.row, t.comp] = True
         rows = slice(first, first + len(points) * st.n_rows)
-        touched[rows] = (acts[None, :, :, None] & mask.T[:, None, None, :]).reshape(
-            -1, k, len(model.expansions)
+        touched[rows] = (acts[None, :, :, None] & (signs != 0.0).T[:, None, None, :]).reshape(
+            -1, k, n_exp
         )
-    ifc = np.arange(n_ifc)
-    pairs = colloc.interface.pairs[ifc // (2 * k)]
-    rows, comps = n_int + n_bnd + ifc, ifc // 2 % k
-    touched[rows, comps, pairs[:, 0]] = touched[rows, comps, pairs[:, 1]] = True
 
     fill = _GroupFill(model, touched)
     _check_memory((n_rows, model.n_columns), fill.sizes)
     groups = fill.allocate()
     b = np.zeros(n_rows)
-    for (first, points, normals, st, data), mask in zip(sets, masks):
-        _fill_stencil_rows(fill, first, model, points, st, mask, normals)
+    for first, points, normals, st, data, signs in sets:
+        _fill_stencil_rows(fill, first, model, points, st, signs, normals)
         b[first : first + data.size] = data.ravel()
-    if colloc.n_interface:
-        _fill_interface_rows(fill, n_int + n_bnd, model, colloc)
 
     return WeightedSystem(
         groups=groups,

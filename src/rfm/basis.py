@@ -461,18 +461,17 @@ class RfmModel:
     ) -> dict[tuple[int, ...], np.ndarray]:
         """Derivatives of psi_n * phi_nj for every feature of one patch.
 
-        For kind "a" the PoU factor is the indicator, so only the bare
-        features of the requested alphas are needed; for kind "b" the product
-        rule runs over all sub-multi-indices.
-        The global patch's factor is 1: its block is the bare features.
+        Callers select the points: those in ``support_mask``, or the facet
+        points of an interface.  For kind "a" the PoU factor is the
+        indicator, 1 on the support, so the block is the bare features (which
+        an interface row also takes from the lower patch, whose half-open
+        indicator is 0 on the facet).  For kind "b" the product rule runs
+        over all sub-multi-indices.  The global patch's factor is 1: its
+        block is the bare features.
         """
         p = self.expansions[patch_index]
-        if self._is_global(patch_index):
+        if self._is_global(patch_index) or self.pou == "a":
             return feature_block(p, comp, points, alphas)
-        if self.pou == "a":
-            phi = feature_block(p, comp, points, alphas)
-            ind = self.pou_weight(patch_index, points)
-            return {a: phi[a] * ind[:, None] for a in alphas}
         phis_needed = sorted(
             {tuple(g) for a in alphas for g in np.ndindex(*[i + 1 for i in a])}
         )
@@ -527,12 +526,13 @@ class RfmModel:
         for lo in range(0, len(points), EVAL_CHUNK):
             chunk = points[lo : lo + EVAL_CHUNK]
             rows = slice(lo, lo + len(chunk))
-            for comp in range(self.n_components):
-                for n in range(len(self.expansions)):
-                    mask = self.support_mask(n, chunk)
-                    if not mask.any():
-                        continue
-                    blocks = self.basis_block(n, comp, chunk[mask], alphas)
+            for n in range(len(self.expansions)):
+                mask = self.support_mask(n, chunk)
+                if not mask.any():
+                    continue
+                sub = chunk[mask]
+                for comp in range(self.n_components):
+                    blocks = self.basis_block(n, comp, sub, alphas)
                     coef = coefficients[self.col_slice(comp, n)]
                     for a in alphas:
                         out[a][rows][mask, comp] += blocks[a] @ coef

@@ -86,6 +86,8 @@ def evaluate_error(
     if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
     pts = evaluation_grid(problem.domain, counts) if points is None else points
+    if len(pts) == 0:
+        raise ValueError("no evaluation points: an error over zero points is undefined")
     value = (0,) * model.dim
     elastic = problem.constants is not None and model.n_components == 2
     alphas = [value, (1, 0), (0, 1)] if elastic else [value]

@@ -109,12 +109,32 @@ class ExperimentConfig:
         object.__setattr__(self, "interior", tuple(int(c) for c in np.atleast_1d(self.interior)))
         if self.eval_counts is not None:
             object.__setattr__(self, "eval_counts", tuple(int(c) for c in np.atleast_1d(self.eval_counts)))
-        if any(c <= 0 for c in self.patch_counts + self.interior):
-            raise ValueError("all counts must be positive")
-        if self.features_per_patch <= 0 or any(v <= 0 for v in self.boundary.values()):
-            raise ValueError("all counts must be positive")
+        counts = {
+            "patch_counts": self.patch_counts,
+            "interior": self.interior,
+            "boundary": tuple(self.boundary.values()),
+            "eval_counts": self.eval_counts or (),
+        }
+        for key, values in counts.items():
+            if any(c <= 0 for c in values):
+                raise ValueError("%r counts must be positive, got %r" % (key, getattr(self, key)))
+        for key, least in (
+            ("features_per_patch", 1), ("global_features", 0), ("interface_per_edge", 0)
+        ):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError("%r must be an integer >= %d, got %r" % (key, least, value))
+        if self.pou == "b" and self.interface_per_edge:
+            raise ValueError(
+                "'interface_per_edge' must be 0 with pou 'b': the smooth partition "
+                "has no interface conditions"
+            )
         if self.rm != "auto" and float(self.rm) <= 0:
-            raise ValueError("rm must be positive or 'auto'")
+            raise ValueError("'rm' must be positive or 'auto'")
+        if not 0.0 < float(self.rescale_scale) < np.inf:
+            raise ValueError("'rescale_scale' must be positive and finite, got %r" % self.rescale_scale)
+        if self.rank_tol is not None and not 0.0 <= float(self.rank_tol) < 1.0:
+            raise ValueError("'rank_tol' must lie in [0, 1), got %r" % self.rank_tol)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -248,13 +268,12 @@ def build_run(config: ExperimentConfig):
         global_features=config.global_features,
     )
     interior = config.interior if len(config.interior) > 1 else config.interior[0]
-    use_interfaces = config.pou == "a" and config.interface_per_edge > 0
     colloc = build_collocation(
         problem.domain,
         interior,
         dict(config.boundary),
-        model.boxes() if use_interfaces else None,
-        config.interface_per_edge if use_interfaces else 0,
+        model.boxes(),
+        config.interface_per_edge,
     )
     return problem, model, colloc
 

@@ -48,7 +48,9 @@ class Stencil:
     A stencil with ``tags`` holds the boundary conditions on those segments:
     its terms have |alpha| <= 1 and their coefficients take the outward
     normals as a second argument.  A stencil without tags is the interior
-    operator or a pin, with |alpha| <= 2.
+    operator, a pin, or the interface continuity stencil, with |alpha| <= 2;
+    the interface stencil is fed the facet normals, and assembly adds its
+    lower patch's block with + and its upper patch's with -.
     """
 
     terms: tuple[Term, ...]

@@ -17,6 +17,7 @@ from rfm.problems import (
     PdeProblem,
     Stencil,
     Term,
+    make_beam_problem,
     make_helmholtz_1d,
     make_poisson_2d,
     make_stokes_manufactured,
@@ -91,30 +92,72 @@ def test_row_ordering_and_meta_kinds():
     assert np.all(system.rhs[42:] == 0.0)
 
 
-def test_interface_rows_have_opposite_sign_blocks_and_no_global_columns():
-    problem = make_helmholtz_1d()
+def _interface_setup(dim):
+    """A kind-"a" model with a global patch and its collocation set with
+    interface points: 1D Helmholtz on two patches, or the 2D two-component
+    beam on a 2x2 grid, whose facets are normal to x and to y."""
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=5)
-    model = build_model(
-        interval(0.0, 8.0), 2, 10, sampler, pou="a", global_features=10
-    )
-    colloc = build_collocation(
-        interval(0.0, 8.0), 20, {"left": 1, "right": 1}, model.boxes(), 1
-    )
-    system = assemble(problem, model, colloc)
-    iface_rows = system.matrix[-2:]
-    cols0 = model.col_slice(0, 0)
-    cols1 = model.col_slice(0, 1)
-    gcols = model.col_slice(0, len(model.patches))
+    if dim == 1:
+        problem = make_helmholtz_1d()
+        model = build_model(problem.domain, 2, 10, sampler, pou="a", global_features=10)
+        boundary, interior, per_edge = {"left": 1, "right": 1}, 20, 1
+    else:
+        problem = make_beam_problem()
+        model = build_model(
+            problem.domain, (2, 2), 12, sampler, pou="a", n_components=2, global_features=8
+        )
+        boundary, interior, per_edge = {t: 4 for t in ("left", "right", "bottom", "top")}, 6, 3
+    colloc = build_collocation(problem.domain, interior, boundary, model.boxes(), per_edge)
+    return problem, model, colloc
 
-    x = np.array([[4.0]])
-    for local_row, alpha in ((0, (0,)), (1, (1,))):
-        row = iface_rows[local_row]
-        left = feature_block(model.patches[0], 0, x, [alpha])[alpha][0]
-        right = feature_block(model.patches[1], 0, x, [alpha])[alpha][0]
-        assert np.allclose(row[cols0], left, atol=1e-14)
-        assert np.allclose(row[cols1], -right, atol=1e-14)
-        assert np.all(row[gcols] == 0.0)
-    assert np.all(system.rhs[-2:] == 0.0)
+
+def test_interface_rows_have_opposite_sign_blocks_and_no_global_columns():
+    for dim in (1, 2):
+        problem, model, colloc = _interface_setup(dim)
+        system = assemble(problem, model, colloc)
+        k = model.n_components
+        assert k == dim and system.n_interface_rows == colloc.n_interface * 2 * k
+        first = system.n_interior_rows + system.n_boundary_rows
+        rows = system.matrix[first : first + system.n_interface_rows]
+        assert np.all(system.rhs[first : first + system.n_interface_rows] == 0.0)
+        iface = colloc.interface
+        axes = np.argmax(np.abs(iface.normals), axis=1)
+        assert set(axes.tolist()) == set(range(dim))  # facets normal to every axis
+        if dim == 1:
+            assert np.array_equal(iface.points, [[4.0]])
+        for i, (x, (lo, hi), axis) in enumerate(zip(iface.points, iface.pairs, axes)):
+            _check_interface_point(model, rows[2 * k * i : 2 * k * (i + 1)], x, lo, hi, axis)
+
+
+def _check_interface_point(model, rows, x, lo, hi, axis):
+    """Per component, the value row and the normal-derivative row of one
+    interface point are +features of the lower patch and -features of the
+    upper one, and 0 at every other column, the global patch's among them."""
+    derivative = tuple(int(ax == axis) for ax in range(model.dim))
+    gcols = len(model.patches)
+    for comp in range(model.n_components):
+        for j, alpha in enumerate(((0,) * model.dim, derivative)):
+            row = rows[2 * comp + j]
+            left = feature_block(model.patches[lo], comp, x[None], [alpha])[alpha][0]
+            right = feature_block(model.patches[hi], comp, x[None], [alpha])[alpha][0]
+            assert np.allclose(row[model.col_slice(comp, lo)], left, rtol=1e-13, atol=1e-14)
+            assert np.allclose(row[model.col_slice(comp, hi)], -right, rtol=1e-13, atol=1e-14)
+            assert np.all(row[model.col_slice(comp, gcols)] == 0.0)
+            rest = np.ones(model.n_columns, bool)
+            rest[model.col_slice(comp, lo)] = rest[model.col_slice(comp, hi)] = False
+            assert np.all(row[rest] == 0.0)
+
+
+def test_interface_points_need_the_sharp_partition():
+    problem = make_helmholtz_1d()
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
+    model = build_model(problem.domain, 4, 25, sampler, pou="b")
+    colloc = build_collocation(
+        problem.domain, 40, {"left": 1, "right": 1}, model.boxes(), 1
+    )
+    assert colloc.n_interface == 3
+    with pytest.raises(ValueError, match="sharp partition"):
+        assemble(problem, model, colloc)
 
 
 def test_pou_b_assembly_has_no_interface_rows():

@@ -3,7 +3,7 @@ oracles, partition-of-unity identities, and sampling determinism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfm import basis
@@ -136,6 +136,60 @@ def test_feature_derivatives_match_finite_differences_2d():
             fd = (g(pts + e) - g(pts - e)) / (2 * h)
             got = feature_block(p, 0, pts, [alpha])[alpha][:, 0]
             assert np.abs(got - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+# Where each kind's PoU factor is not smooth, in normalized patch coordinates:
+# the kind-"a" facets and the kind-"b" transition junctions.
+POU_BREAKS = {"a": (-1.0, 1.0), "b": (-1.25, -0.75, 0.75, 1.25)}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    pou=st.sampled_from(["a", "b"]),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_basis_block_derivatives_match_central_differences_of_its_values(pou, dim, seed, data):
+    """Every |alpha| <= 2 block, the mixed (1, 1) included, against central
+    differences of the value block at a point inside the patch's support and
+    clear of the PoU's breaks (kind "b" exercises the product rule)."""
+    dom = interval(0.0, 3.0) if dim == 1 else box((0.0, 0.0), (3.0, 2.0))
+    sampler = FeatureSampler(rm=2.0, mode="uniform_random", seed=seed)
+    model = build_model(dom, 3 if dim == 1 else (3, 2), 6, sampler, pou=pou)
+    n = data.draw(st.integers(0, len(model.patches) - 1), label="patch")
+    p = model.patches[n]
+    reach = 0.98 if pou == "a" else 1.23
+    xt = np.array([data.draw(st.floats(-reach, reach), label="xt") for _ in range(dim)])
+    assume(all(abs(u - c) > 0.02 for u in xt for c in POU_BREAKS[pou]))
+    x = p.center + p.radius * xt
+    assert model.support_mask(n, x[None])[0]
+
+    zero = (0,) * dim
+    h = 5e-4 * p.radius
+    unit = np.eye(dim)
+
+    def value(shift):
+        """The value block at x + shift * h, shift in steps per axis."""
+        return model.basis_block(n, 0, (x + shift * h)[None], [zero])[zero][0]
+
+    alphas = [a for a in np.ndindex(*(3,) * dim) if sum(a) <= 2]
+    got = model.basis_block(n, 0, x[None], alphas)
+    for a in alphas:
+        axes = [ax for ax in range(dim) for _ in range(a[ax])]
+        if not axes:
+            fd = value(np.zeros(dim))
+        elif len(axes) == 1:
+            e = unit[axes[0]]
+            fd = (value(e) - value(-e)) / (2 * h[axes[0]])
+        elif axes[0] == axes[1]:
+            e = unit[axes[0]]
+            fd = (value(e) - 2 * value(np.zeros(dim)) + value(-e)) / h[axes[0]] ** 2
+        else:
+            e, f = unit[axes[0]], unit[axes[1]]
+            fd = (value(e + f) - value(e - f) - value(f - e) + value(-e - f)) / (4 * h[0] * h[1])
+        scale = 1.0 + np.abs(got[a]).max()
+        assert np.abs(got[a][0] - fd).max() <= 1e-4 * scale, a
 
 
 def test_model_eval_matches_finite_differences_pou_b():

@@ -47,6 +47,16 @@ def test_evaluate_error_linf_matches_manual_computation():
     assert report.n_points == 101
 
 
+@pytest.mark.parametrize("how", ["counts", "points"])
+def test_evaluate_error_refuses_an_empty_point_set(how):
+    problem = make_helmholtz_1d()
+    model = _tiny_model()
+    coef = np.zeros(model.n_columns)
+    kwargs = {"counts": 0} if how == "counts" else {"points": np.zeros((0, 1))}
+    with pytest.raises(ValueError, match="no evaluation points"):
+        evaluate_error(model, coef, problem, **kwargs)
+
+
 def test_self_convergence_table_with_derivatives():
     m1, m2, m3 = _tiny_model(1), _tiny_model(2), _tiny_model(3)
     c1 = RNG.standard_normal(m1.n_columns)

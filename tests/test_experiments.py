@@ -71,6 +71,7 @@ def _configs(draw):
     """Any config the constructor accepts, with JSON-representable fields."""
     problem = draw(st.dictionaries(st.text(), JSON_VALUES, max_size=4))
     problem["id"] = draw(st.sampled_from(["helmholtz", "poisson", "beam", "stokes", "varcoef"]))
+    pou = draw(st.sampled_from(["a", "b"]))
     return ExperimentConfig(
         suite=draw(st.text()),
         name=draw(st.text()),
@@ -79,15 +80,15 @@ def _configs(draw):
         features_per_patch=draw(st.integers(1, 10**6)),
         interior=draw(COUNTS),
         boundary=draw(st.dictionaries(st.text(), st.integers(1, 10**6), max_size=4)),
-        pou=draw(st.sampled_from(["a", "b"])),
+        pou=pou,
         activation=draw(st.sampled_from(["tanh", "sin", "cos"])),
         rm=draw(st.just("auto") | st.floats(1e-300, 1e300)),
         feature_mode=draw(st.sampled_from(["uniform_random", "equispaced_grid"])),
         global_features=draw(st.integers(0, 10**6)),
-        interface_per_edge=draw(st.integers(0, 10**6)),
+        interface_per_edge=draw(st.integers(0, 10**6)) if pou == "a" else 0,
         rescale_on=draw(st.booleans()),
-        rescale_scale=draw(FLOATS),
-        rank_tol=draw(st.none() | FLOATS),
+        rescale_scale=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        rank_tol=draw(st.none() | st.floats(0.0, 1.0, exclude_max=True)),
         eval_counts=draw(st.none() | COUNTS),
         seed=draw(st.integers(0, 2**63 - 1)),
     )
@@ -307,8 +308,31 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee", "unknown"),
         (lambda cfg: cfg.pop("boundary"), "boundary", "missing"),
         (lambda cfg: cfg["boundary"].pop("hole0"), "hole0", "no collocation points"),
+        (lambda cfg: cfg.update(pou="b"), "interface_per_edge", "must be 0 with pou 'b'"),
+        (lambda cfg: cfg.update(interface_per_edge=-1), "interface_per_edge", "integer >= 0"),
+        (lambda cfg: cfg.update(global_features=-3), "global_features", "integer >= 0"),
+        (lambda cfg: cfg.update(features_per_patch=2.5), "features_per_patch", "integer >= 1"),
+        (lambda cfg: cfg.update(rescale_scale=0.0), "rescale_scale", "positive and finite"),
+        (lambda cfg: cfg.update(rescale_scale=-1.0), "rescale_scale", "positive and finite"),
+        (lambda cfg: cfg.update(rescale_scale=float("inf")), "rescale_scale", "positive and finite"),
+        (lambda cfg: cfg.update(rank_tol=-1.0), "rank_tol", "[0, 1)"),
+        (lambda cfg: cfg.update(eval_counts=[0]), "eval_counts", "must be positive"),
     ],
-    ids=["problem-key", "top-level-key", "missing-key", "missing-boundary-count"],
+    ids=[
+        "problem-key",
+        "top-level-key",
+        "missing-key",
+        "missing-boundary-count",
+        "pou-b-interfaces",
+        "negative-interface-count",
+        "negative-global-features",
+        "fractional-features",
+        "zero-rescale-scale",
+        "negative-rescale-scale",
+        "infinite-rescale-scale",
+        "negative-rank-tol",
+        "zero-eval-count",
+    ],
 )
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
     from rfm.cli import main
