@@ -17,7 +17,7 @@ from rfm.experiments import load_suite, run_experiment
 def main():
     cfg = load_suite("channel-flow")[0]
     out = Path(tempfile.mkdtemp(prefix="channel_"))
-    rec = run_experiment(cfg, out_dir=out, snapshot=True)
+    rec = run_experiment(cfg, out_dir=out)
     print(
         f"M={rec.m_features} N={rec.n_rows} columns={rec.n_columns} "
         f"rank={rec.rank} residual={rec.loss:.3e} ({rec.wall_time_s:.1f}s)"

@@ -355,39 +355,35 @@ def assemble(
     n_rows = n_int + n_bnd + n_ifc + len(pins)
     n_exp = len(model.expansions)
 
-    def held(points):
-        return np.array([model.support_mask(n, points) for n in range(n_exp)], float)
-
     # every stencil's point set as (first row, points, normals, stencil, data,
     # signs): the interior, the boundary per stencil in collocation order, the
     # interface, and the pins, one-point Dirichlet conditions on one component.
-    # signs[n, p] weighs expansion n's block at point p: 1 where its support
-    # holds the point, +1 / -1 for the lower / upper patch at an interface
+    # signs[n, p] weighs expansion n's block at point p: 1 (True) where the
+    # model ``supports`` it, +1 / -1 for the lower / upper patch at an interface
     # point, 0 elsewhere (the global patch is smooth across a facet)
     tags = np.asarray(colloc.boundary_tags)
     values = problem.boundary_values(
         colloc.boundary_points, colloc.boundary_normals, colloc.boundary_tags
     )
-    interior = colloc.interior
-    sets = [(0, interior, None, problem.operator, problem.forcing_values(interior), held(interior))]
+    interior, forcing = colloc.interior, problem.forcing_values(colloc.interior)
+    sets = [(0, interior, None, problem.operator, forcing, model.supports(interior))]
     start = n_int
     for st in problem.boundary:
         sel = np.flatnonzero(np.isin(tags, st.tags))
         pts = colloc.boundary_points[sel]
-        sets.append((start, pts, colloc.boundary_normals[sel], st, values[sel], held(pts)))
+        sets.append((start, pts, colloc.boundary_normals[sel], st, values[sel], model.supports(pts)))
         start += len(sel) * k_b
-    if colloc.n_interface:
-        iface = colloc.interface
-        signs = np.zeros((n_exp, len(iface)))
-        signs[iface.pairs[:, 0], np.arange(len(iface))] = 1.0
-        signs[iface.pairs[:, 1], np.arange(len(iface))] = -1.0
-        ifc = _interface_stencil(model)
-        sets.append((start, iface.points, iface.normals, ifc, np.zeros(n_ifc), signs))
-        start += n_ifc
+    iface = colloc.interface
+    signs = np.zeros((n_exp, len(iface)))
+    signs[iface.pairs[:, 0], np.arange(len(iface))] = 1.0
+    signs[iface.pairs[:, 1], np.arange(len(iface))] = -1.0
+    ifc = _interface_stencil(model)
+    sets.append((start, iface.points, iface.normals, ifc, np.zeros(n_ifc), signs))
+    start += n_ifc
     for j, (point, comp, value) in enumerate(pins):
         pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, k, model.dim)
         pts = np.asarray([point], float)
-        sets.append((start + j, pts, None, pin, np.asarray(value), held(pts)))
+        sets.append((start + j, pts, None, pin, np.asarray(value), model.supports(pts)))
 
     # the column blocks each row touches: those of its terms' components at
     # the expansions with a nonzero sign at its point

@@ -16,6 +16,11 @@ frequencies ``k`` and phases ``b`` are drawn once and never trained, and
 Patch boxes of kind "a" tile the bounding box; kind "b" centers sit on the
 same grid (spacing exactly 2r) and one-sided variants are used at the
 domain edge so the bumps still sum to one inside the domain.
+
+``RfmModel.supports`` is the one place that decides which expansions hold a
+point: the one owning patch of kind "a", every patch whose bump reaches it
+for kind "b", and always the global patch.  Assembly and evaluation select
+points by it, and the kind-"a" weight is its row.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ GLOBAL_STREAM = 2**32 - 1
 EVAL_CHUNK = 2048
 
 # Kind-"a" points this close to a patch facet, in normalized coordinates, are
-# assigned to one patch by RfmModel._facet_owner.
+# assigned to one patch by RfmModel.supports.
 FACET_TOL = 1e-9
 
 
@@ -81,27 +86,19 @@ ACTIVATIONS = ("tanh", "sin", "cos")
 
 
 def pou_eval(
-    kind: str,
     x: np.ndarray,
     order: int = 0,
     clamp_lo: bool = False,
     clamp_hi: bool = False,
 ) -> np.ndarray:
-    """One PoU factor along one axis, in normalized patch coordinates.
+    """One kind-"b" PoU factor along one axis, in normalized patch coordinates.
 
     ``clamp_lo``/``clamp_hi`` flag patch sides facing the domain boundary;
-    there the transition (kind "b") is replaced by the constant 1, and the
-    indicator (kind "a") is closed at +1 so the last patch owns the domain
-    edge.  Derivatives are taken with respect to the normalized coordinate.
+    there the transition is replaced by the constant 1.  Derivatives are
+    taken with respect to the normalized coordinate.  The kind-"a" factor is
+    the indicator that ``RfmModel.supports`` applies.
     """
     x = np.asarray(x, float)
-    if kind == "a":
-        if order > 0:
-            return np.zeros_like(x)
-        hi_ok = (x <= 1.0) if clamp_hi else (x < 1.0)
-        return ((x >= -1.0) & hi_ok).astype(float)
-    if kind != "b":
-        raise ValueError("unknown PoU kind %r" % kind)
 
     # Second derivatives at the junctions take the one-sided value from the
     # smooth transition branch (the piecewise definition leaves them open).
@@ -176,10 +173,9 @@ def sample_features(
     dim: int,
     count: int,
     stream: tuple[int, int] = (0, 0),
-    rm: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` feature vectors; returns (k, b) of shapes (count, dim), (count,)."""
-    r = sampler.rm if rm is None else rm
+    r = sampler.rm
     if count < 1:
         raise ValueError("feature count must be positive")
     if sampler.mode == "uniform_random":
@@ -329,9 +325,11 @@ class RfmModel:
         self._offsets = np.concatenate(
             [[0], np.cumsum([p.n_features for p in self.expansions])]
         )
-        self._centers = np.array([p.center for p in self.patches])
-        self._radii = np.array([p.radius for p in self.patches])
-        self._clamp_hi = np.array([p.clamp_hi for p in self.patches])
+        # the patch boxes as (patches, 1, axes), for supports
+        self._centers = np.array([p.center for p in self.patches])[:, None]
+        self._radii = np.array([p.radius for p in self.patches])[:, None]
+        self._clamp_lo = np.array([p.clamp_lo for p in self.patches])[:, None]
+        self._clamp_hi = np.array([p.clamp_hi for p in self.patches])[:, None]
         self._validate_layout()
 
     def _validate_layout(self) -> None:
@@ -390,30 +388,45 @@ class RfmModel:
     # evaluation
     # ------------------------------------------------------------------
 
-    def _is_global(self, patch_index: int) -> bool:
-        return patch_index == len(self.patches)
+    def supports(self, points: np.ndarray) -> np.ndarray:
+        """Which expansions hold each point: a bool array (expansions, points).
 
-    def support_mask(self, patch_index: int, points: np.ndarray) -> np.ndarray:
-        """Points where the patch's PoU weight can be nonzero (all, for the global patch)."""
-        if self._is_global(patch_index):
-            return np.ones(len(points), bool)
+        Kind "a" gives a point one owner, by the half-open indicator of the
+        patch box, closed at +1 on sides facing the domain boundary.  Where
+        rounding makes the indicators give no patch or two (on a shared
+        facet, or at the domain edge), the point goes to the last patch whose
+        box, widened by FACET_TOL, holds it: on a grid that is the upper
+        patch, as the half-open rule says.  Kind "b" holds a point in every
+        patch whose bump reaches it (the +-1.25 box, open on sides facing the
+        domain boundary).  The global patch holds every point.
+        """
+        points = np.atleast_2d(np.asarray(points, float))
+        # (patches, points, axes), as Patch.normalize computes it
+        xt = (points - self._centers) / self._radii
         if self.pou == "a":
-            return self.pou_weight(patch_index, points) > 0.0
-        p = self.patches[patch_index]
-        lo = np.where(p.clamp_lo, -np.inf, -1.25)
-        hi = np.where(p.clamp_hi, np.inf, 1.25)
-        xt = p.normalize(points)
-        return np.all((xt >= lo) & (xt <= hi), axis=1)
+            held = np.all((xt >= -1.0) & np.where(self._clamp_hi, xt <= 1.0, xt < 1.0), axis=2)
+            near = np.all(np.abs(xt) <= 1.0 + FACET_TOL, axis=2)
+            last_near = len(near) - 1 - np.argmax(near[::-1], axis=0)
+            fallback = np.where(near.any(axis=0), last_near, -1)
+            owner = np.where(held.sum(axis=0) == 1, np.argmax(held, axis=0), fallback)
+            local = owner == np.arange(len(self.patches))[:, None]
+        else:
+            lo = np.where(self._clamp_lo, -np.inf, -1.25)
+            hi = np.where(self._clamp_hi, np.inf, 1.25)
+            local = np.all((xt >= lo) & (xt <= hi), axis=2)
+        if self.global_patch is None:
+            return local
+        return np.vstack([local, np.ones(len(points), bool)])
 
     def _axis_factors(
         self, p: Patch, xt: np.ndarray, max_order: int
     ) -> list[list[np.ndarray]]:
-        """factors[axis][order]: derivative ``order`` of the patch's PoU factor
-        along ``axis`` at normalized points ``xt``, in physical coordinates;
-        psi_n is their product."""
+        """factors[axis][order]: derivative ``order`` of the patch's kind-"b"
+        PoU factor along ``axis`` at normalized points ``xt``, in physical
+        coordinates; psi_n is their product."""
         return [
             [
-                pou_eval(self.pou, xt[:, ax], o, bool(p.clamp_lo[ax]), bool(p.clamp_hi[ax]))
+                pou_eval(xt[:, ax], o, bool(p.clamp_lo[ax]), bool(p.clamp_hi[ax]))
                 / p.radius[ax] ** o
                 for o in range(max_order + 1)
             ]
@@ -421,36 +434,15 @@ class RfmModel:
         ]
 
     def pou_weight(self, patch_index: int, points: np.ndarray, alpha=None) -> np.ndarray:
-        """psi_n (or a derivative of it) at ``points``, physical coordinates."""
+        """psi_n (or a derivative of it) at ``points``, physical coordinates.
+
+        Kind "a" is the patch's ``supports`` row, constant on it, so every
+        derivative is 0."""
         p = self.patches[patch_index]
         alpha = (0,) * p.dim if alpha is None else alpha
-        xt = p.normalize(points)
-        out = _pou_product(self._axis_factors(p, xt, max(alpha)), alpha)
-        if self.pou == "a" and not any(alpha):
-            near = np.abs(np.abs(xt) - 1.0) <= FACET_TOL
-            if near.any():
-                near = near.any(axis=1)
-                out[near] = self._facet_owner(points[near]) == patch_index
-        return out
-
-    def _facet_owner(self, points: np.ndarray) -> np.ndarray:
-        """The one kind-"a" patch that holds each point (-1 for none).
-
-        Two patches test a point on their shared facet in two normalized
-        coordinates, which can round so that neither or both hold it; the
-        domain edge can round outside the last patch.  Where the indicators
-        do not give exactly one patch, the point goes to the last patch
-        whose box, widened by FACET_TOL, holds it: on a grid that is the
-        upper patch, as the half-open rule says.
-        """
-        # (points, patches, axes), as Patch.normalize computes it; ``held`` is
-        # pou_eval's kind-"a" indicator for every patch at once
-        xt = (points[:, None, :] - self._centers) / self._radii
-        held = np.all((xt >= -1.0) & np.where(self._clamp_hi, xt <= 1.0, xt < 1.0), axis=2)
-        near = np.all(np.abs(xt) <= 1.0 + FACET_TOL, axis=2)
-        last_near = near.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
-        fallback = np.where(near.any(axis=1), last_near, -1)
-        return np.where(held.sum(axis=1) == 1, np.argmax(held, axis=1), fallback)
+        if self.pou == "a":
+            return self.supports(points)[patch_index] * float(not any(alpha))
+        return _pou_product(self._axis_factors(p, p.normalize(points), max(alpha)), alpha)
 
     def basis_block(
         self,
@@ -461,16 +453,16 @@ class RfmModel:
     ) -> dict[tuple[int, ...], np.ndarray]:
         """Derivatives of psi_n * phi_nj for every feature of one patch.
 
-        Callers select the points: those in ``support_mask``, or the facet
-        points of an interface.  For kind "a" the PoU factor is the
-        indicator, 1 on the support, so the block is the bare features (which
-        an interface row also takes from the lower patch, whose half-open
-        indicator is 0 on the facet).  For kind "b" the product rule runs
+        Callers select the points: those where ``supports`` holds the patch,
+        or the facet points of an interface.  For kind "a" the PoU factor is
+        the indicator, 1 on the support, so the block is the bare features
+        (which an interface row also takes from the lower patch, whose
+        half-open indicator is 0 on the facet).  For kind "b" the product rule runs
         over all sub-multi-indices.  The global patch's factor is 1: its
         block is the bare features.
         """
         p = self.expansions[patch_index]
-        if self._is_global(patch_index) or self.pou == "a":
+        if p is self.global_patch or self.pou == "a":
             return feature_block(p, comp, points, alphas)
         phis_needed = sorted(
             {tuple(g) for a in alphas for g in np.ndindex(*[i + 1 for i in a])}
@@ -526,8 +518,7 @@ class RfmModel:
         for lo in range(0, len(points), EVAL_CHUNK):
             chunk = points[lo : lo + EVAL_CHUNK]
             rows = slice(lo, lo + len(chunk))
-            for n in range(len(self.expansions)):
-                mask = self.support_mask(n, chunk)
+            for n, mask in enumerate(self.supports(chunk)):
                 if not mask.any():
                     continue
                 sub = chunk[mask]
@@ -577,7 +568,6 @@ def build_model(
     activation: str = "tanh",
     n_components: int = 1,
     global_features: int = 0,
-    rm_per_patch: list[float] | None = None,
 ) -> RfmModel:
     """Build a model on a regular patch grid over ``domain``.
 
@@ -587,14 +577,11 @@ def build_model(
     fine ones.
     """
     layout = grid_patch_layout(domain, patch_counts)
-    if rm_per_patch is not None and len(rm_per_patch) != len(layout):
-        raise ValueError("rm_per_patch must give one value per patch")
     patches = []
     for n, (center, radius, clamp_lo, clamp_hi) in enumerate(layout):
-        rm = None if rm_per_patch is None else rm_per_patch[n]
         ks, bs = [], []
         for comp in range(n_components):
-            k, b = sample_features(sampler, domain.dim, features_per_patch, (n, comp), rm)
+            k, b = sample_features(sampler, domain.dim, features_per_patch, (n, comp))
             ks.append(k)
             bs.append(b)
         patches.append(

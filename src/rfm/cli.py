@@ -87,12 +87,7 @@ def main(argv=None) -> int:
             config = ExperimentConfig.load(args.config)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
-            record = run_experiment(
-                config,
-                out_dir=args.out,
-                dump_system=args.dump_system,
-                snapshot=args.out is not None,
-            )
+            record = run_experiment(config, out_dir=args.out, dump_system=args.dump_system)
             _print_record(record)
         elif args.command == "table":
             rows = run_table(args.suite, list(range(args.seeds)), out_dir=args.out)

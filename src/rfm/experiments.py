@@ -38,19 +38,6 @@ from .problems import (
     wave_product_1d,
 )
 
-SUITE_NAMES = (
-    "helmholtz-pou",
-    "poisson-pou",
-    "poisson-multiscale",
-    "helmholtz-adaptive",
-    "poisson-adaptive",
-    "timoshenko",
-    "holed-plate",
-    "stokes-exact",
-    "homogenization-desk",
-    "channel-flow",
-)
-
 # fixed CSV column order; unused error columns stay blank
 CSV_COLUMNS = (
     "suite",
@@ -81,6 +68,16 @@ CSV_COLUMNS = (
 # ----------------------------------------------------------------------
 
 
+def _is_integral(count) -> bool:
+    """Whether ``count`` is an integer, or a float with an integral value; a
+    bool is not."""
+    if isinstance(count, (bool, np.bool_)):
+        return False
+    if isinstance(count, (int, np.integer)):
+        return True
+    return isinstance(count, (float, np.floating)) and float(count).is_integer()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; round-trips losslessly through JSON."""
@@ -105,19 +102,19 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "patch_counts", tuple(int(c) for c in np.atleast_1d(self.patch_counts)))
-        object.__setattr__(self, "interior", tuple(int(c) for c in np.atleast_1d(self.interior)))
-        if self.eval_counts is not None:
-            object.__setattr__(self, "eval_counts", tuple(int(c) for c in np.atleast_1d(self.eval_counts)))
-        counts = {
-            "patch_counts": self.patch_counts,
-            "interior": self.interior,
-            "boundary": tuple(self.boundary.values()),
-            "eval_counts": self.eval_counts or (),
-        }
-        for key, values in counts.items():
+        for key in ("patch_counts", "interior", "boundary", "eval_counts"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            values = value.values() if key == "boundary" else np.ravel(np.asarray(value, object))
+            if not all(_is_integral(c) for c in values):
+                raise ValueError("%r counts must be integers, got %r" % (key, value))
             if any(c <= 0 for c in values):
-                raise ValueError("%r counts must be positive, got %r" % (key, getattr(self, key)))
+                raise ValueError("%r counts must be positive, got %r" % (key, value))
+            if key == "boundary":
+                object.__setattr__(self, key, {tag: int(c) for tag, c in value.items()})
+            else:
+                object.__setattr__(self, key, tuple(int(c) for c in values))
         for key, least in (
             ("features_per_patch", 1), ("global_features", 0), ("interface_per_edge", 0)
         ):
@@ -329,9 +326,13 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir=None,
     dump_system=None,
-    snapshot: bool = False,
 ) -> RunRecord:
-    """Execute one config end to end and optionally persist outputs."""
+    """Execute one config end to end.
+
+    With ``out_dir`` it appends the record to ``runs.csv`` there and writes
+    the solution fields as snapshots; with ``dump_system`` it writes the
+    system to that path (``WeightedSystem.dump``).
+    """
     t0 = time.perf_counter()
     problem, model, colloc = build_run(config)
     system = assemble(problem, model, colloc)
@@ -370,8 +371,7 @@ def run_experiment(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _append_run_csv(out / "runs.csv", record)
-        if snapshot:
-            write_snapshot(out, config, problem, model, coefficients)
+        write_snapshot(out, config, problem, model, coefficients)
     return record
 
 
@@ -649,6 +649,9 @@ def default_suite_configs() -> dict[str, list[ExperimentConfig]]:
     suites[s] = [_stokes_config(s, "channel n=24", 24, problem_id="channel")]
 
     return suites
+
+
+SUITE_NAMES = tuple(default_suite_configs())
 
 
 def load_suite(suite: str) -> list[ExperimentConfig]:

@@ -9,7 +9,7 @@ expansions together).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,11 +329,7 @@ class CollocationSet:
     boundary_points: np.ndarray
     boundary_normals: np.ndarray
     boundary_tags: list[str]
-    interface: InterfaceSet = field(
-        default_factory=lambda: InterfaceSet(
-            np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 2), dtype=int)
-        )
-    )
+    interface: InterfaceSet
 
     @property
     def n_interior(self) -> int:

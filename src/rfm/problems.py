@@ -452,7 +452,6 @@ class PdeProblem:
     boundary_data: Callable | None = None
     extra_point_conditions: tuple[tuple[tuple[float, ...], int, float], ...] = ()
     constants: ElasticityConstants | None = None
-    coefficient: HomogenizationCoefficient | None = None
 
     def __post_init__(self) -> None:
         if self.operator.tags:
@@ -571,9 +570,7 @@ def make_elasticity_2d(
     constants: ElasticityConstants,
     dirichlet_tags: tuple[str, ...],
     neumann_tags: tuple[str, ...],
-    exact: ManufacturedSolution | None = None,
-    body_force: Callable | None = None,
-    boundary_data: Callable | None = None,
+    exact: ManufacturedSolution,
     name: str = "elasticity_2d",
 ) -> PdeProblem:
     """-div sigma(u) = B in plane stress; displacement on Gamma_D, traction on Gamma_N."""
@@ -598,8 +595,7 @@ def make_elasticity_2d(
         stencils.append(_traction_stencil(neumann_tags, constants))
     return PdeProblem(
         name, domain, op, tuple(stencils), 2,
-        exact=exact, forcing=body_force, boundary_data=boundary_data,
-        constants=constants,
+        exact=exact, constants=constants,
     )
 
 
@@ -764,5 +760,5 @@ def make_varcoef_elliptic(
 
     return PdeProblem(
         "varcoef_disk", domain, op, (bc,), 1,
-        forcing=forcing, boundary_data=boundary_data, coefficient=coef,
+        forcing=forcing, boundary_data=boundary_data,
     )

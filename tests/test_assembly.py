@@ -45,6 +45,7 @@ def _single_feature_setup(k=2.0, b=0.0, activation="sin"):
         boundary_points=np.array([[0.0], [8.0]]),
         boundary_normals=np.array([[-1.0], [1.0]]),
         boundary_tags=["left", "right"],
+        interface=InterfaceSet(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 2), dtype=int)),
     )
     return problem, model, colloc
 
@@ -277,7 +278,7 @@ def test_stokes_pin_and_global_block_share_the_stencil_fill():
     want = np.zeros(model.n_columns)
     holders = 0
     for n in range(len(model.patches)):
-        if model.support_mask(n, pt)[0]:
+        if model.supports(pt)[n, 0]:
             want[model.col_slice(comp, n)] = model.basis_block(n, comp, pt, [zero])[zero][0]
             holders += 1
     bare = feature_block(model.global_patch, comp, pt, [zero])[zero]
@@ -361,6 +362,27 @@ def _stokes_setup(pou):
     boxes, per_edge = (model.boxes(), 4) if pou == "a" else (None, 0)
     colloc = build_collocation(problem.domain, (10, 10), boundary, boxes, per_edge)
     return problem, model, colloc
+
+
+@pytest.mark.parametrize("pou", ["a", "b"])
+def test_supports_runs_once_per_point_set(pou, monkeypatch):
+    """The interior, each boundary stencil and the pin ask ``supports`` once
+    each, not once per expansion; the interface takes its patches from its
+    facet pairs."""
+    problem, model, colloc = _stokes_setup(pou)
+    calls = []
+    supports = RfmModel.supports
+
+    def counted(self, points):
+        calls.append(len(points))
+        return supports(self, points)
+
+    monkeypatch.setattr(RfmModel, "supports", counted)
+    assemble(problem, model, colloc)
+    tags = np.asarray(colloc.boundary_tags)
+    per_stencil = [int(np.isin(tags, st.tags).sum()) for st in problem.boundary]
+    assert len(model.expansions) == 5
+    assert calls == [colloc.n_interior] + per_stencil + [1] * len(problem.extra_point_conditions)
 
 
 @pytest.mark.parametrize("pou", ["a", "b"])

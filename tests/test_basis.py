@@ -41,18 +41,22 @@ def _patch(center, radius, k, b, activation="sin"):
 
 
 def test_pou_b_frozen_values():
-    assert pou_eval("b", np.array([0.0]), 0)[0] == pytest.approx(1.0)
-    assert pou_eval("b", np.array([-1.0]), 0)[0] == pytest.approx(0.5)
-    assert pou_eval("b", np.array([1.0]), 1)[0] == pytest.approx(-np.pi)
+    assert pou_eval(np.array([0.0]), 0)[0] == pytest.approx(1.0)
+    assert pou_eval(np.array([-1.0]), 0)[0] == pytest.approx(0.5)
+    assert pou_eval(np.array([1.0]), 1)[0] == pytest.approx(-np.pi)
 
 
 def test_pou_a_is_half_open_indicator():
-    x = np.array([-1.0, -0.5, 0.0, 0.5, 0.999, 1.0, 1.5])
-    got = pou_eval("a", x, 0)
-    assert got.tolist() == [1, 1, 1, 1, 1, 0, 0]
-    # a clamped right edge keeps the endpoint inside
-    got_hi = pou_eval("a", x, 0, clamp_hi=True)
-    assert got_hi.tolist() == [1, 1, 1, 1, 1, 1, 0]
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
+    model = build_model(interval(0.0, 4.0), 2, 5, sampler, pou="a")
+    # the left patch's lower edge, its inside, its facet with the right
+    # patch, the clamped domain end, and a point past the end
+    x = np.array([[0.0], [1.999], [2.0], [4.0], [4.5]])
+    held = model.supports(x)
+    assert held.tolist() == [
+        [True, True, False, False, False],
+        [False, False, True, True, False],
+    ]
 
 
 def test_pou_b_is_c1_at_transition_junctions():
@@ -62,7 +66,7 @@ def test_pou_b_is_c1_at_transition_junctions():
         left = np.array([node - 1e-14])
         right = np.array([node + 1e-14])
         for order in (0, 1):
-            jump = abs(pou_eval("b", left, order)[0] - pou_eval("b", right, order)[0])
+            jump = abs(pou_eval(left, order)[0] - pou_eval(right, order)[0])
             assert jump < 1e-12
 
 
@@ -163,7 +167,7 @@ def test_basis_block_derivatives_match_central_differences_of_its_values(pou, di
     xt = np.array([data.draw(st.floats(-reach, reach), label="xt") for _ in range(dim)])
     assume(all(abs(u - c) > 0.02 for u in xt for c in POU_BREAKS[pou]))
     x = p.center + p.radius * xt
-    assert model.support_mask(n, x[None])[0]
+    assert model.supports(x[None])[n, 0]
 
     zero = (0,) * dim
     h = 5e-4 * p.radius
@@ -256,30 +260,34 @@ def test_pou_a_support_is_half_open_tiling():
     model = build_model(dom, 4, 5, sampler, pou="a")
     # patch edges at 2, 4, 6: each interior edge belongs to the right patch
     edge = np.array([[2.0]])
-    assert model.support_mask(0, edge)[0] == False  # noqa: E712
-    assert model.support_mask(1, edge)[0] == True  # noqa: E712
+    assert model.supports(edge)[0, 0] == False  # noqa: E712
+    assert model.supports(edge)[1, 0] == True  # noqa: E712
     # the domain's right endpoint stays in the last patch
     end = np.array([[8.0]])
-    assert model.support_mask(3, end)[0] == True  # noqa: E712
+    assert model.supports(end)[3, 0] == True  # noqa: E712
     # also where its normalized coordinate rounds to just above 1
     model = build_model(interval(0.82, 1.12), 1, 5, sampler, pou="a")
     assert model.patches[0].normalize(np.array([[1.12]]))[0, 0] > 1.0
-    assert model.support_mask(0, np.array([[1.12]]))[0] == True  # noqa: E712
+    assert model.supports(np.array([[1.12]]))[0, 0] == True  # noqa: E712
 
 
 @st.composite
 def _pou_grids(draw):
-    """A patch grid of either kind over a random 1D or 2D box, and points of
-    the closed box: arbitrary ones plus patch edges, centers and kind-"b"
-    transition nodes (multiples of an eighth of a patch width)."""
+    """A patch grid of either kind, with or without a global patch, over a
+    random 1D or 2D box, and points of the closed box: arbitrary ones plus
+    patch edges, centers and kind-"b" transition nodes (multiples of an
+    eighth of a patch width)."""
     dim = draw(st.sampled_from([1, 2]))
     lo = np.array([draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
     hi = lo + np.array([draw(st.floats(0.1, 10.0)) for _ in range(dim)])
     counts = tuple(draw(st.integers(1, 5)) for _ in range(dim))
     pou = draw(st.sampled_from(["a", "b"]))
+    global_features = draw(st.sampled_from([0, 2]))
     dom = interval(lo[0], hi[0]) if dim == 1 else box(tuple(lo), tuple(hi))
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
-    model = build_model(dom, counts if dim > 1 else counts[0], 2, sampler, pou=pou)
+    model = build_model(
+        dom, counts if dim > 1 else counts[0], 2, sampler, pou=pou, global_features=global_features
+    )
     axis_fractions = [
         st.one_of(st.floats(0.0, 1.0), st.integers(0, 8 * c).map(lambda i, c=c: i / (8 * c)))
         for c in counts
@@ -291,13 +299,19 @@ def _pou_grids(draw):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(grid=_pou_grids())
-def test_support_mask_covers_pou_derivatives_and_weights_sum_to_one(grid):
+def test_supports_cover_pou_derivatives_and_weights_sum_to_one(grid):
     model, pts = grid
+    held = model.supports(pts)
+    assert held.shape == (len(model.expansions), len(pts))
+    if model.global_patch is not None:
+        assert held[-1].all()
+    if model.pou == "a":
+        assert np.all(held[: len(model.patches)].sum(axis=0) == 1)
     alphas = [a for a in np.ndindex(*(3,) * model.dim) if sum(a) <= 2]
     total = np.zeros(len(pts))
     for n in range(len(model.patches)):
         total += model.pou_weight(n, pts)
-        outside = ~model.support_mask(n, pts)
+        outside = ~held[n]
         for alpha in alphas:
             assert np.all(model.pou_weight(n, pts[outside], alpha) == 0.0)
     assert np.abs(total - 1.0).max() < 1e-12
@@ -428,7 +442,7 @@ def _eval_one_alpha_unchunked(model, coef, pts, alpha):
     out = np.zeros((len(pts), model.n_components))
     for comp in range(model.n_components):
         for n in range(len(model.patches)):
-            mask = model.support_mask(n, pts)
+            mask = model.supports(pts)[n]
             if mask.any():
                 block = model.basis_block(n, comp, pts[mask], [alpha])[alpha]
                 out[mask, comp] += block @ coef[model.col_slice(comp, n)]

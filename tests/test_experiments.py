@@ -164,7 +164,7 @@ def test_run_experiment_seed_changes_the_draw():
 
 def test_run_experiment_writes_csv_and_snapshot(tmp_path):
     cfg = _fast_config(seed=2, eval_counts=(41,))
-    run_experiment(cfg, out_dir=tmp_path, snapshot=True)
+    run_experiment(cfg, out_dir=tmp_path)
     rows = list(csv.DictReader(open(tmp_path / "runs.csv")))
     assert len(rows) == 1
     assert list(rows[0]) == list(CSV_COLUMNS)
@@ -317,6 +317,11 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(rescale_scale=float("inf")), "rescale_scale", "positive and finite"),
         (lambda cfg: cfg.update(rank_tol=-1.0), "rank_tol", "[0, 1)"),
         (lambda cfg: cfg.update(eval_counts=[0]), "eval_counts", "must be positive"),
+        (lambda cfg: cfg.update(interior=[200.7]), "interior", "must be integers"),
+        (lambda cfg: cfg.update(patch_counts=[4.9, 2]), "patch_counts", "must be integers"),
+        (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
+        (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
+        (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
     ],
     ids=[
         "problem-key",
@@ -332,6 +337,11 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "infinite-rescale-scale",
         "negative-rank-tol",
         "zero-eval-count",
+        "fractional-interior-count",
+        "fractional-patch-count",
+        "fractional-boundary-count",
+        "fractional-eval-count",
+        "bool-interior-count",
     ],
 )
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
