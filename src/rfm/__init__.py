@@ -7,6 +7,7 @@ BLAS thread count before any numerical library loads.
 _SUBMODULES = (
     "assembly",
     "basis",
+    "blas",
     "cli",
     "evaluation",
     "experiments",

@@ -1,9 +1,12 @@
 """Command-line interface: run one config, run a suite table, ablate row
 rescaling, or print a suite config.
 
-The RFM_THREADS environment variable caps the BLAS thread count; it is
-applied before numpy loads, which is why all numerical imports happen
-inside main().
+The RFM_THREADS environment variable caps the BLAS thread count: each of
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+NUMEXPR_NUM_THREADS is lowered to it, or set to it where unset.  This
+happens before numpy loads, which is why all numerical imports happen
+inside main().  Within that cap a run picks its thread count from the size
+of its system (``rfm.blas``); ``rfm run`` prints it as ``threads=N``.
 """
 
 from __future__ import annotations
@@ -13,19 +16,29 @@ import os
 import sys
 
 
-def _apply_thread_env() -> None:
-    threads = os.environ.get("RFM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _thread_env(environ) -> dict[str, str]:
+    """The thread variables under RFM_THREADS: each is min(inherited, RFM_THREADS).
+
+    An inherited value that is not a positive integer is replaced.  Without
+    RFM_THREADS nothing changes.
+    """
+    threads = environ.get("RFM_THREADS")
     if not threads:
-        return
+        return {}
     if not threads.isdigit() or int(threads) < 1:
         raise SystemExit(f"RFM_THREADS must be a positive integer, got {threads!r}")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, threads)
+
+    def lowered(value: str) -> str:
+        return value if value.isdigit() and 0 < int(value) <= int(threads) else threads
+
+    return {var: lowered(environ.get(var, "")) for var in THREAD_VARS}
+
+
+def _apply_thread_env() -> None:
+    os.environ.update(_thread_env(os.environ))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,6 +75,8 @@ def _print_record(record, stream=sys.stdout) -> None:
         f"N={record.n_rows} columns={record.n_columns} rank={record.rank} "
         f"loss={record.loss:.3e} wall={record.wall_time_s:.2f}s"
     )
+    if record.blas_threads is not None:
+        head += f" threads={record.blas_threads}"
     print(head, file=stream)
     if record.errors:
         parts = [f"{k}={v:.3e}" for k, v in sorted(record.errors.items())]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .assembly import assemble
 from .basis import FeatureSampler, RfmModel, build_model, select_rm_from_forcing
+from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid
 from .geometry import Hole, build_collocation
 from .solver import solve_system
@@ -300,6 +301,7 @@ class RunRecord:
     loss: float
     wall_time_s: float
     errors: dict[str, float] = field(default_factory=dict)
+    blas_threads: int | None = None  # BLAS threads of the solve; None without thread control
 
 
 def _error_dict(report: ErrorReport, n_components: int) -> dict[str, float]:
@@ -331,47 +333,51 @@ def run_experiment(
 
     With ``out_dir`` it appends the record to ``runs.csv`` there and writes
     the solution fields as snapshots; with ``dump_system`` it writes the
-    system to that path (``WeightedSystem.dump``).
+    system to that path (``WeightedSystem.dump``).  Both BLAS pools run on
+    one thread until the system is assembled, then on the count that
+    ``rfm.blas.threads_for`` gives its shape; the record keeps that count.
     """
     t0 = time.perf_counter()
-    problem, model, colloc = build_run(config)
-    system = assemble(problem, model, colloc)
-    if config.rescale_on:
-        system = system.rescale(config.rescale_scale)
-    coefficients, report = solve_system(system, config.rank_tol)
-    if dump_system is not None:
-        system.dump(dump_system)
-    # the raw matrix is not needed past the solve; free it before evaluation
-    n_rows, n_columns = system.shape
-    del system
-    errors: dict[str, float] = {}
-    if problem.exact is not None:
-        err = evaluate_error(
-            model, coefficients, problem, counts=_default_eval_counts(config, model.dim)
+    with blas_threads() as fit:
+        problem, model, colloc = build_run(config)
+        system = assemble(problem, model, colloc)
+        n_rows, n_columns = system.shape
+        threads = fit(system.shape)
+        if config.rescale_on:
+            system = system.rescale(config.rescale_scale)
+        coefficients, report = solve_system(system, config.rank_tol)
+        if dump_system is not None:
+            system.dump(dump_system)
+        # the raw matrix is not needed past the solve; free it before evaluation
+        del system
+        errors: dict[str, float] = {}
+        if problem.exact is not None:
+            err = evaluate_error(
+                model, coefficients, problem, counts=_default_eval_counts(config, model.dim)
+            )
+            errors = _error_dict(err, problem.n_components)
+        wall = time.perf_counter() - t0
+        record = RunRecord(
+            suite=config.suite,
+            name=config.name,
+            config_hash=config.config_hash,
+            seed=config.seed,
+            m_features=model.n_features,
+            n_rows=n_rows,
+            n_columns=n_columns,
+            rank=report.rank,
+            sigma_max=report.sigma_max,
+            sigma_min_kept=report.sigma_min_kept,
+            loss=report.residual_norm,
+            wall_time_s=wall,
+            errors=errors,
+            blas_threads=threads,
         )
-        errors = _error_dict(err, problem.n_components)
-    wall = time.perf_counter() - t0
-
-    record = RunRecord(
-        suite=config.suite,
-        name=config.name,
-        config_hash=config.config_hash,
-        seed=config.seed,
-        m_features=model.n_features,
-        n_rows=n_rows,
-        n_columns=n_columns,
-        rank=report.rank,
-        sigma_max=report.sigma_max,
-        sigma_min_kept=report.sigma_min_kept,
-        loss=report.residual_norm,
-        wall_time_s=wall,
-        errors=errors,
-    )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _append_run_csv(out / "runs.csv", record)
-        write_snapshot(out, config, problem, model, coefficients)
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            _append_run_csv(out / "runs.csv", record)
+            write_snapshot(out, config, problem, model, coefficients)
     return record
 
 

@@ -3,6 +3,7 @@ outputs, and the command-line interface."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -193,6 +194,7 @@ def test_median_record_aggregates_componentwise():
     vals = sorted(r.errors["u_linf"] for r in records)
     assert agg.errors["u_linf"] == vals[1]
     assert agg.n_rows == records[0].n_rows
+    assert agg.blas_threads == records[0].blas_threads
 
 
 def test_run_table_writes_one_row_per_config(tmp_path):
@@ -393,8 +395,47 @@ def test_cli_rejects_bad_thread_env(tmp_path):
     cfg = _fast_config()
     path = tmp_path / "cfg.json"
     cfg.save(path)
-    import os
-
     env = dict(os.environ, RFM_THREADS="zero")
     out = _run_cli("run", "--config", str(path), env=env)
     assert out.returncode != 0
+
+
+@pytest.mark.parametrize(
+    "environ,want",
+    [
+        ({}, {}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {}),
+        (
+            {"RFM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"},
+            {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+             "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"},
+        ),
+        (
+            {"RFM_THREADS": "4", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "0",
+             "MKL_NUM_THREADS": "2,1"},
+            {"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "2",
+             "MKL_NUM_THREADS": "4", "NUMEXPR_NUM_THREADS": "4"},
+        ),
+    ],
+    ids=["unset", "no-cap", "lowers-inherited", "keeps-lower-replaces-invalid"],
+)
+def test_rfm_threads_caps_every_thread_variable(environ, want):
+    from rfm.cli import _thread_env
+
+    assert _thread_env(environ) == want
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rfm_threads_must_be_a_positive_integer(value):
+    from rfm.cli import _thread_env
+
+    with pytest.raises(SystemExit, match="positive integer"):
+        _thread_env({"RFM_THREADS": value})
+
+
+def test_cli_run_prints_the_thread_count(tmp_path):
+    path = tmp_path / "cfg.json"
+    _fast_config().save(path)
+    out = _run_cli("run", "--config", str(path), env=dict(os.environ, RFM_THREADS="1"))
+    assert out.returncode == 0, out.stderr
+    assert " threads=1\n" in out.stdout
