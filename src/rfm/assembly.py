@@ -32,12 +32,6 @@ from .basis import RfmModel, feature_block  # noqa: F401
 from .geometry import CollocationSet
 from .problems import PdeProblem, Stencil, Term
 
-# Elements of matrix rows that a pass over a row group (rescaling) handles at
-# a time: 2 MB of float64.  An 8 MB chunk raised peak RSS through allocator
-# retention.
-ROW_CHUNK = 1 << 18
-
-
 def _tall(n_rows, width):
     """Whether the solver replaces a row group by its R factor: more rows than
     its column count + 1 (elementwise for arrays)."""
@@ -119,16 +113,14 @@ class WeightedSystem:
         """Set each row's weight to scale / max_j |A_ij| (1 for zero rows).
 
         Weights are always computed from the raw matrix, so calling this
-        twice is the same as calling it once.  The row maxima are taken in
-        chunks of a group's rows, so no temporary as large as a group is
-        made.
+        twice is the same as calling it once.  max|a| is taken as
+        max(max a, -min a), so no temporary as large as a group is made.
         """
         rowmax = np.zeros(self.shape[0])
         for g in self.groups:
-            step = max(1, ROW_CHUNK // max(1, g.block.shape[1]))
-            for start in range(0, len(g.rows), step):
-                part = slice(start, start + step)
-                rowmax[g.rows[part]] = np.abs(g.block[part]).max(axis=1, initial=0.0)
+            rowmax[g.rows] = np.maximum(
+                g.block.max(axis=1, initial=0.0), -g.block.min(axis=1, initial=0.0)
+            )
         zero = rowmax == 0.0
         w = np.ones_like(rowmax)
         np.divide(scale, rowmax, out=w, where=~zero)

@@ -39,28 +39,18 @@ from .problems import (
     wave_product_1d,
 )
 
+_COMPONENT_LABELS = {1: ("u",), 2: ("u", "v"), 3: ("u", "v", "p")}
+_STRESS_LABELS = ("sx", "sy", "txy")
+
 # fixed CSV column order; unused error columns stay blank
 CSV_COLUMNS = (
-    "suite",
-    "M",
-    "N",
-    "seed_count",
-    "err_u_linf",
-    "err_u_l2rel",
-    "err_v_linf",
-    "err_v_l2rel",
-    "err_p_linf",
-    "err_p_l2rel",
-    "err_sx_linf",
-    "err_sx_l2rel",
-    "err_sy_linf",
-    "err_sy_l2rel",
-    "err_txy_linf",
-    "err_txy_l2rel",
-    "rank",
-    "loss",
-    "wall_time_s",
-    "label",
+    "suite", "M", "N", "seed_count",
+    *(
+        f"err_{label}_{norm}"
+        for label in _COMPONENT_LABELS[3] + _STRESS_LABELS
+        for norm in ("linf", "l2rel")
+    ),
+    "rank", "loss", "wall_time_s", "label",
 )
 
 
@@ -279,10 +269,6 @@ def build_run(config: ExperimentConfig):
 # ----------------------------------------------------------------------
 # run records
 # ----------------------------------------------------------------------
-
-_COMPONENT_LABELS = {1: ("u",), 2: ("u", "v"), 3: ("u", "v", "p")}
-_STRESS_LABELS = ("sx", "sy", "txy")
-
 
 @dataclass(frozen=True)
 class RunRecord:

@@ -7,12 +7,18 @@ are the same ``Stencil`` type, applied at different point sets.  When an
 exact solution with closed-form derivatives is attached, forcing and
 boundary data are generated by applying the stencils to it, so the same
 machinery serves manufactured-solution verification and real data.
+
+Each manufactured solution is stated once, as a value, and its derivatives
+of any order are derived: ``CosineProducts`` sums products of one-axis
+``CosineSum`` factors, ``PolynomialSolution`` holds monomial coefficients.
+``PlateSolution`` is neither and keeps a hand-written table to order 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import perm, prod
 from typing import Callable
 
 import numpy as np
@@ -91,7 +97,7 @@ class Stencil:
 
 
 class ManufacturedSolution:
-    """Closed-form solution with derivatives up to second order."""
+    """Closed-form solution; ``deriv`` is D^alpha of one component (stencils use |alpha| <= 2)."""
 
     n_components: int = 1
 
@@ -122,59 +128,63 @@ class CosineSum:
         return out
 
 
-class WaveProduct1D(ManufacturedSolution):
-    """Product of two wave packets plus a constant shift."""
+class CosineProducts(ManufacturedSolution):
+    """const + sum_i scale_i prod_axis g_i,axis(x_axis), each g a ``CosineSum``.
 
-    def __init__(self, f1: CosineSum, f2: CosineSum, const: float = 0.0):
-        self.f1, self.f2, self.const = f1, f2, const
+    ``parts`` holds ``(scale, (g_0, ..., g_{dim-1}))`` pairs.  D^alpha of a
+    product of one-variable factors differentiates each factor alpha_axis
+    times along its own axis, so every order comes from ``CosineSum``.
+    """
 
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        x = np.atleast_2d(points)[:, 0]
-        m = alpha[0]
-        from math import comb
-
-        out = sum(
-            comb(m, j) * self.f1(x, j) * self.f2(x, m - j) for j in range(m + 1)
-        )
-        if m == 0:
-            out = out + self.const
-        return out
-
-
-class ToneSum1D(ManufacturedSolution):
-    """Sum of fixed-frequency tones plus a constant shift."""
-
-    def __init__(self, tones: CosineSum, const: float = 0.0):
-        self.tones, self.const = tones, const
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        x = np.atleast_2d(points)[:, 0]
-        out = self.tones(x, alpha[0])
-        if alpha[0] == 0:
-            out = out + self.const
-        return out
-
-
-class TensorWaves2D(ManufacturedSolution):
-    """sum_i scale_i * gx_i(x) * gy_i(y) with separable derivatives."""
-
-    def __init__(self, parts: list[tuple[float, CosineSum, CosineSum]]):
-        self.parts = parts
+    def __init__(self, parts, const: float = 0.0):
+        self.parts, self.const = tuple(parts), const
 
     def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         pts = np.atleast_2d(points)
-        x, y = pts[:, 0], pts[:, 1]
-        return sum(s * gx(x, alpha[0]) * gy(y, alpha[1]) for s, gx, gy in self.parts)
+        out = np.full(len(pts), 0.0 if any(alpha) else self.const)
+        for scale, factors in self.parts:
+            term = scale
+            for axis, (g, order) in enumerate(zip(factors, alpha)):
+                term = term * g(pts[:, axis], order)
+            out += term
+        return out
 
 
-def wave_product_1d() -> WaveProduct1D:
-    """sin(3 pi x + 3 pi/20) cos(2 pi x + pi/10) + 2."""
-    f1 = CosineSum((1.0,), (3 * np.pi,), (3 * np.pi / 20 - np.pi / 2,))
-    f2 = CosineSum((1.0,), (2 * np.pi,), (np.pi / 10,))
-    return WaveProduct1D(f1, f2, const=2.0)
+class PolynomialSolution(ManufacturedSolution):
+    """One polynomial per component, each a ``{powers: coefficient}`` map.
+
+    D^alpha takes x^p to p!/(p-a)! x^(p-a) on every axis (zero when a > p),
+    so derivatives of any order come from the monomials.
+    """
+
+    def __init__(self, components):
+        self.components = tuple(dict(c) for c in components)
+        self.n_components = len(self.components)
+
+    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        out = np.zeros(len(pts))
+        for powers, coeff in self.components[comp].items():
+            factor = coeff * prod(perm(p, a) for p, a in zip(powers, alpha))
+            if factor:
+                out += factor * prod(
+                    pts[:, i] ** (p - a) for i, (p, a) in enumerate(zip(powers, alpha)) if p > a
+                )
+        return out
 
 
-def four_tones_1d() -> ToneSum1D:
+def wave_product_1d() -> CosineProducts:
+    """sin(3 pi x + 3 pi/20) cos(2 pi x + pi/10) + 2.
+
+    Stored through the identity sin A cos B = (sin(A+B) + sin(A-B))/2 as the
+    tone sum sin(5 pi x + pi/4)/2 + sin(pi x + pi/20)/2 + 2, with each
+    sin(t) written as cos(t - pi/2).
+    """
+    tones = CosineSum((0.5, 0.5), (5 * np.pi, np.pi), (-np.pi / 4, np.pi / 20 - np.pi / 2))
+    return CosineProducts([(1.0, (tones,))], const=2.0)
+
+
+def four_tones_1d() -> CosineProducts:
     """Four incommensurate tones (frequencies 4, sqrt5, sqrt3, 1) plus 2."""
     s5, s3 = np.sqrt(5.0), np.sqrt(3.0)
     tones = CosineSum(
@@ -182,64 +192,33 @@ def four_tones_1d() -> ToneSum1D:
         freqs=(4.0, s5, s3, 1.0),
         phases=(0.6, s5 * 0.35 - np.pi / 2, s3 * 0.05 - np.pi / 2, 0.85 - np.pi / 2),
     )
-    return ToneSum1D(tones, const=2.0)
+    return CosineProducts([(1.0, (tones,))], const=2.0)
 
 
-def two_band_2d(a_low: float = 1.0, b_high: float = 0.0) -> TensorWaves2D:
+def two_band_2d(a_low: float = 1.0, b_high: float = 0.0) -> CosineProducts:
     """Separable waves with a low band (freq pi, 2pi) and a doubled band."""
     g1 = CosineSum((1.5, 2.0), (np.pi, 2 * np.pi), (2 * np.pi / 5, -np.pi / 5))
     g2 = CosineSum((1.5, 2.0), (2 * np.pi, 4 * np.pi), (4 * np.pi / 5, -2 * np.pi / 5))
-    parts = []
-    if a_low:
-        parts.append((-a_low, g1, g1))
-    if b_high:
-        parts.append((-b_high, g2, g2))
-    return TensorWaves2D(parts)
+    return CosineProducts([(-a, (g, g)) for a, g in ((a_low, g1), (b_high, g2)) if a])
 
 
-class BeamSolution(ManufacturedSolution):
-    """Cantilever beam under end shear (plane stress), displacement (u, v)."""
+def beam_solution(length=10.0, depth=10.0, load=1000.0, e=3e7, nu=0.3) -> PolynomialSolution:
+    """Cantilever beam under end shear (plane stress), displacement (u, v).
 
-    n_components = 2
-
-    def __init__(self, length=10.0, depth=10.0, load=1000.0, e=3e7, nu=0.3):
-        self.length, self.depth, self.load = length, depth, load
-        self.e, self.nu = e, nu
-        self.inertia = depth**3 / 12.0
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        x, y = pts[:, 0], pts[:, 1]
-        L, D, nu = self.length, self.depth, self.nu
-        c = self.load / (6.0 * self.e * self.inertia)
-        if comp == 0:
-            if alpha == (0, 0):
-                return -c * y * ((6 * L - 3 * x) * x + (2 + nu) * (y * y - D * D / 4))
-            if alpha == (1, 0):
-                return -c * y * (6 * L - 6 * x)
-            if alpha == (0, 1):
-                return -c * ((6 * L - 3 * x) * x + (2 + nu) * (3 * y * y - D * D / 4))
-            if alpha == (2, 0):
-                return 6 * c * y
-            if alpha == (0, 2):
-                return -6 * c * (2 + nu) * y
-            if alpha == (1, 1):
-                return -c * (6 * L - 6 * x)
-        else:
-            if alpha == (0, 0):
-                return c * (3 * nu * y * y * (L - x) + (4 + 5 * nu) * D * D * x / 4
-                            + (3 * L - x) * x * x)
-            if alpha == (1, 0):
-                return c * (-3 * nu * y * y + (4 + 5 * nu) * D * D / 4 + 6 * L * x - 3 * x * x)
-            if alpha == (0, 1):
-                return 6 * c * nu * y * (L - x)
-            if alpha == (2, 0):
-                return c * (6 * L - 6 * x)
-            if alpha == (0, 2):
-                return 6 * c * nu * (L - x)
-            if alpha == (1, 1):
-                return -6 * c * nu * y
-        raise ValueError("beam solution derivatives stop at order 2")
+    With c = load / (6 E I) and I = depth^3 / 12:
+    u = -c y ((6L - 3x) x + (2 + nu)(y^2 - D^2/4)),
+    v = c (3 nu y^2 (L - x) + (4 + 5 nu) D^2 x / 4 + (3L - x) x^2).
+    """
+    L, D, c = length, depth, load / (6.0 * e * (depth**3 / 12.0))
+    u = {
+        (1, 1): -6 * c * L, (2, 1): 3 * c,
+        (0, 3): -c * (2 + nu), (0, 1): c * (2 + nu) * D * D / 4,
+    }
+    v = {
+        (0, 2): 3 * c * nu * L, (1, 2): -3 * c * nu,
+        (1, 0): c * (4 + 5 * nu) * D * D / 4, (2, 0): 3 * c * L, (3, 0): -c,
+    }
+    return PolynomialSolution((u, v))
 
 
 class PlateSolution(ManufacturedSolution):
@@ -287,57 +266,17 @@ class PlateSolution(ManufacturedSolution):
         raise ValueError("plate solution derivatives stop at order 2")
 
 
-class StokesPolySolution(ManufacturedSolution):
-    """Divergence-free polynomial velocity with a cubic pressure."""
+def stokes_poly_solution() -> PolynomialSolution:
+    """Divergence-free polynomial velocity with a cubic pressure.
 
-    n_components = 3
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        x, y = pts[:, 0], pts[:, 1]
-        if comp == 0:
-            # u = x + x^2 - 2xy + x^3 - 3xy^2 + x^2 y
-            if alpha == (0, 0):
-                return x + x * x - 2 * x * y + x**3 - 3 * x * y * y + x * x * y
-            if alpha == (1, 0):
-                return 1 + 2 * x - 2 * y + 3 * x * x - 3 * y * y + 2 * x * y
-            if alpha == (0, 1):
-                return -2 * x - 6 * x * y + x * x
-            if alpha == (2, 0):
-                return 2 + 6 * x + 2 * y
-            if alpha == (0, 2):
-                return -6 * x
-            if alpha == (1, 1):
-                return -2 - 6 * y + 2 * x
-        elif comp == 1:
-            # v = -y - 2xy + y^2 - 3x^2 y + y^3 - xy^2
-            if alpha == (0, 0):
-                return -y - 2 * x * y + y * y - 3 * x * x * y + y**3 - x * y * y
-            if alpha == (1, 0):
-                return -2 * y - 6 * x * y - y * y
-            if alpha == (0, 1):
-                return -1 - 2 * x + 2 * y - 3 * x * x + 3 * y * y - 2 * x * y
-            if alpha == (2, 0):
-                return -6 * y
-            if alpha == (0, 2):
-                return 2 + 6 * y - 2 * x
-            if alpha == (1, 1):
-                return -2 - 6 * x - 2 * y
-        else:
-            # p = xy + x + y + x^3 y^2 - 4/3
-            if alpha == (0, 0):
-                return x * y + x + y + x**3 * y * y - 4.0 / 3.0
-            if alpha == (1, 0):
-                return y + 1 + 3 * x * x * y * y
-            if alpha == (0, 1):
-                return x + 1 + 2 * x**3 * y
-            if alpha == (2, 0):
-                return 6 * x * y * y
-            if alpha == (0, 2):
-                return 2 * x**3
-            if alpha == (1, 1):
-                return 1 + 6 * x * x * y
-        raise ValueError("velocity/pressure derivatives stop at order 2")
+    u = x + x^2 - 2xy + x^3 - 3xy^2 + x^2 y,
+    v = -y - 2xy + y^2 - 3x^2 y + y^3 - xy^2,
+    p = xy + x + y + x^3 y^2 - 4/3.
+    """
+    u = {(1, 0): 1, (2, 0): 1, (1, 1): -2, (3, 0): 1, (1, 2): -3, (2, 1): 1}
+    v = {(0, 1): -1, (1, 1): -2, (0, 2): 1, (2, 1): -3, (0, 3): 1, (1, 2): -1}
+    p = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (3, 2): 1, (0, 0): -4.0 / 3.0}
+    return PolynomialSolution((u, v, p))
 
 
 # ----------------------------------------------------------------------
@@ -602,8 +541,9 @@ def make_elasticity_2d(
 def make_beam_problem(constants: ElasticityConstants | None = None) -> PdeProblem:
     """Cantilever beam: exact end-shear solution, displacement fixed at x=0."""
     constants = constants or ElasticityConstants()
-    sol = BeamSolution(e=constants.e, nu=constants.nu)
-    domain = box((0.0, 0.0), (sol.length, sol.depth))
+    length, depth = 10.0, 10.0
+    sol = beam_solution(length, depth, e=constants.e, nu=constants.nu)
+    domain = box((0.0, 0.0), (length, depth))
     return make_elasticity_2d(
         domain, constants,
         dirichlet_tags=("left",),
@@ -695,7 +635,7 @@ DEFAULT_STOKES_HOLES = (
 
 def make_stokes_manufactured(holes: tuple[Hole, ...] = DEFAULT_STOKES_HOLES) -> PdeProblem:
     domain = box((0.0, 0.0), (1.0, 1.0), holes=holes)
-    return make_stokes_2d(domain, exact=StokesPolySolution(), name="stokes_poly_2d")
+    return make_stokes_2d(domain, exact=stokes_poly_solution(), name="stokes_poly_2d")
 
 
 def make_channel_flow(holes: tuple[Hole, ...] = DEFAULT_STOKES_HOLES) -> PdeProblem:

@@ -207,13 +207,13 @@ def test_rescale_flags_zero_rows_with_unit_weight():
     assert np.all(system.weights[system.zero_rows] == 1.0)
 
 
-def test_rescale_row_maxima_are_exact_across_chunks():
+def test_rescale_row_maxima_are_exact_for_signed_and_zero_rows():
     problem, model, colloc = _single_feature_setup()
     system = assemble(problem, model, colloc)
-    cols = 300
-    step = assembly.ROW_CHUNK // cols
-    matrix = RNG.standard_normal((2 * step + 17, cols)) * 10.0 ** RNG.integers(-8, 8, (2 * step + 17, 1))
-    zero = [0, step - 1, step, 2 * step + 16]  # at both edges of a chunk and at the end
+    rows, cols = 500, 300
+    matrix = RNG.standard_normal((rows, cols)) * 10.0 ** RNG.integers(-8, 8, (rows, 1))
+    matrix[5] = -np.abs(matrix[5])  # a row whose largest magnitude is its minimum
+    zero = [0, 250, 251, rows - 1]
     matrix[zero] = 0.0
     system.groups = [RowGroup(np.arange(len(matrix)), [slice(0, cols)], matrix)]
     system.rhs = np.zeros(len(matrix))

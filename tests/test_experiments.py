@@ -169,6 +169,13 @@ def test_run_experiment_writes_csv_and_snapshot(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "runs.csv")))
     assert len(rows) == 1
     assert list(rows[0]) == list(CSV_COLUMNS)
+    assert list(CSV_COLUMNS) == [
+        "suite", "M", "N", "seed_count",
+        "err_u_linf", "err_u_l2rel", "err_v_linf", "err_v_l2rel", "err_p_linf", "err_p_l2rel",
+        "err_sx_linf", "err_sx_l2rel", "err_sy_linf", "err_sy_l2rel",
+        "err_txy_linf", "err_txy_l2rel",
+        "rank", "loss", "wall_time_s", "label",
+    ]
     assert rows[0]["M"] == "200" and rows[0]["N"] == "208"
     assert rows[0]["err_v_linf"] == ""
     snapshot = tmp_path / "tiny_seed2_u.dat"

@@ -3,16 +3,20 @@ finite differences, stencil self-consistency, and frozen spot values."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfm.geometry import interval
 from rfm.problems import (
-    BeamSolution,
+    CosineProducts,
+    CosineSum,
     HomogenizationCoefficient,
     PdeProblem,
     PlateSolution,
+    PolynomialSolution,
     Stencil,
-    StokesPolySolution,
     Term,
+    beam_solution,
     four_tones_1d,
     make_beam_problem,
     make_channel_flow,
@@ -21,6 +25,7 @@ from rfm.problems import (
     make_poisson_2d,
     make_stokes_manufactured,
     make_varcoef_elliptic,
+    stokes_poly_solution,
     two_band_2d,
     wave_product_1d,
 )
@@ -97,7 +102,7 @@ def test_two_band_derivatives():
 
 def test_beam_solution_derivatives():
     pts = np.column_stack([RNG.uniform(1, 9, 100), RNG.uniform(-4, 4, 100)])
-    _check_solution_derivs(BeamSolution(), 2, pts, h=1e-3, scale_floor=1e-6)
+    _check_solution_derivs(beam_solution(), 2, pts, h=1e-3, scale_floor=1e-6)
 
 
 def test_plate_solution_derivatives():
@@ -107,7 +112,42 @@ def test_plate_solution_derivatives():
 
 def test_stokes_solution_derivatives():
     pts = RNG.uniform(0.1, 0.9, size=(100, 2))
-    _check_solution_derivs(StokesPolySolution(), 3, pts, h=1e-4)
+    _check_solution_derivs(stokes_poly_solution(), 3, pts, h=1e-4)
+
+
+_UNIT = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _polynomials(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    powers = st.tuples(*[st.integers(0, 3)] * dim)
+    monomials = st.dictionaries(powers, _UNIT, min_size=1, max_size=6)
+    comps = draw(st.lists(monomials, min_size=1, max_size=3))
+    return PolynomialSolution(comps), dim
+
+
+@st.composite
+def _cosine_products(draw):
+    dim = draw(st.sampled_from([1, 2]))
+
+    def factor():
+        n = draw(st.integers(1, 3))
+        tones = st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)
+        amps = tuple(draw(st.lists(_UNIT, min_size=n, max_size=n)))
+        return CosineSum(amps, tuple(draw(tones)), tuple(draw(tones)))
+
+    n_parts = draw(st.integers(1, 2))
+    parts = [(draw(_UNIT), tuple(factor() for _ in range(dim))) for _ in range(n_parts)]
+    return CosineProducts(parts, const=draw(_UNIT)), dim
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(drawn=st.one_of(_polynomials(), _cosine_products()))
+def test_generic_solutions_match_finite_differences(drawn):
+    exact, dim = drawn
+    pts = np.random.default_rng(7).uniform(0.05, 0.95, size=(40, dim))
+    _check_solution_derivs(exact, exact.n_components, pts, h=1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +159,28 @@ def test_wave_product_left_boundary_value():
     u = wave_product_1d()
     want = np.sin(3 * np.pi * 0.0 + 3 * np.pi / 20) * np.cos(2 * np.pi * 0.0 + np.pi / 10) + 2.0
     assert u(np.array([[0.0]]))[0, 0] == pytest.approx(want, rel=1e-14)
+
+
+def test_replaced_solutions_match_their_closed_forms():
+    pts = np.array([[0.3, 0.7], [2.9, -3.1], [7.4, 4.6]])
+    x, y = pts[:, 0], pts[:, 1]
+    L, D, nu = 10.0, 10.0, 0.3
+    c = 1000.0 / (6.0 * 3e7 * (D**3 / 12.0))
+    beam = {
+        0: -c * y * ((6 * L - 3 * x) * x + (2 + nu) * (y * y - D * D / 4)),
+        1: c * (3 * nu * y * y * (L - x) + (4 + 5 * nu) * D * D * x / 4 + (3 * L - x) * x * x),
+    }
+    stokes = {
+        0: x + x * x - 2 * x * y + x**3 - 3 * x * y * y + x * x * y,
+        1: -y - 2 * x * y + y * y - 3 * x * x * y + y**3 - x * y * y,
+        2: x * y + x + y + x**3 * y * y - 4.0 / 3.0,
+    }
+    wave = np.sin(3 * np.pi * x + 3 * np.pi / 20) * np.cos(2 * np.pi * x + np.pi / 10) + 2.0
+    # abs=0: the beam's displacements are ~1e-5, below approx's default absolute tolerance
+    for exact, want in ((beam_solution(), beam), (stokes_poly_solution(), stokes)):
+        for comp, value in want.items():
+            assert exact.deriv(comp, pts, (0, 0)) == pytest.approx(value, rel=1e-14, abs=0)
+    assert wave_product_1d()(pts[:, :1])[:, 0] == pytest.approx(wave, rel=1e-14, abs=0)
 
 
 def test_two_band_corner_value():
