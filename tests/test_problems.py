@@ -115,14 +115,14 @@ def test_stokes_solution_derivatives():
     _check_solution_derivs(stokes_poly_solution(), 3, pts, h=1e-4)
 
 
-_UNIT = st.floats(-2.0, 2.0)
+_COEFF = st.floats(-2.0, 2.0)
 
 
 @st.composite
 def _polynomials(draw):
     dim = draw(st.sampled_from([1, 2]))
     powers = st.tuples(*[st.integers(0, 3)] * dim)
-    monomials = st.dictionaries(powers, _UNIT, min_size=1, max_size=6)
+    monomials = st.dictionaries(powers, _COEFF, min_size=1, max_size=6)
     comps = draw(st.lists(monomials, min_size=1, max_size=3))
     return PolynomialSolution(comps), dim
 
@@ -133,13 +133,13 @@ def _cosine_products(draw):
 
     def factor():
         n = draw(st.integers(1, 3))
-        tones = st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)
-        amps = tuple(draw(st.lists(_UNIT, min_size=n, max_size=n)))
-        return CosineSum(amps, tuple(draw(tones)), tuple(draw(tones)))
+        angles = st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)
+        amps = tuple(draw(st.lists(_COEFF, min_size=n, max_size=n)))
+        return CosineSum(amps, tuple(draw(angles)), tuple(draw(angles)))  # freqs, phases
 
     n_parts = draw(st.integers(1, 2))
-    parts = [(draw(_UNIT), tuple(factor() for _ in range(dim))) for _ in range(n_parts)]
-    return CosineProducts(parts, const=draw(_UNIT)), dim
+    parts = [(draw(_COEFF), tuple(factor() for _ in range(dim))) for _ in range(n_parts)]
+    return CosineProducts(parts, const=draw(_COEFF)), dim
 
 
 @settings(max_examples=60, deadline=None, database=None)
