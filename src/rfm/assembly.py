@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import basis
 # feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
 from .basis import RfmModel, feature_block  # noqa: F401
 from .geometry import CollocationSet
@@ -75,10 +76,12 @@ class WeightedSystem:
 
     A is held as row groups, every row in exactly one.  The four row counts
     give each row family as a contiguous slice, in the order interior,
-    boundary, interface, pin.
+    boundary, interface, pin.  ``solve_system`` takes the groups over
+    (``release_groups``) and frees them as it goes; ``groups`` is None from
+    then on, and every method that needs the matrix raises ValueError.
     """
 
-    groups: list[RowGroup]
+    groups: list[RowGroup] | None
     rhs: np.ndarray
     weights: np.ndarray
     model: RfmModel
@@ -97,9 +100,25 @@ class WeightedSystem:
     def matrix(self) -> np.ndarray:
         """The full matrix, stacked from the row groups: a new dense copy per call."""
         a = np.zeros(self.shape)
-        for g in self.groups:
+        for g in self._live_groups():
             g.place(a, g.rows, g.block)
         return a
+
+    def _live_groups(self) -> list[RowGroup]:
+        """The row groups; every use of the matrix goes through this check."""
+        if self.groups is None:
+            raise ValueError(
+                "solve_system has released this system's row groups: assemble it "
+                "again, or solve a copy.deepcopy of it"
+            )
+        return self.groups
+
+    def release_groups(self) -> list[RowGroup]:
+        """Hand the row groups over, for the caller to free; the system then
+        refuses every use that needs them."""
+        groups = self._live_groups()
+        self.groups = None
+        return groups
 
     def weighted_matrix(self) -> np.ndarray:
         a = self.matrix
@@ -117,7 +136,7 @@ class WeightedSystem:
         max(max a, -min a), so no temporary as large as a group is made.
         """
         rowmax = np.zeros(self.shape[0])
-        for g in self.groups:
+        for g in self._live_groups():
             rowmax[g.rows] = np.maximum(
                 g.block.max(axis=1, initial=0.0), -g.block.min(axis=1, initial=0.0)
             )
@@ -130,7 +149,7 @@ class WeightedSystem:
 
     def residual(self, coefficients: np.ndarray) -> np.ndarray:
         out = -self.rhs
-        for g in self.groups:
+        for g in self._live_groups():
             out[g.rows] += g.block @ g.take(coefficients)
         return out
 
@@ -143,9 +162,10 @@ class WeightedSystem:
         then the matrix row-major, the right-hand side, and the weights.  The
         matrix is stacked from the row groups, one dense copy."""
         n, m = self.shape
+        matrix = self.matrix  # before the file is opened: a solved system leaves none
         with open(path, "wb") as fh:
             fh.write(np.asarray([n, m, self.problem.k_interior], np.int64).tobytes())
-            fh.write(self.matrix.tobytes())
+            fh.write(matrix.tobytes())
             fh.write(np.asarray(self.rhs, np.float64).tobytes())
             fh.write(np.asarray(self.weights, np.float64).tobytes())
 
@@ -258,21 +278,40 @@ def _fill_stencil_rows(
     Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
     Every expansion ``n`` of the model (local patches and the global patch)
     adds its block, times ``signs[n]``, at the points where that sign is
-    nonzero.  Term coefficients are evaluated once on the whole point set.
+    nonzero.  Term coefficients are evaluated once on the whole point set (a
+    coefficient field may cache its values by the points array); the basis
+    blocks are taken a chunk of an expansion's points at a time (see
+    ``_chunks``), so their temporaries stay bounded however many points the
+    set has.
     """
     base = start + np.arange(len(points)) * stencil.n_rows
     coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
     comps = sorted({t.comp for t in stencil.terms})
     for n, sign in enumerate(signs):
-        mask = sign != 0.0
-        if not mask.any():
-            continue
-        sub, rows, sign = points[mask], base[mask], sign[mask]
-        for comp in comps:
-            blocks = model.basis_block(n, comp, sub, stencil.alphas_for(comp))
-            for t, coeff in zip(stencil.terms, coeffs):
-                if t.comp == comp:
-                    fill.add(rows + t.row, comp, n, (coeff[mask] * sign)[:, None] * blocks[t.alpha])
+        where = np.flatnonzero(sign)
+        for chunk in _chunks(len(where)):
+            at = where[chunk]
+            for comp in comps:
+                blocks = model.basis_block(n, comp, points[at], stencil.alphas_for(comp))
+                for t, coeff in zip(stencil.terms, coeffs):
+                    if t.comp == comp:
+                        weight = coeff[at] * sign[at]
+                        fill.add(base[at] + t.row, comp, n, weight[:, None] * blocks[t.alpha])
+                del blocks  # before the next component's blocks are made
+
+
+def _chunks(count: int) -> list[slice]:
+    """Consecutive slices of EVAL_CHUNK items that cover ``count`` items.
+
+    A lone last item joins the slice before it: numpy multiplies a single
+    row through a matrix-vector product, which rounds differently from the
+    matrix-matrix product that evaluates the same point among others, so
+    the chunks fill the same bits as one pass over all the items would.
+    """
+    starts = list(range(0, count, basis.EVAL_CHUNK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
 def _interface_stencil(model: RfmModel) -> Stencil:
@@ -303,16 +342,23 @@ def available_memory_bytes() -> int | None:
 def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
     """Refuse a system whose row groups and solve buffers would not fit in memory.
 
-    ``sizes`` gives each row group's (rows, columns).  A solve holds the
-    group blocks, the weighted buffer that the SVD factorizes in place (one
+    ``sizes`` gives each row group's (rows, columns).  A solve first takes
+    the R factor of each tall group, with its rotated right-hand side, from
+    a weighted copy of the group, then frees the group's block; it then
+    fills the weighted buffer that the SVD factorizes in place (one
     full-width row for each row of a group that is not tall, and for each
-    column of a tall one) and the weighted copy of the largest tall group.
+    column of a tall one).  The budget is the larger of the two phases: all
+    blocks, the largest weighted copy and the R factors, or the blocks of
+    the groups that are not tall, the R factors and the buffer.
     """
     n_rows, n_cols = shape
     tall = [(r, w) for r, w in sizes if _tall(r, w)]
     solved = n_rows - sum(r for r, _ in tall) + sum(w for _, w in tall)
+    blocks = sum(r * w for r, w in sizes)
+    short_blocks = blocks - sum(r * w for r, w in tall)
+    factors = sum(w * (w + 1) for _, w in tall)
     copy = max((r * (w + 1) for r, w in tall), default=0)
-    need = 8 * (sum(r * w for r, w in sizes) + solved * n_cols + copy)
+    need = 8 * (factors + max(blocks + copy, short_blocks + solved * n_cols))
     available = available_memory_bytes()
     if available is not None and need > available:
         raise ValueError(

@@ -319,9 +319,10 @@ def run_experiment(
 
     With ``out_dir`` it appends the record to ``runs.csv`` there and writes
     the solution fields as snapshots; with ``dump_system`` it writes the
-    system to that path (``WeightedSystem.dump``).  Both BLAS pools run on
-    one thread until the system is assembled, then on the count that
-    ``rfm.blas.threads_for`` gives its shape; the record keeps that count.
+    rescaled system to that path (``WeightedSystem.dump``) before the solve,
+    which releases it.  Both BLAS pools run on one thread until the system
+    is assembled, then on the count that ``rfm.blas.threads_for`` gives its
+    shape; the record keeps that count.
     """
     t0 = time.perf_counter()
     with blas_threads() as fit:
@@ -331,10 +332,10 @@ def run_experiment(
         threads = fit(system.shape)
         if config.rescale_on:
             system = system.rescale(config.rescale_scale)
-        coefficients, report = solve_system(system, config.rank_tol)
         if dump_system is not None:
             system.dump(dump_system)
-        # the raw matrix is not needed past the solve; free it before evaluation
+        # the solve frees the row groups; drop the rest before evaluation
+        coefficients, report = solve_system(system, config.rank_tol)
         del system
         errors: dict[str, float] = {}
         if problem.exact is not None:

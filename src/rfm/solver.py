@@ -8,10 +8,18 @@ of its orthogonal QR, as in TSQR (Demmel, Grigori, Hoemmen & Langou, SISC
 unchanged, so the singular values, the set of minimizers and the
 minimum-norm solution are those of the full system.  The compressed system
 then goes through one SVD solve (gelsd).
+
+The solve takes every tall group's R factor first, in group order, and
+frees the group's block as soon as it has it; only then is the gelsd buffer
+allocated, so the blocks and the buffer are never held at once.  With the
+blocks gone the loss is kept per group: the R factor of ``[W A | W b]`` is
+``[R c; 0 rho]``, and as the orthogonal factor keeps the norm, the group's
+part of the squared loss is ||R x - c||^2 + rho^2.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -131,58 +139,82 @@ def solve_system(
 ) -> tuple[np.ndarray, LstsqReport]:
     """Solve a weighted collocation system in the rescaled norm.
 
-    Tall row groups are QR-compressed exactly (see the module docstring)
-    and the weighted, compressed system is written into one Fortran-ordered
-    buffer that gelsd factorizes in place, so a solve holds the row groups,
-    that buffer and the weighted copy of one tall group at a time.  The
-    rank cut-off is taken from the full system's shape.  The system's row
-    groups, ``rhs`` and ``weights`` are left as they were; the report's
-    ``n_rows`` is the system's row count, ``solved_rows`` the compressed
-    one, and its residual norm is the system's weighted loss at the
-    solution.
+    The solve takes the system's row groups over (``release_groups``): the
+    system refuses any later use that needs them.  Every tall group is
+    QR-compressed exactly (see the module docstring), one at a time in
+    group order, and its block is released as soon as its R factor is
+    taken.  Only then is the weighted, compressed system written into one
+    Fortran-ordered buffer that gelsd factorizes in place: the rows of the
+    other groups first, in their order in the system, then the R factors.
+    At its peak a solve holds either the blocks, the weighted copy of one
+    tall group and the R factors taken so far, or the short groups' blocks,
+    all R factors and the buffer.  The rank cut-off is taken from the full
+    system's shape, and ``rhs`` and ``weights`` are left as they were.
+
+    The report's ``n_rows`` is the system's row count, ``solved_rows`` the
+    compressed one, and its residual norm is the system's weighted loss at
+    the solution.  The short groups' part of it is ``WeightedSystem.loss``
+    over their rows; a tall group's part is ||R x - c||^2 + rho^2, where
+    ``[R c; 0 rho]`` tops the R factor of ``[W A | W b]`` over the group:
+    the orthogonal factor keeps the norm, so the sum is exact, and it is
+    the direct loss where no group is tall.
     """
-    a, b = _compress_rows(system)
-    if rank_tol is None:
-        rank_tol = np.finfo(float).eps * max(system.shape)
-    x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
-    return x, replace(report, n_rows=system.shape[0], residual_norm=system.loss(x))
-
-
-def _compress_rows(system: WeightedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted system with every tall row group replaced by its R factor.
-
-    The rows of the other groups come first, in their order in the system,
-    weighted exactly as ``weights[:, None] * matrix`` would be; each tall
-    group then contributes as many rows as it has columns.  Returns a
-    Fortran-ordered matrix and its right-hand side.
-    """
-    weights = system.weights
-    rhs = system.weighted_rhs()
-    tall = [g for g in system.groups if g.tall]
-    short = [g for g in system.groups if not g.tall]
+    n_rows, n_cols = system.shape
+    weights, rhs = system.weights, system.weighted_rhs()
+    groups = system.release_groups()
+    short = [g for g in groups if not g.tall]
     kept = np.sort(np.concatenate([g.rows for g in short] + [np.empty(0, int)]))
-    n_tall = sum(g.block.shape[1] for g in tall)
-    out = np.zeros((len(kept) + n_tall, system.shape[1]), order="F")
-    out_rhs = np.empty(len(out))
-    out_rhs[: len(kept)] = rhs[kept]
+    factors = _take_tall_factors(groups, weights, rhs, len(kept))
+    a = np.zeros((len(kept) + sum(len(r.rows) for r, _, _ in factors), n_cols), order="F")
+    b = np.empty(len(a))
+    b[: len(kept)] = rhs[kept]
     for g in short:
-        g.place(out, np.searchsorted(kept, g.rows), weights[g.rows, None] * g.block)
-    top = len(kept)
-    for g in tall:
-        r = _group_r(g, weights, rhs)
-        n = len(r)
-        g.place(out, slice(top, top + n), r[:, :n])
-        out_rhs[top : top + n] = r[:, n]
+        g.place(a, np.searchsorted(kept, g.rows), weights[g.rows, None] * g.block)
+    for r, c, _ in factors:
+        r.place(a, r.rows, r.block)
+        b[r.rows] = c
+    if rank_tol is None:
+        rank_tol = np.finfo(float).eps * max(n_rows, n_cols)
+    x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
+    short_rhs = np.zeros(n_rows)
+    short_rhs[kept] = system.rhs[kept]
+    loss = math.hypot(
+        replace(system, groups=short, rhs=short_rhs).loss(x),
+        *(np.linalg.norm(np.append(r.block @ r.take(x) - c, rho)) for r, c, rho in factors),
+    )
+    return x, replace(report, n_rows=n_rows, residual_norm=loss)
+
+
+def _take_tall_factors(
+    groups: list[RowGroup | None], weights: np.ndarray, rhs: np.ndarray, top: int
+) -> list[tuple[RowGroup, np.ndarray, float]]:
+    """The R factors of the tall groups, in group order, for the solve buffer.
+
+    Each tall group's entry of ``groups`` is set to None once it is taken,
+    so its block is freed before the next group is weighted.  Per tall
+    group this returns R as a row group over the group's columns, whose
+    rows are its rows in the buffer (from ``top`` on), then c and rho (see
+    ``_group_r``).  ``rhs`` is already weighted.
+    """
+    factors = []
+    for i, g in enumerate(groups):
+        if not g.tall:
+            continue
+        groups[i] = None
+        rc, rho = _group_r(g, weights, rhs)
+        n = len(rc)
+        factors.append((RowGroup(np.arange(top, top + n), g.cols, rc[:, :n]), rc[:, n], rho))
         top += n
-    return out, out_rhs
+    return factors
 
 
-def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Top rows of the R factor of ``[W A | W b]`` over a group's rows and columns.
+def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The R factor of ``[W A | W b]`` over a group's rows and columns.
 
-    ``rhs`` is already weighted.  The result has one row per column: the
-    last row of R, which holds only the group's orthogonal residual, is
-    dropped.  A NaN or inf in the group raises ValueError.
+    ``rhs`` is already weighted.  Returns ``[R c]``, one row per column of
+    the group, and rho, the last diagonal entry, whose magnitude is the norm
+    of the part of ``W b`` that the group's columns cannot reach.  A NaN or
+    inf in the group raises ValueError.
     """
     rows = group.rows
     n = group.block.shape[1]
@@ -196,4 +228,4 @@ def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> np.ndarra
     qr, _, _, info = dgeqrf(work, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise ValueError("illegal value in argument %d of geqrf" % -info)
-    return np.triu(qr[:n])
+    return np.triu(qr[:n]), float(qr[n, n])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfm import assembly
+from rfm import assembly, basis
 from rfm.assembly import RowGroup, assemble, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.experiments import build_run, load_suite
@@ -411,6 +411,24 @@ def test_row_groups_stack_to_a_dense_fill(pou, monkeypatch):
     assert np.array_equal(grouped.rhs, dense.rhs)
 
 
+@pytest.mark.parametrize("chunk", [7, 8])
+def test_chunked_fill_matches_the_default_chunk(chunk, monkeypatch):
+    """Walking each expansion's points in small chunks, several full ones
+    and a partial one, fills the same bits as the default chunk.  With 8,
+    each local patch's 9 interior points leave a lone last point, which
+    would round differently if it were evaluated on its own."""
+    problem, model, colloc = _interface_setup(2)
+    whole = assemble(problem, model, colloc)
+    monkeypatch.setattr(basis, "EVAL_CHUNK", chunk)
+    chunked = assemble(problem, model, colloc)
+    assert colloc.n_interior > 2 * chunk and colloc.n_interface > chunk
+    assert len(whole.groups) == len(chunked.groups) > 1
+    for g, h in zip(whole.groups, chunked.groups):
+        assert np.array_equal(g.rows, h.rows) and g.cols == h.cols
+        assert np.array_equal(g.block, h.block)
+    assert np.array_equal(whole.rhs, chunked.rhs)
+
+
 @pytest.mark.parametrize("pou", ["a", "b"])
 def test_every_row_lies_in_exactly_one_group(pou):
     problem, model, colloc = _stokes_setup(pou)
@@ -423,17 +441,23 @@ def test_every_row_lies_in_exactly_one_group(pou):
 
 
 def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
+    """Assembly walks its points in chunks and the solve frees each tall
+    group's block once its R factor is taken, so the peak is the blocks and
+    the weighted copy of one tall group (99 MB on this beam, whose dense
+    matrix would take 184 MB), not the blocks twice."""
     config = {c.name: c for c in load_suite("timoshenko")}["M=800 Q=6400"]
     problem, model, colloc = build_run(config)
     tracemalloc.start()
     try:
         system = assemble(problem, model, colloc).rescale(config.rescale_scale)
+        blocks = sum(g.block.nbytes for g in system.groups)
+        copy = max(8 * len(g.rows) * (g.block.shape[1] + 1) for g in system.groups if g.tall)
         _, report = solve_system(system, config.rank_tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert system.shape == (14400, 1600)
-    assert peak < 8 * system.shape[0] * system.shape[1]
+    assert peak <= 1.1 * (blocks + copy)
     # the Dirichlet rows join their patch's tall group: each patch reaches the
     # SVD as 640 rows, next to eight interface groups of 80
     assert report.solved_rows == 3200
@@ -475,9 +499,11 @@ def test_assembly_is_deterministic():
 
 def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     problem, model, colloc = _single_feature_setup()
-    # the 3x1 system is one tall group: its block (3 values), its R factor in
-    # the solve buffer (1) and its weighted copy with the right-hand side (6)
-    need = (3 + 1 + 6) * 8
+    # the 3x1 system is one tall group.  While its R factor is taken the solve
+    # holds its block (3 values), its weighted copy with the right-hand side
+    # (6) and R with the rotated right-hand side (2); that outweighs the
+    # second phase, R (2) and the solve buffer (1)
+    need = (3 + 6 + 2) * 8
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=r"3x1 system needs 0.0 MB .* only 0.0 MB"):
         assemble(problem, model, colloc)

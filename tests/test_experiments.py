@@ -1,6 +1,7 @@
 """Config round trips, suite integrity, the end-to-end runner, CSV/snapshot
 outputs, and the command-line interface."""
 
+import copy
 import csv
 import json
 import os
@@ -194,6 +195,24 @@ def test_run_experiment_dumps_system(tmp_path):
     assert k == 1
 
 
+def test_run_experiment_dumps_the_system_before_the_solve_releases_it(tmp_path):
+    """On a config whose solve compresses, and so frees, tall row groups,
+    the dump is still the whole assembled and rescaled system."""
+    from rfm.assembly import assemble, load_system_dump
+    from rfm.experiments import build_run
+
+    config = {c.name: c for c in load_suite("poisson-multiscale")}["low pou-only"]
+    path = tmp_path / "system.bin"
+    run_experiment(config, dump_system=path)
+    a, b, w, _ = load_system_dump(path)
+    problem, model, colloc = build_run(config)
+    system = assemble(problem, model, colloc).rescale(config.rescale_scale)
+    assert any(g.tall for g in system.groups)
+    assert np.array_equal(a, system.matrix)
+    assert np.array_equal(b, system.rhs)
+    assert np.array_equal(w, system.weights)
+
+
 def test_median_record_aggregates_componentwise():
     cfg = _fast_config()
     records = [run_experiment(replace(cfg, seed=s)) for s in range(3)]
@@ -239,8 +258,9 @@ def test_rescale_constant_cancels_at_full_rank():
     )
     colloc = build_collocation(dom, 100, {"left": 1, "right": 1})
     base = assemble(problem, model, colloc)
+    twin = copy.deepcopy(base)  # a solve releases the system it solves
     x10, rep10 = solve_system(base.rescale(10.0), None)
-    x100, rep100 = solve_system(base.rescale(100.0), None)
+    x100, rep100 = solve_system(twin.rescale(100.0), None)
     assert rep10.rank == model.n_columns  # full rank precondition
     assert rep100.rank == rep10.rank
     assert np.allclose(x10, x100, rtol=0, atol=1e-10 * np.linalg.norm(x10))

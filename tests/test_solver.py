@@ -3,6 +3,7 @@ null-space behavior, scaling equivariance, agreement with scipy's gelsd
 least squares on random matrices and on every suite, and exactness of the
 row compression that solve_system applies first."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,19 @@ def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
     assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
 
 
+def _assert_loss_matches_direct(report, system, x):
+    """The report's loss against the direct weighted loss of the unsolved
+    system: equal where no group is tall; where tall groups enter through
+    their R factors and rho, within 4 eps ||W b||, a few roundings of
+    the orthogonal transform."""
+    direct = system.loss(x)
+    if any(g.tall for g in system.groups):
+        scale = np.finfo(float).eps * np.linalg.norm(system.weighted_rhs())
+        assert abs(report.residual_norm - direct) <= 4 * scale
+    else:
+        assert report.residual_norm == direct
+
+
 @pytest.mark.parametrize(
     "suite_solve",
     SUITE_CASES,
@@ -213,11 +227,12 @@ def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
 def test_row_compression_matches_direct_gelsd(suite_solve):
     system, rank_tol, x_d, direct, compresses = suite_solve
     before = [system.matrix.copy(), system.rhs.copy(), system.weights.copy()]
-    x, report = solve_system(system, rank_tol)
-    for kept, now in zip(before, (system.matrix, system.rhs, system.weights)):
+    solved = copy.deepcopy(system)  # the solve releases the row groups it solves
+    x, report = solve_system(solved, rank_tol)
+    for kept, now in zip(before, (system.matrix, solved.rhs, solved.weights)):
         assert np.array_equal(kept, now)
     assert (report.n_rows, report.n_cols) == system.shape
-    assert report.residual_norm == system.loss(x)
+    _assert_loss_matches_direct(report, system, x)
     assert (report.solved_rows < report.n_rows) == compresses
     if not compresses:
         # nothing compressed: the same gelsd call on the same bits
@@ -282,11 +297,36 @@ def _block_systems(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(system=_block_systems())
 def test_row_compression_is_exact_on_random_block_systems(system):
+    unsolved = copy.deepcopy(system)  # a solve releases the system it solves
+    x_d, direct = solve_min_norm(unsolved.weighted_matrix(), unsolved.weighted_rhs())
     x, report = solve_system(system)
-    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs())
-    assert report.solved_rows < report.n_rows == len(system.matrix)
+    assert report.solved_rows < report.n_rows == len(unsolved.matrix)
     assert report.rank == direct.rank == system.shape[1]
     assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
+    _assert_loss_matches_direct(report, unsolved, x)
+
+
+def test_a_solved_system_refuses_reuse(tmp_path):
+    """The solve frees the tall groups' blocks, so every use of the matrix
+    afterwards raises, rather than silently miss the tall rows."""
+    system, rank_tol = _system("poisson-multiscale")
+    x, report = solve_system(system, rank_tol)
+    assert report.solved_rows < report.n_rows
+    assert system.shape == (report.n_rows, report.n_cols)
+    path = tmp_path / "system.bin"
+    uses = [
+        lambda: system.matrix,
+        system.weighted_matrix,
+        lambda: system.residual(x),
+        lambda: system.loss(x),
+        system.rescale,
+        lambda: system.dump(path),
+        lambda: solve_system(system, rank_tol),
+    ]
+    for use in uses:
+        with pytest.raises(ValueError, match="solve_system"):
+            use()
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
@@ -307,8 +347,9 @@ def test_non_finite_input_is_rejected(where, bad):
 def test_rescale_scale_leaves_the_grouped_solve_unchanged(system, scale):
     """At full column rank a common factor on every weight changes the
     least-squares problem only by rounding: the solution agrees to 1e-11."""
+    twin = copy.deepcopy(system)  # a solve releases the system it solves
     x1, r1 = solve_system(system.rescale(scale))
-    x2, r2 = solve_system(system.rescale(10.0 * scale))
+    x2, r2 = solve_system(twin.rescale(10.0 * scale))
     assert r1.rank == r2.rank == system.shape[1]
     assert np.linalg.norm(x1 - x2) <= 1e-11 * np.linalg.norm(x1)
 
