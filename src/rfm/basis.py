@@ -26,10 +26,12 @@ points by it, and the kind-"a" weight is its row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
 
+from .blas import blas_threads
 from .geometry import Domain
 
 # Feature stream index reserved for the patchless global expansion.
@@ -48,36 +50,43 @@ FACET_TOL = 1e-9
 # ----------------------------------------------------------------------
 
 
+def activation_derivatives(
+    name: str, z: np.ndarray, orders
+) -> dict[int, np.ndarray]:
+    """Value (order 0) and derivatives (orders 1, 2) of an activation, one
+    array per requested order.
+
+    ``tanh`` is evaluated once and its derivatives are derived from it:
+    1 - t^2 and -2t (1 - t^2).
+    """
+    orders = set(orders)
+    if name not in ACTIVATIONS:
+        raise ValueError("unknown activation %r" % name)
+    if not orders <= {0, 1, 2}:
+        raise ValueError("activation derivatives implemented up to order 2")
+    if name != "tanh":
+        return {o: _PERIODIC[name][o](z) for o in orders}
+    t = np.tanh(z)
+    out = {0: t}
+    if orders & {1, 2}:
+        out[1] = 1.0 - t * t
+    if 2 in orders:
+        out[2] = -2.0 * t * out[1]
+    return {o: out[o] for o in orders}
+
+
 def activation_eval(name: str, z: np.ndarray, order: int) -> np.ndarray:
     """Value (order 0) or derivative (order 1, 2) of an activation."""
-    if name == "tanh":
-        t = np.tanh(z)
-        if order == 0:
-            return t
-        if order == 1:
-            return 1.0 - t * t
-        if order == 2:
-            return -2.0 * t * (1.0 - t * t)
-    elif name == "sin":
-        if order == 0:
-            return np.sin(z)
-        if order == 1:
-            return np.cos(z)
-        if order == 2:
-            return -np.sin(z)
-    elif name == "cos":
-        if order == 0:
-            return np.cos(z)
-        if order == 1:
-            return -np.sin(z)
-        if order == 2:
-            return -np.cos(z)
-    else:
-        raise ValueError("unknown activation %r" % name)
-    raise ValueError("activation derivatives implemented up to order 2")
+    return activation_derivatives(name, z, (order,))[order]
 
 
 ACTIVATIONS = ("tanh", "sin", "cos")
+
+# orders 0, 1, 2 of the periodic activations
+_PERIODIC = {
+    "sin": (np.sin, np.cos, lambda z: -np.sin(z)),
+    "cos": (np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -266,14 +275,14 @@ def feature_block(
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Derivatives of the bare features sigma(k.x_tilde + b) at ``points``.
 
-    Returns one (P, J) array per requested multi-index; the activation is
-    evaluated once per needed derivative order and shared across alphas.
+    Returns one (P, J) array per requested multi-index; each needed
+    derivative order of the activation is evaluated once and shared across
+    alphas.
     """
     xt = patch.normalize(points)
     k = patch.k[comp]
     z = xt @ k.T + patch.b[comp]
-    orders = {sum(a) for a in alphas}
-    s = {o: activation_eval(patch.activation, z, o) for o in orders}
+    s = activation_derivatives(patch.activation, z, {sum(a) for a in alphas})
     out = {}
     for a in alphas:
         o = sum(a)
@@ -282,14 +291,12 @@ def feature_block(
         elif o == 1:
             i = a.index(1)
             out[a] = s[1] * (k[:, i] / patch.radius[i])
-        elif o == 2:
+        else:  # order 2; activation_derivatives refused anything higher
             if 2 in a:
                 i = j = a.index(2)
             else:
                 i, j = a.index(1), len(a) - 1 - a[::-1].index(1)
             out[a] = s[2] * (k[:, i] * k[:, j] / (patch.radius[i] * patch.radius[j]))
-        else:
-            raise ValueError("feature derivatives implemented up to order 2")
     return out
 
 
@@ -681,11 +688,32 @@ def select_rm_from_forcing(
     normalized patch coordinates (multiplied by the patch radius), is the
     lowest rm that lets the features resolve the data.  All-zero (or
     constant) forcing falls back to rm = 1.
+
+    The tones are memoized per process, keyed on the exact bytes of ``xs``
+    and ``fs`` and on ``rel_threshold``, so every seed of a config pays for
+    one Hankel SVD in all.  The selection always runs on one BLAS thread,
+    so its result does not depend on the thread count in force at the call,
+    nor on which caller filled the memo.
     """
+    xs = np.asarray(xs, float)
+    fs = np.asarray(fs, float)
     if np.max(np.abs(fs)) == 0.0:
         return 1.0
-    tones = dominant_frequencies(xs, fs, rel_threshold)
+    if xs.ndim != 1 or xs.shape != fs.shape:  # the bytes keep no shape
+        raise ValueError("need samples xs and fs of one 1D shape")
+    tones = _tones(xs.tobytes(), fs.tobytes(), rel_threshold)
     if not tones:
         return 1.0
     omega = max(w for w, _ in tones)
     return omega * float(radius)
+
+
+@lru_cache(maxsize=32)
+def _tones(
+    xs: bytes, fs: bytes, rel_threshold: float
+) -> tuple[tuple[float, float], ...]:
+    """``dominant_frequencies`` of float64 samples given as bytes, on one BLAS thread."""
+    with blas_threads():
+        return tuple(
+            dominant_frequencies(np.frombuffer(xs), np.frombuffer(fs), rel_threshold)
+        )

@@ -9,8 +9,10 @@ control and every call below does nothing.
 
 The rule: a run builds and assembles on one thread, since those calls are
 small (the feature matmuls have an inner dimension of the space dimension,
-and the largest call, the ``rm="auto"`` Hankel SVD, is 500x1550).  Once
-the system's shape is known, a system with ``min(rows, cols) >=
+and the largest call, the ``rm="auto"`` Hankel SVD, is 500x1550).  That
+selection also enters its own one-thread scope, so the value
+``rfm.basis.select_rm_from_forcing`` memoizes is the same whoever calls it.
+Once the system's shape is known, a system with ``min(rows, cols) >=
 SMALL_SYSTEM`` solves and evaluates on the count that was in force when the
 run began; a smaller one stays on one thread.  No pool ever runs above its
 count at entry, so ``OPENBLAS_NUM_THREADS`` (or ``RFM_THREADS``, see

@@ -6,7 +6,8 @@ OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
 NUMEXPR_NUM_THREADS is lowered to it, or set to it where unset.  This
 happens before numpy loads, which is why all numerical imports happen
 inside main().  Within that cap a run picks its thread count from the size
-of its system (``rfm.blas``); ``rfm run`` prints it as ``threads=N``.
+of its system (``rfm.blas``); ``rfm run`` prints it as ``threads=N``, after
+the rm the run used as ``rm=``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _print_record(record, stream=sys.stdout) -> None:
     head = (
         f"{record.suite}/{record.name}: seed={record.seed} M={record.m_features} "
         f"N={record.n_rows} columns={record.n_columns} rank={record.rank} "
-        f"loss={record.loss:.3e} wall={record.wall_time_s:.2f}s"
+        f"loss={record.loss:.3e} wall={record.wall_time_s:.2f}s rm={record.rm:.6g}"
     )
     if record.blas_threads is not None:
         head += f" threads={record.blas_threads}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -59,14 +60,17 @@ CSV_COLUMNS = (
 # ----------------------------------------------------------------------
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+
+
 def _is_integral(count) -> bool:
     """Whether ``count`` is an integer, or a float with an integral value; a
     bool is not."""
-    if isinstance(count, (bool, np.bool_)):
-        return False
-    if isinstance(count, (int, np.integer)):
-        return True
-    return isinstance(count, (float, np.floating)) and float(count).is_integer()
+    return _is_real(count) and (isinstance(count, (int, np.integer)) or float(count).is_integer())
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ class ExperimentConfig:
                 "'interface_per_edge' must be 0 with pou 'b': the smooth partition "
                 "has no interface conditions"
             )
-        if self.rm != "auto" and float(self.rm) <= 0:
-            raise ValueError("'rm' must be positive or 'auto'")
+        if self.rm != "auto" and not (_is_real(self.rm) and 0.0 < self.rm <= sys.float_info.max):
+            raise ValueError("'rm' must be 'auto' or a positive finite number, got %r" % (self.rm,))
         if not 0.0 < float(self.rescale_scale) < np.inf:
             raise ValueError("'rescale_scale' must be positive and finite, got %r" % self.rescale_scale)
         if self.rank_tol is not None and not 0.0 <= float(self.rank_tol) < 1.0:
@@ -272,12 +276,13 @@ def build_run(config: ExperimentConfig):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One solved config: sizes, rank, errors, loss, timing."""
+    """One solved config: rm, sizes, rank, errors, loss, timing."""
 
     suite: str
     name: str
     config_hash: str
     seed: int
+    rm: float  # the rm the features were drawn with, "auto" resolved
     m_features: int
     n_rows: int
     n_columns: int
@@ -327,6 +332,7 @@ def run_experiment(
     t0 = time.perf_counter()
     with blas_threads() as fit:
         problem, model, colloc = build_run(config)
+        rm = _resolve_rm(config, problem)  # build_run filled the memo: a lookup
         system = assemble(problem, model, colloc)
         n_rows, n_columns = system.shape
         threads = fit(system.shape)
@@ -349,6 +355,7 @@ def run_experiment(
             name=config.name,
             config_hash=config.config_hash,
             seed=config.seed,
+            rm=rm,
             m_features=model.n_features,
             n_rows=n_rows,
             n_columns=n_columns,

@@ -10,15 +10,17 @@ minimum-norm solution are those of the full system.  The compressed system
 then goes through one SVD solve (gelsd).
 
 The solve takes every tall group's R factor first, in group order, and
-frees the group's block as soon as it has it; only then is the gelsd buffer
-allocated, so the blocks and the buffer are never held at once.  With the
-blocks gone the loss is kept per group: the R factor of ``[W A | W b]`` is
-``[R c; 0 rho]``, and as the orthogonal factor keeps the norm, the group's
-part of the squared loss is ||R x - c||^2 + rho^2.
+frees the group's block as soon as it has it; it then hands the heap's free
+pages back to the system, and only then is the gelsd buffer allocated, so
+the blocks and the buffer are never held at once.  With the blocks gone
+the loss is kept per group: the R factor of ``[W A | W b]`` is ``[R c; 0
+rho]``, and as the orthogonal factor keeps the norm, the group's part of
+the squared loss is ||R x - c||^2 + rho^2.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from dataclasses import dataclass, replace
@@ -31,6 +33,20 @@ from .assembly import RowGroup, WeightedSystem
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
+
+# glibc's malloc_trim(pad), which returns every free page of the heap to the
+# system; None where the C library has none.  The solve needs it because
+# glibc raises its mmap threshold to the size of the largest mmapped chunk
+# freed so far: after the first tall group's weighted copy (about 18 MB on
+# the 14400x1600 beam) is freed, later blocks of that size come from the brk
+# heap, and once freed under the live R factors their pages stay resident.
+# Beam-tall's in-process max RSS went 194 -> 155 MB with the trim, which
+# takes 1-4 ms there (2 vCPU).
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 @dataclass(frozen=True)
@@ -143,9 +159,11 @@ def solve_system(
     system refuses any later use that needs them.  Every tall group is
     QR-compressed exactly (see the module docstring), one at a time in
     group order, and its block is released as soon as its R factor is
-    taken.  Only then is the weighted, compressed system written into one
-    Fortran-ordered buffer that gelsd factorizes in place: the rows of the
-    other groups first, in their order in the system, then the R factors.
+    taken; the heap's free pages then go back to the system (glibc
+    ``malloc_trim``).  Only then is the weighted, compressed system written
+    into one Fortran-ordered buffer that gelsd factorizes in place: the
+    rows of the other groups first, in their order in the system, then the
+    R factors.
     At its peak a solve holds either the blocks, the weighted copy of one
     tall group and the R factors taken so far, or the short groups' blocks,
     all R factors and the buffer.  The rank cut-off is taken from the full
@@ -165,6 +183,8 @@ def solve_system(
     short = [g for g in groups if not g.tall]
     kept = np.sort(np.concatenate([g.rows for g in short] + [np.empty(0, int)]))
     factors = _take_tall_factors(groups, weights, rhs, len(kept))
+    if factors and _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)  # the freed blocks' pages, before the buffer is mapped
     a = np.zeros((len(kept) + sum(len(r.rows) for r, _, _ in factors), n_cols), order="F")
     b = np.empty(len(a))
     b[: len(kept)] = rhs[kept]

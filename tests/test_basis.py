@@ -1,6 +1,8 @@
 """Feature/partition-of-unity evaluation: frozen values, finite-difference
 oracles, partition-of-unity identities, and sampling determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -101,6 +103,55 @@ def test_activation_derivatives_match_finite_differences():
             got = activation_eval(name, z, order)
             scale = np.abs(fd).max()
             assert np.abs(got - fd).max() <= 1e-6 * max(scale, 1.0), name
+
+
+# the multi-indices of each derivative order in 2D
+ALPHAS_2D = {0: [(0, 0)], 1: [(1, 0), (0, 1)], 2: [(2, 0), (1, 1), (0, 2)]}
+
+
+def _activation_reference(name, z, order):
+    """One derivative order of an activation, evaluating it afresh."""
+    if name == "tanh":
+        t = np.tanh(z)
+        return (t, 1.0 - t * t, -2.0 * t * (1.0 - t * t))[order]
+    return {"sin": (np.sin, np.cos, lambda z: -np.sin(z)),
+            "cos": (np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z))}[name][order](z)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sin", "cos"])
+@pytest.mark.parametrize(
+    "orders", [s for n in (1, 2, 3) for s in itertools.combinations((0, 1, 2), n)]
+)
+def test_feature_block_equals_the_per_order_activation_products(activation, orders):
+    """Sharing one activation evaluation across orders changes no bit
+    against evaluating it once per order."""
+    radius = np.array([1.5, 0.75])
+    p = Patch(
+        center=np.array([0.5, -0.25]),
+        radius=radius,
+        k=RNG.uniform(-3, 3, size=(1, 40, 2)),
+        b=RNG.uniform(-3, 3, size=(1, 40)),
+        activation=activation,
+    )
+    pts = np.column_stack([RNG.uniform(-1.0, 2.0, 300), RNG.uniform(-1.0, 0.5, 300)])
+    alphas = [a for o in orders for a in ALPHAS_2D[o]]
+    got = feature_block(p, 0, pts, alphas)
+    k = p.k[0]
+    z = p.normalize(pts) @ k.T + p.b[0]
+    s = [_activation_reference(activation, z, o) for o in range(3)]
+    want = {
+        (0, 0): s[0],
+        (1, 0): s[1] * (k[:, 0] / radius[0]),
+        (0, 1): s[1] * (k[:, 1] / radius[1]),
+        (2, 0): s[2] * (k[:, 0] * k[:, 0] / (radius[0] * radius[0])),
+        (1, 1): s[2] * (k[:, 0] * k[:, 1] / (radius[0] * radius[1])),
+        (0, 2): s[2] * (k[:, 1] * k[:, 1] / (radius[1] * radius[1])),
+    }
+    for o in orders:
+        assert np.array_equal(activation_eval(activation, z, o), s[o]), o
+    assert sorted(got) == sorted(alphas)
+    for a in alphas:
+        assert np.array_equal(got[a], want[a]), a
 
 
 def test_feature_derivatives_match_finite_differences_2d():

@@ -7,7 +7,7 @@ import numpy
 import pytest
 
 import rfm.experiments as experiments
-from rfm import assembly
+from rfm import assembly, basis
 from rfm.blas import POOLS, SMALL_SYSTEM, blas_threads, find_pools, threads_for
 from rfm.experiments import load_suite, run_experiment
 
@@ -135,3 +135,20 @@ def test_entry_counts_come_back_when_the_run_raises(entry_count, monkeypatch):
 def test_same_config_and_seed_give_the_same_record(config):
     a, b = (replace(run_experiment(config), wall_time_s=0.0) for _ in range(2))
     assert a == b
+
+
+@needs_pools
+@pytest.mark.parametrize("entry_count", [2], indirect=True)
+def test_auto_rm_is_the_same_at_every_entry_count(entry_count):
+    """The memoized tone selection runs on one thread, so no caller's count
+    reaches the value it stores."""
+    config = _config("helmholtz-adaptive", "sin random Rm=auto")
+    problem = experiments.make_problem(config.problem)
+    chosen = []
+    for count in (1, 2):
+        for _, put in POOLS:
+            put(count)
+        basis._tones.cache_clear()
+        chosen.append(experiments._resolve_rm(config, problem).hex())
+        assert _counts() == [count, count]
+    assert chosen[0] == chosen[1]

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfm import basis
 from rfm.experiments import (
     CSV_COLUMNS,
     SUITE_NAMES,
     ExperimentConfig,
+    build_run,
     load_suite,
     make_problem,
     median_record,
@@ -199,7 +201,6 @@ def test_run_experiment_dumps_the_system_before_the_solve_releases_it(tmp_path):
     """On a config whose solve compresses, and so frees, tall row groups,
     the dump is still the whole assembled and rescaled system."""
     from rfm.assembly import assemble, load_system_dump
-    from rfm.experiments import build_run
 
     config = {c.name: c for c in load_suite("poisson-multiscale")}["low pou-only"]
     path = tmp_path / "system.bin"
@@ -280,6 +281,56 @@ def test_auto_rm_resolves_from_forcing():
 
     rm = _resolve_rm(cfg, make_problem(cfg.problem))
     assert rm == pytest.approx(4.0, rel=0.05)
+    assert run_experiment(cfg).rm == rm
+
+
+def test_a_numeric_rm_is_recorded_as_given():
+    assert run_experiment(_fast_config(rm=2.5)).rm == 2.5
+
+
+@pytest.fixture
+def tone_calls(monkeypatch):
+    """The dominant_frequencies calls made from an empty memo on."""
+    calls = []
+    extract = basis.dominant_frequencies
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(basis, "dominant_frequencies", counted)
+    basis._tones.cache_clear()
+    return calls
+
+
+def _suite_config(suite: str, name: str) -> ExperimentConfig:
+    return {c.name: c for c in load_suite(suite)}[name]
+
+
+def test_auto_rm_is_selected_once_per_forcing(tone_calls):
+    from rfm.experiments import _resolve_rm
+
+    config = _suite_config("helmholtz-adaptive", "sin random Rm=auto")
+    first = run_experiment(replace(config, seed=0))
+    assert len(tone_calls) == 1
+    second = run_experiment(replace(config, seed=1))
+    assert len(tone_calls) == 1
+    assert second.rm == first.rm
+
+    other = replace(config, problem={**config.problem, "lam": 9.0})
+    _resolve_rm(other, make_problem(other.problem))
+    assert len(tone_calls) == 2
+
+
+def test_auto_rm_of_a_2d_config_hits_the_memo_on_its_second_seed(tone_calls):
+    config = _suite_config("poisson-adaptive", "sin random Rm=auto")
+    build_run(replace(config, seed=0))
+    # the forcing is symmetric, so both midlines sample the same bytes
+    assert len(tone_calls) == 1
+    assert basis._tones.cache_info()[:2] == (1, 1)  # (hits, misses)
+    build_run(replace(config, seed=1))
+    assert len(tone_calls) == 1
+    assert basis._tones.cache_info()[:2] == (3, 1)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +402,12 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
         (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
         (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
+        (lambda cfg: cfg.update(rm=float("nan")), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(rm=float("inf")), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(rm=True), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(rm="1e400"), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(rm="fast"), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(rm=10**400), "rm", "positive finite number"),
     ],
     ids=[
         "problem-key",
@@ -371,6 +428,12 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "fractional-boundary-count",
         "fractional-eval-count",
         "bool-interior-count",
+        "nan-rm",
+        "infinite-rm",
+        "bool-rm",
+        "overflowing-rm-string",
+        "word-rm",
+        "overflowing-rm-integer",
     ],
 )
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
@@ -465,4 +528,4 @@ def test_cli_run_prints_the_thread_count(tmp_path):
     _fast_config().save(path)
     out = _run_cli("run", "--config", str(path), env=dict(os.environ, RFM_THREADS="1"))
     assert out.returncode == 0, out.stderr
-    assert " threads=1\n" in out.stdout
+    assert " rm=1 threads=1\n" in out.stdout

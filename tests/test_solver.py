@@ -17,6 +17,7 @@ from rfm.assembly import RowGroup, WeightedSystem, assemble
 from rfm.basis import FeatureSampler, build_model
 from rfm.experiments import SUITE_NAMES, build_run, load_suite
 from rfm.geometry import interval
+from rfm import solver
 from rfm.solver import solve_min_norm, solve_system
 
 RNG = np.random.default_rng(77)
@@ -327,6 +328,17 @@ def test_a_solved_system_refuses_reuse(tmp_path):
         with pytest.raises(ValueError, match="solve_system"):
             use()
     assert not path.exists()
+
+
+@pytest.mark.parametrize("suite,trims", [("poisson-multiscale", 1), ("helmholtz-pou", 0)])
+def test_heap_is_trimmed_once_the_tall_blocks_are_freed(suite, trims, monkeypatch):
+    """Only a solve that freed tall blocks hands the heap's free pages back."""
+    calls = []
+    monkeypatch.setattr(solver, "_MALLOC_TRIM", calls.append)
+    system, rank_tol = _system(suite)
+    assert any(g.tall for g in system.groups) == bool(trims)
+    solve_system(system, rank_tol)
+    assert calls == [0] * trims
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
