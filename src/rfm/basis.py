@@ -315,6 +315,7 @@ class RfmModel:
     pou: str
     n_components: int = 1
     global_patch: Patch | None = None
+    rm: float | None = None  # the rm the features were drawn with
 
     def __post_init__(self) -> None:
         if not self.patches:
@@ -607,7 +608,7 @@ def build_model(
         global_patch = Patch(
             0.5 * (lo + hi), 0.5 * (hi - lo), np.stack(ks), np.stack(bs), activation
         )
-    return RfmModel(patches, pou, n_components, global_patch)
+    return RfmModel(patches, pou, n_components, global_patch, sampler.rm)
 
 
 # ----------------------------------------------------------------------

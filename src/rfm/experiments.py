@@ -332,7 +332,6 @@ def run_experiment(
     t0 = time.perf_counter()
     with blas_threads() as fit:
         problem, model, colloc = build_run(config)
-        rm = _resolve_rm(config, problem)  # build_run filled the memo: a lookup
         system = assemble(problem, model, colloc)
         n_rows, n_columns = system.shape
         threads = fit(system.shape)
@@ -355,7 +354,7 @@ def run_experiment(
             name=config.name,
             config_hash=config.config_hash,
             seed=config.seed,
-            rm=rm,
+            rm=model.rm,
             m_features=model.n_features,
             n_rows=n_rows,
             n_columns=n_columns,

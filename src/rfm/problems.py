@@ -8,17 +8,18 @@ exact solution with closed-form derivatives is attached, forcing and
 boundary data are generated by applying the stencils to it, so the same
 machinery serves manufactured-solution verification and real data.
 
-Each manufactured solution is stated once, as a value, and its derivatives
-of any order are derived: ``CosineProducts`` sums products of one-axis
-``CosineSum`` factors, ``PolynomialSolution`` holds monomial coefficients.
-``PlateSolution`` is neither and keeps a hand-written table to order 2.
+Each manufactured solution is stated once, as a value, in one separable
+form (``ManufacturedSolution``): per component, a sum of products of
+one-axis factors, each factor a sum of terms c t^p g(omega t + phi) with g
+cos or exp.  Tone sums, polynomials and the holed plate's field are all
+written this way, and derivatives of any order are derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import perm, prod
+from math import comb, perm
 from typing import Callable
 
 import numpy as np
@@ -97,12 +98,42 @@ class Stencil:
 
 
 class ManufacturedSolution:
-    """Closed-form solution; ``deriv`` is D^alpha of one component (stencils use |alpha| <= 2)."""
+    """Closed-form solution whose every component is a sum of separable parts.
 
-    n_components: int = 1
+    ``components`` holds, per component, a list of ``(scale, factors)``
+    parts, one factor per axis: the component is
+    sum scale * prod_axis f_axis(x_axis).  Each one-axis factor f is a
+    tuple of terms, summed, each term c t^p g(omega t + phi) given as
+    ``(c, p)``, ``(c, p, omega, phi)`` (g = cos) or
+    ``(c, p, omega, phi, "exp")``; omega = 0 makes it the bare monomial
+    c t^p.  D^alpha differentiates each factor alpha_axis times along its
+    own axis, and D^k of a term follows from the Leibniz rule, so
+    derivatives of every order are derived (stencils use |alpha| <= 2).
+    """
+
+    def __init__(self, components):
+        self.components = tuple(tuple(_part(*part) for part in parts) for parts in components)
+        self.n_components = len(self.components)
 
     def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
+        cols = tuple(np.atleast_2d(points).T)
+        out = np.zeros(len(cols[0]))
+        for scale, factors in self.components[comp]:
+            # a bare-monomial factor is stored as its power (see _part): its
+            # derivative is a scalar, taken first so a vanishing part costs nothing
+            value = scale
+            for f, k in zip(factors, alpha):
+                if type(f) is int:
+                    value *= perm(f, k)
+            if not value:
+                continue
+            for t, f, k in zip(cols, factors, alpha):
+                if type(f) is not int:
+                    value = value * _axis_deriv(f, t, k)
+                elif f > k:
+                    value = value * t ** (f - k)
+            out += value
+        return out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -112,97 +143,85 @@ class ManufacturedSolution:
         )
 
 
-@dataclass(frozen=True)
-class CosineSum:
-    """sum_j amp_j cos(freq_j t + phase_j); derivatives shift the phase."""
-
-    amps: tuple[float, ...]
-    freqs: tuple[float, ...]
-    phases: tuple[float, ...]
-
-    def __call__(self, t: np.ndarray, order: int = 0) -> np.ndarray:
-        t = np.asarray(t, float)
-        out = np.zeros_like(t)
-        for a, w, p in zip(self.amps, self.freqs, self.phases):
-            out += a * w**order * np.cos(w * t + p + order * np.pi / 2.0)
-        return out
+def _term(c, p, omega=0.0, phi=0.0, g="cos") -> tuple:
+    """One term c t^p g(omega t + phi); omega = 0 makes it the bare monomial c t^p."""
+    return float(c), int(p), float(omega), float(phi), g
 
 
-class CosineProducts(ManufacturedSolution):
-    """const + sum_i scale_i prod_axis g_i,axis(x_axis), each g a ``CosineSum``.
-
-    ``parts`` holds ``(scale, (g_0, ..., g_{dim-1}))`` pairs.  D^alpha of a
-    product of one-variable factors differentiates each factor alpha_axis
-    times along its own axis, so every order comes from ``CosineSum``.
-    """
-
-    def __init__(self, parts, const: float = 0.0):
-        self.parts, self.const = tuple(parts), const
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        out = np.full(len(pts), 0.0 if any(alpha) else self.const)
-        for scale, factors in self.parts:
-            term = scale
-            for axis, (g, order) in enumerate(zip(factors, alpha)):
-                term = term * g(pts[:, axis], order)
-            out += term
-        return out
+def _part(scale, factors) -> tuple:
+    """A part with every term as (c, p, omega, phi, g); a factor that is one
+    bare monomial c t^p is kept as the power p, c folded into the scale."""
+    axes = []
+    for f in factors:
+        terms = tuple(_term(*t) for t in f)
+        if len(terms) == 1 and not terms[0][2]:
+            scale *= terms[0][0]
+            axes.append(terms[0][1])
+        else:
+            axes.append(terms)
+    return scale, tuple(axes)
 
 
-class PolynomialSolution(ManufacturedSolution):
-    """One polynomial per component, each a ``{powers: coefficient}`` map.
-
-    D^alpha takes x^p to p!/(p-a)! x^(p-a) on every axis (zero when a > p),
-    so derivatives of any order come from the monomials.
-    """
-
-    def __init__(self, components):
-        self.components = tuple(dict(c) for c in components)
-        self.n_components = len(self.components)
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        out = np.zeros(len(pts))
-        for powers, coeff in self.components[comp].items():
-            factor = coeff * prod(perm(p, a) for p, a in zip(powers, alpha))
-            if factor:
-                out += factor * prod(
-                    pts[:, i] ** (p - a) for i, (p, a) in enumerate(zip(powers, alpha)) if p > a
-                )
-        return out
+def _axis_deriv(terms, t: np.ndarray, k: int) -> np.ndarray:
+    """D^k of sum c t^p g(omega t + phi): sum_j C(k,j) perm(p,k-j) t^(p-k+j) omega^j g^(j)."""
+    out = np.zeros_like(t)
+    for c, p, w, phi, g in terms:
+        if not w:
+            if p >= k:
+                out += c * perm(p, k) * t ** (p - k)
+            continue
+        s = w * t + phi
+        if not p:  # a pure tone or exponential: the sum keeps only j = k
+            out += c * w**k * (np.cos(s + k * np.pi / 2.0) if g == "cos" else np.exp(s))
+            continue
+        e = np.exp(s) if g == "exp" else None
+        for j in range(max(0, k - p), k + 1):
+            dg = np.cos(s + j * np.pi / 2.0) if e is None else e
+            coeff = c * comb(k, j) * perm(p, k - j) * w**j
+            out += coeff * dg if p == k - j else coeff * t ** (p - k + j) * dg
+    return out
 
 
-def wave_product_1d() -> CosineProducts:
+def _polynomial(coeffs: dict) -> list:
+    """Parts of a polynomial given as ``{powers: coefficient}``."""
+    return [(c, tuple(((1.0, p),) for p in powers)) for powers, c in coeffs.items()]
+
+
+def _tones(amps, freqs, phases) -> tuple:
+    """One factor sum_j amp_j cos(freq_j t + phase_j)."""
+    return tuple((a, 0, w, p) for a, w, p in zip(amps, freqs, phases))
+
+
+def wave_product_1d() -> ManufacturedSolution:
     """sin(3 pi x + 3 pi/20) cos(2 pi x + pi/10) + 2.
 
     Stored through the identity sin A cos B = (sin(A+B) + sin(A-B))/2 as the
     tone sum sin(5 pi x + pi/4)/2 + sin(pi x + pi/20)/2 + 2, with each
     sin(t) written as cos(t - pi/2).
     """
-    tones = CosineSum((0.5, 0.5), (5 * np.pi, np.pi), (-np.pi / 4, np.pi / 20 - np.pi / 2))
-    return CosineProducts([(1.0, (tones,))], const=2.0)
+    tones = _tones((0.5, 0.5), (5 * np.pi, np.pi), (-np.pi / 4, np.pi / 20 - np.pi / 2))
+    return ManufacturedSolution([[(1.0, (tones,))] + _polynomial({(0,): 2.0})])
 
 
-def four_tones_1d() -> CosineProducts:
+def four_tones_1d() -> ManufacturedSolution:
     """Four incommensurate tones (frequencies 4, sqrt5, sqrt3, 1) plus 2."""
     s5, s3 = np.sqrt(5.0), np.sqrt(3.0)
-    tones = CosineSum(
+    tones = _tones(
         amps=(4.0, 5.0, 2.0, 3.0),
         freqs=(4.0, s5, s3, 1.0),
         phases=(0.6, s5 * 0.35 - np.pi / 2, s3 * 0.05 - np.pi / 2, 0.85 - np.pi / 2),
     )
-    return CosineProducts([(1.0, (tones,))], const=2.0)
+    return ManufacturedSolution([[(1.0, (tones,))] + _polynomial({(0,): 2.0})])
 
 
-def two_band_2d(a_low: float = 1.0, b_high: float = 0.0) -> CosineProducts:
+def two_band_2d(a_low: float = 1.0, b_high: float = 0.0) -> ManufacturedSolution:
     """Separable waves with a low band (freq pi, 2pi) and a doubled band."""
-    g1 = CosineSum((1.5, 2.0), (np.pi, 2 * np.pi), (2 * np.pi / 5, -np.pi / 5))
-    g2 = CosineSum((1.5, 2.0), (2 * np.pi, 4 * np.pi), (4 * np.pi / 5, -2 * np.pi / 5))
-    return CosineProducts([(-a, (g, g)) for a, g in ((a_low, g1), (b_high, g2)) if a])
+    g1 = _tones((1.5, 2.0), (np.pi, 2 * np.pi), (2 * np.pi / 5, -np.pi / 5))
+    g2 = _tones((1.5, 2.0), (2 * np.pi, 4 * np.pi), (4 * np.pi / 5, -2 * np.pi / 5))
+    return ManufacturedSolution([[(-a, (g, g)) for a, g in ((a_low, g1), (b_high, g2)) if a]])
 
 
-def beam_solution(length=10.0, depth=10.0, load=1000.0, e=3e7, nu=0.3) -> PolynomialSolution:
+def beam_solution(length=10.0, depth=10.0, load=1000.0, e=3e7, nu=0.3) -> ManufacturedSolution:
     """Cantilever beam under end shear (plane stress), displacement (u, v).
 
     With c = load / (6 E I) and I = depth^3 / 12:
@@ -218,55 +237,28 @@ def beam_solution(length=10.0, depth=10.0, load=1000.0, e=3e7, nu=0.3) -> Polyno
         (0, 2): 3 * c * nu * L, (1, 2): -3 * c * nu,
         (1, 0): c * (4 + 5 * nu) * D * D / 4, (2, 0): 3 * c * L, (3, 0): -c,
     }
-    return PolynomialSolution((u, v))
+    return ManufacturedSolution([_polynomial(u), _polynomial(v)])
 
 
-class PlateSolution(ManufacturedSolution):
-    """Smooth 2D displacement field used on the holed-plate geometry."""
+def plate_solution() -> ManufacturedSolution:
+    """Smooth 2D displacement field used on the holed-plate geometry.
 
-    n_components = 2
-
-    def deriv(self, comp: int, points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        x, y = pts[:, 0], pts[:, 1]
-        if comp == 0:
-            # u = y ((x+10) sin y + (y+5) cos x) / 10
-            if alpha == (0, 0):
-                return 0.1 * y * ((x + 10) * np.sin(y) + (y + 5) * np.cos(x))
-            if alpha == (1, 0):
-                return 0.1 * y * (np.sin(y) - (y + 5) * np.sin(x))
-            if alpha == (0, 1):
-                return 0.1 * ((x + 10) * (np.sin(y) + y * np.cos(y)) + (2 * y + 5) * np.cos(x))
-            if alpha == (2, 0):
-                return -0.1 * y * (y + 5) * np.cos(x)
-            if alpha == (0, 2):
-                return 0.1 * ((x + 10) * (2 * np.cos(y) - y * np.sin(y)) + 2 * np.cos(x))
-            if alpha == (1, 1):
-                return 0.1 * (np.sin(y) + y * np.cos(y) - (2 * y + 5) * np.sin(x))
-        else:
-            # v = y ((30 + 5x sin 5x)(4 + e^{-5y}) - 100) / 60
-            w = 30.0 + 5.0 * x * np.sin(5 * x)
-            wp = 5.0 * np.sin(5 * x) + 25.0 * x * np.cos(5 * x)
-            wpp = 50.0 * np.cos(5 * x) - 125.0 * x * np.sin(5 * x)
-            q = 4.0 + np.exp(-5 * y)
-            qp = -5.0 * np.exp(-5 * y)
-            qpp = 25.0 * np.exp(-5 * y)
-            if alpha == (0, 0):
-                return (y * w * q - 100.0 * y) / 60.0
-            if alpha == (1, 0):
-                return y * wp * q / 60.0
-            if alpha == (0, 1):
-                return (w * q + y * w * qp - 100.0) / 60.0
-            if alpha == (2, 0):
-                return y * wpp * q / 60.0
-            if alpha == (0, 2):
-                return (2.0 * w * qp + y * w * qpp) / 60.0
-            if alpha == (1, 1):
-                return (wp * q + y * wp * qp) / 60.0
-        raise ValueError("plate solution derivatives stop at order 2")
+    u = 0.1 (x + 10) y sin y + 0.1 cos x y (y + 5),
+    v = (30 + 5x sin 5x)(4y + y e^(-5y)) / 60 - 100 y / 60,
+    with each sin(t) written as cos(t - pi/2).
+    """
+    u = [
+        (0.1, (((1.0, 1), (10.0, 0)), ((1.0, 1, 1.0, -np.pi / 2),))),
+        (0.1, (((1.0, 0, 1.0),), ((1.0, 2), (5.0, 1)))),
+    ]
+    v = [
+        (1 / 60, (((30.0, 0), (5.0, 1, 5.0, -np.pi / 2)), ((4.0, 1), (1.0, 1, -5.0, 0.0, "exp")))),
+        (-100 / 60, (((1.0, 0),), ((1.0, 1),))),
+    ]
+    return ManufacturedSolution([u, v])
 
 
-def stokes_poly_solution() -> PolynomialSolution:
+def stokes_poly_solution() -> ManufacturedSolution:
     """Divergence-free polynomial velocity with a cubic pressure.
 
     u = x + x^2 - 2xy + x^3 - 3xy^2 + x^2 y,
@@ -276,7 +268,7 @@ def stokes_poly_solution() -> PolynomialSolution:
     u = {(1, 0): 1, (2, 0): 1, (1, 1): -2, (3, 0): 1, (1, 2): -3, (2, 1): 1}
     v = {(0, 1): -1, (1, 1): -2, (0, 2): 1, (2, 1): -3, (0, 3): 1, (1, 2): -1}
     p = {(1, 1): 1, (1, 0): 1, (0, 1): 1, (3, 2): 1, (0, 0): -4.0 / 3.0}
-    return PolynomialSolution((u, v, p))
+    return ManufacturedSolution([_polynomial(u), _polynomial(v), _polynomial(p)])
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +568,7 @@ def make_plate_problem(
         domain, constants,
         dirichlet_tags=("bottom",),
         neumann_tags=neumann,
-        exact=PlateSolution(), name="plate_2d",
+        exact=plate_solution(), name="plate_2d",
     )
 
 

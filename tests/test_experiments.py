@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfm import basis
+from rfm import basis, experiments
 from rfm.experiments import (
     CSV_COLUMNS,
     SUITE_NAMES,
@@ -320,6 +320,23 @@ def test_auto_rm_is_selected_once_per_forcing(tone_calls):
     other = replace(config, problem={**config.problem, "lam": 9.0})
     _resolve_rm(other, make_problem(other.problem))
     assert len(tone_calls) == 2
+
+
+@pytest.mark.parametrize("suite,axes", [("helmholtz-adaptive", 1), ("poisson-adaptive", 2)])
+def test_a_run_resolves_auto_rm_once(monkeypatch, suite, axes):
+    """One selection per axis: the record reads rm from the model, not a second resolve."""
+    calls = []
+    select = experiments.select_rm_from_forcing
+
+    def counted(*args):
+        calls.append(args)
+        return select(*args)
+
+    monkeypatch.setattr(experiments, "select_rm_from_forcing", counted)
+    config = _suite_config(suite, "sin random Rm=auto")
+    record = run_experiment(config)
+    assert len(calls) == axes
+    assert record.rm == experiments._resolve_rm(config, make_problem(config.problem))
 
 
 def test_auto_rm_of_a_2d_config_hits_the_memo_on_its_second_seed(tone_calls):

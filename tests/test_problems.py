@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from rfm.geometry import interval
 from rfm.problems import (
-    CosineProducts,
-    CosineSum,
     HomogenizationCoefficient,
+    ManufacturedSolution,
     PdeProblem,
-    PlateSolution,
-    PolynomialSolution,
     Stencil,
     Term,
     beam_solution,
@@ -25,6 +22,7 @@ from rfm.problems import (
     make_poisson_2d,
     make_stokes_manufactured,
     make_varcoef_elliptic,
+    plate_solution,
     stokes_poly_solution,
     two_band_2d,
     wave_product_1d,
@@ -107,7 +105,7 @@ def test_beam_solution_derivatives():
 
 def test_plate_solution_derivatives():
     pts = np.column_stack([RNG.uniform(0.5, 7.5, 100), RNG.uniform(0.5, 7.5, 100)])
-    _check_solution_derivs(PlateSolution(), 2, pts, h=1e-4)
+    _check_solution_derivs(plate_solution(), 2, pts, h=1e-4)
 
 
 def test_stokes_solution_derivatives():
@@ -119,35 +117,50 @@ _COEFF = st.floats(-2.0, 2.0)
 
 
 @st.composite
-def _polynomials(draw):
+def _separable(draw):
+    """A solution of the one separable form: bare monomials, c t^p cos(w t + phi)
+    and c t^p exp(w t + phi) terms, summed per axis factor."""
     dim = draw(st.sampled_from([1, 2]))
-    powers = st.tuples(*[st.integers(0, 3)] * dim)
-    monomials = st.dictionaries(powers, _COEFF, min_size=1, max_size=6)
-    comps = draw(st.lists(monomials, min_size=1, max_size=3))
-    return PolynomialSolution(comps), dim
-
-
-@st.composite
-def _cosine_products(draw):
-    dim = draw(st.sampled_from([1, 2]))
-
-    def factor():
-        n = draw(st.integers(1, 3))
-        angles = st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)
-        amps = tuple(draw(st.lists(_COEFF, min_size=n, max_size=n)))
-        return CosineSum(amps, tuple(draw(angles)), tuple(draw(angles)))  # freqs, phases
-
-    n_parts = draw(st.integers(1, 2))
-    parts = [(draw(_COEFF), tuple(factor() for _ in range(dim))) for _ in range(n_parts)]
-    return CosineProducts(parts, const=draw(_COEFF)), dim
+    power, angle = st.integers(0, 3), st.floats(0.0, 2 * np.pi)
+    term = st.one_of(
+        st.tuples(_COEFF, power),
+        st.tuples(_COEFF, power, angle, angle),
+        st.tuples(_COEFF, power, st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.just("exp")),
+    )
+    factor = st.lists(term, min_size=1, max_size=3).map(tuple)
+    parts = st.lists(st.tuples(_COEFF, st.tuples(*[factor] * dim)), min_size=1, max_size=3)
+    return ManufacturedSolution(draw(st.lists(parts, min_size=1, max_size=3))), dim
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(drawn=st.one_of(_polynomials(), _cosine_products()))
+@given(drawn=_separable())
 def test_generic_solutions_match_finite_differences(drawn):
     exact, dim = drawn
     pts = np.random.default_rng(7).uniform(0.05, 0.95, size=(40, dim))
     _check_solution_derivs(exact, exact.n_components, pts, h=1e-3)
+
+
+@pytest.mark.parametrize(
+    "exact,dim,lo,hi",
+    [
+        (wave_product_1d(), 1, 0.5, 7.5),
+        (two_band_2d(0.5, 0.5), 2, 0.1, 0.9),
+        (beam_solution(), 2, 1.0, 4.0),
+        (plate_solution(), 2, 0.5, 7.5),
+        (stokes_poly_solution(), 2, 0.1, 0.9),
+    ],
+)
+def test_third_derivatives_match_finite_differences_of_the_second(exact, dim, lo, hi):
+    """No order cap: D^3 along an axis is the difference quotient of D^2."""
+    pts = RNG.uniform(lo, hi, size=(50, dim))
+    for comp in range(exact.n_components):
+        for axis in range(dim):
+            along = lambda order: tuple(order if a == axis else 0 for a in range(dim))
+            second = lambda q: exact.deriv(comp, q, along(2))
+            want = _fd_deriv(second, pts, along(1), h=1e-4)
+            got = exact.deriv(comp, pts, along(3))
+            scale = max(np.abs(want).max(), np.abs(second(pts)).max(), 1e-6)
+            assert np.abs(got - want).max() <= 1e-6 * scale, (comp, axis)
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +188,14 @@ def test_replaced_solutions_match_their_closed_forms():
         1: -y - 2 * x * y + y * y - 3 * x * x * y + y**3 - x * y * y,
         2: x * y + x + y + x**3 * y * y - 4.0 / 3.0,
     }
+    plate = {
+        0: 0.1 * y * ((x + 10) * np.sin(y) + (y + 5) * np.cos(x)),
+        1: y * ((30 + 5 * x * np.sin(5 * x)) * (4 + np.exp(-5 * y)) - 100) / 60,
+    }
     wave = np.sin(3 * np.pi * x + 3 * np.pi / 20) * np.cos(2 * np.pi * x + np.pi / 10) + 2.0
     # abs=0: the beam's displacements are ~1e-5, below approx's default absolute tolerance
-    for exact, want in ((beam_solution(), beam), (stokes_poly_solution(), stokes)):
+    solutions = ((beam_solution(), beam), (stokes_poly_solution(), stokes), (plate_solution(), plate))
+    for exact, want in solutions:
         for comp, value in want.items():
             assert exact.deriv(comp, pts, (0, 0)) == pytest.approx(value, rel=1e-14, abs=0)
     assert wave_product_1d()(pts[:, :1])[:, 0] == pytest.approx(wave, rel=1e-14, abs=0)
