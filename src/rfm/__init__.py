@@ -1,10 +1,24 @@
-"""Random feature method solver for linear PDEs on simple 1D/2D geometries.
+"""Random feature method solver for linear PDEs on simple 1D/2D geometries."""
 
-Submodules are imported lazily so the command-line entry point can pin the
-BLAS thread count before any numerical library loads.
-"""
+# rfm.cli is left to its own import, so that ``python -m rfm.cli`` runs the
+# module once, as __main__; ``from rfm import cli`` still imports it.
+from . import assembly, basis, blas, evaluation, experiments, geometry, problems, solver
+from .assembly import assemble
+from .basis import FeatureSampler, RfmModel, build_model
+from .evaluation import evaluate_error, self_convergence
+from .experiments import (
+    SUITE_NAMES,
+    ExperimentConfig,
+    RunRecord,
+    load_suite,
+    rescale_ablation,
+    run_experiment,
+    run_table,
+)
+from .solver import solve_min_norm, solve_system
 
-_SUBMODULES = (
+__version__ = "0.1.0"
+__all__ = [
     "assembly",
     "basis",
     "blas",
@@ -14,36 +28,19 @@ _SUBMODULES = (
     "geometry",
     "problems",
     "solver",
-)
-
-_EXPORTS = {
-    "ExperimentConfig": "experiments",
-    "RunRecord": "experiments",
-    "run_experiment": "experiments",
-    "run_table": "experiments",
-    "rescale_ablation": "experiments",
-    "load_suite": "experiments",
-    "SUITE_NAMES": "experiments",
-    "build_model": "basis",
-    "FeatureSampler": "basis",
-    "RfmModel": "basis",
-    "assemble": "assembly",
-    "solve_system": "solver",
-    "solve_min_norm": "solver",
-    "evaluate_error": "evaluation",
-    "self_convergence": "evaluation",
-}
-
-__version__ = "0.1.0"
-__all__ = list(_SUBMODULES) + list(_EXPORTS)
-
-
-def __getattr__(name):
-    import importlib
-
-    if name in _SUBMODULES:
-        return importlib.import_module("." + name, __name__)
-    if name in _EXPORTS:
-        module = importlib.import_module("." + _EXPORTS[name], __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    "ExperimentConfig",
+    "RunRecord",
+    "run_experiment",
+    "run_table",
+    "rescale_ablation",
+    "load_suite",
+    "SUITE_NAMES",
+    "build_model",
+    "FeatureSampler",
+    "RfmModel",
+    "assemble",
+    "solve_system",
+    "solve_min_norm",
+    "evaluate_error",
+    "self_convergence",
+]

@@ -236,13 +236,10 @@ class Patch:
         self.radius = np.atleast_1d(np.asarray(self.radius, float))
         self.k = np.asarray(self.k, float)
         self.b = np.asarray(self.b, float)
-        if self.k.ndim == 2:  # single-component convenience
-            self.k = self.k[None]
-            self.b = self.b[None]
         d = self.center.size
         if self.radius.size != d or np.any(self.radius <= 0):
             raise ValueError("radius must be positive and match the dimension")
-        if self.k.shape[2] != d or self.k.shape[:2] != self.b.shape:
+        if self.k.ndim != 3 or self.k.shape[2] != d or self.k.shape[:2] != self.b.shape:
             raise ValueError("feature arrays have inconsistent shapes")
         if self.activation not in ACTIVATIONS:
             raise ValueError("unknown activation %r" % self.activation)
@@ -584,29 +581,26 @@ def build_model(
     its smooth features carry the coarse scales while the patches carry the
     fine ones.
     """
-    layout = grid_patch_layout(domain, patch_counts)
-    patches = []
-    for n, (center, radius, clamp_lo, clamp_hi) in enumerate(layout):
-        ks, bs = [], []
-        for comp in range(n_components):
-            k, b = sample_features(sampler, domain.dim, features_per_patch, (n, comp))
-            ks.append(k)
-            bs.append(b)
-        patches.append(
-            Patch(center, radius, np.stack(ks), np.stack(bs), activation, clamp_lo, clamp_hi)
+
+    def draw(count: int, stream: int) -> tuple[np.ndarray, np.ndarray]:
+        """(k, b) of one expansion: one draw per component from ``stream``."""
+        draws = [
+            sample_features(sampler, domain.dim, count, (stream, comp))
+            for comp in range(n_components)
+        ]
+        return np.stack([k for k, _ in draws]), np.stack([b for _, b in draws])
+
+    patches = [
+        Patch(center, radius, *draw(features_per_patch, n), activation, clamp_lo, clamp_hi)
+        for n, (center, radius, clamp_lo, clamp_hi) in enumerate(
+            grid_patch_layout(domain, patch_counts)
         )
+    ]
     global_patch = None
     if global_features > 0:
         lo, hi = domain.bounds
-        ks, bs = [], []
-        for comp in range(n_components):
-            k, b = sample_features(
-                sampler, domain.dim, global_features, (GLOBAL_STREAM, comp)
-            )
-            ks.append(k)
-            bs.append(b)
         global_patch = Patch(
-            0.5 * (lo + hi), 0.5 * (hi - lo), np.stack(ks), np.stack(bs), activation
+            0.5 * (lo + hi), 0.5 * (hi - lo), *draw(global_features, GLOBAL_STREAM), activation
         )
     return RfmModel(patches, pou, n_components, global_patch, sampler.rm)
 
@@ -616,20 +610,22 @@ def build_model(
 # ----------------------------------------------------------------------
 
 
-def dominant_frequencies(
-    xs: np.ndarray,
-    fs: np.ndarray,
-    rel_threshold: float = 1e-8,
-    max_terms: int = 24,
-) -> list[tuple[float, float]]:
+# Tones weaker than this fraction of the strongest are dropped.
+TONE_REL_THRESHOLD = 1e-8
+# At most this many tones are looked for.
+MAX_TONES = 24
+
+
+def dominant_frequencies(xs: np.ndarray, fs: np.ndarray) -> list[tuple[float, float]]:
     """Extract the dominant sinusoids from uniform samples of a forcing term.
 
     Uses shift-invariance of the signal subspace (a Hankel-matrix SVD plus a
     small eigenvalue problem) to recover tone frequencies, which sidesteps
     the spectral leakage and resolution limits a bare DFT threshold suffers
     on non-periodic windows; sums of tones are recovered essentially
-    exactly.  Tones with amplitude below ``rel_threshold`` of the strongest
-    one are discarded.  Returns sorted (angular frequency, amplitude) pairs.
+    exactly.  At most ``MAX_TONES`` tones are looked for, and those with
+    amplitude below ``TONE_REL_THRESHOLD`` of the strongest one are
+    discarded.  Returns sorted (angular frequency, amplitude) pairs.
     """
     xs = np.asarray(xs, float)
     fs = np.asarray(fs, float)
@@ -647,8 +643,8 @@ def dominant_frequencies(
     rows = min((n + 1) // 2, 500)
     hankel = np.lib.stride_tricks.sliding_window_view(fs, n - rows + 1)
     u, s, _ = np.linalg.svd(hankel, full_matrices=False)
-    rank = int(np.sum(s > max(1e-3 * rel_threshold, 1e-13) * s[0]))
-    rank = min(max(rank, 1), 2 * max_terms + 2)
+    rank = int(np.sum(s > max(1e-3 * TONE_REL_THRESHOLD, 1e-13) * s[0]))
+    rank = min(max(rank, 1), 2 * MAX_TONES + 2)
     shift, *_ = np.linalg.lstsq(u[:-1, :rank], u[1:, :rank], rcond=None)
     z = np.linalg.eigvals(shift)
     omegas = np.abs(np.angle(z)) / dt
@@ -673,16 +669,11 @@ def dominant_frequencies(
     return sorted(
         (float(w), float(a))
         for w, a in zip(keep, amps)
-        if a >= rel_threshold * strongest
+        if a >= TONE_REL_THRESHOLD * strongest
     )
 
 
-def select_rm_from_forcing(
-    xs: np.ndarray,
-    fs: np.ndarray,
-    radius: float,
-    rel_threshold: float = 1e-8,
-) -> float:
+def select_rm_from_forcing(xs: np.ndarray, fs: np.ndarray, radius: float) -> float:
     """Recommended lower bound for rm given samples of the forcing term.
 
     The highest significant angular frequency in the forcing, mapped into
@@ -691,10 +682,10 @@ def select_rm_from_forcing(
     constant) forcing falls back to rm = 1.
 
     The tones are memoized per process, keyed on the exact bytes of ``xs``
-    and ``fs`` and on ``rel_threshold``, so every seed of a config pays for
-    one Hankel SVD in all.  The selection always runs on one BLAS thread,
-    so its result does not depend on the thread count in force at the call,
-    nor on which caller filled the memo.
+    and ``fs``, so every seed of a config pays for one Hankel SVD in all.
+    The selection always runs on one BLAS thread, so its result does not
+    depend on the thread count in force at the call, nor on which caller
+    filled the memo.
     """
     xs = np.asarray(xs, float)
     fs = np.asarray(fs, float)
@@ -702,7 +693,7 @@ def select_rm_from_forcing(
         return 1.0
     if xs.ndim != 1 or xs.shape != fs.shape:  # the bytes keep no shape
         raise ValueError("need samples xs and fs of one 1D shape")
-    tones = _tones(xs.tobytes(), fs.tobytes(), rel_threshold)
+    tones = _tones(xs.tobytes(), fs.tobytes())
     if not tones:
         return 1.0
     omega = max(w for w, _ in tones)
@@ -710,11 +701,7 @@ def select_rm_from_forcing(
 
 
 @lru_cache(maxsize=32)
-def _tones(
-    xs: bytes, fs: bytes, rel_threshold: float
-) -> tuple[tuple[float, float], ...]:
+def _tones(xs: bytes, fs: bytes) -> tuple[tuple[float, float], ...]:
     """``dominant_frequencies`` of float64 samples given as bytes, on one BLAS thread."""
     with blas_threads():
-        return tuple(
-            dominant_frequencies(np.frombuffer(xs), np.frombuffer(fs), rel_threshold)
-        )
+        return tuple(dominant_frequencies(np.frombuffer(xs), np.frombuffer(fs)))

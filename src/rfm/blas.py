@@ -15,8 +15,8 @@ selection also enters its own one-thread scope, so the value
 Once the system's shape is known, a system with ``min(rows, cols) >=
 SMALL_SYSTEM`` solves and evaluates on the count that was in force when the
 run began; a smaller one stays on one thread.  No pool ever runs above its
-count at entry, so ``OPENBLAS_NUM_THREADS`` (or ``RFM_THREADS``, see
-``rfm.cli``) stays the cap.
+count at entry, so ``OPENBLAS_NUM_THREADS``, which both libraries read when
+they load, stays the cap.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
 """Command-line interface: run one config, run a suite table, ablate row
 rescaling, or print a suite config.
 
-The RFM_THREADS environment variable caps the BLAS thread count: each of
-OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
-NUMEXPR_NUM_THREADS is lowered to it, or set to it where unset.  This
-happens before numpy loads, which is why all numerical imports happen
-inside main().  Within that cap a run picks its thread count from the size
-of its system (``rfm.blas``); ``rfm run`` prints it as ``threads=N``, after
-the rm the run used as ``rm=``.
+A run picks its BLAS thread count from the size of its system
+(``rfm.blas``), never above the count the OpenBLAS pools load with, which
+``OPENBLAS_NUM_THREADS`` sets.  ``rfm run`` prints it as ``threads=N``,
+after the rm the run used as ``rm=``.
 """
 
 from __future__ import annotations
@@ -15,31 +12,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
-
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _thread_env(environ) -> dict[str, str]:
-    """The thread variables under RFM_THREADS: each is min(inherited, RFM_THREADS).
-
-    An inherited value that is not a positive integer is replaced.  Without
-    RFM_THREADS nothing changes.
-    """
-    threads = environ.get("RFM_THREADS")
-    if not threads:
-        return {}
-    if not threads.isdigit() or int(threads) < 1:
-        raise SystemExit(f"RFM_THREADS must be a positive integer, got {threads!r}")
-
-    def lowered(value: str) -> str:
-        return value if value.isdigit() and 0 < int(value) <= int(threads) else threads
-
-    return {var: lowered(environ.get(var, "")) for var in THREAD_VARS}
-
-
-def _apply_thread_env() -> None:
-    os.environ.update(_thread_env(os.environ))
+from .experiments import (
+    ExperimentConfig,
+    load_suite,
+    rescale_ablation,
+    run_experiment,
+    run_table,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_record(record, stream=sys.stdout) -> None:
+def _print_record(record) -> None:
     head = (
         f"{record.suite}/{record.name}: seed={record.seed} M={record.m_features} "
         f"N={record.n_rows} columns={record.n_columns} rank={record.rank} "
@@ -78,26 +59,14 @@ def _print_record(record, stream=sys.stdout) -> None:
     )
     if record.blas_threads is not None:
         head += f" threads={record.blas_threads}"
-    print(head, file=stream)
+    print(head)
     if record.errors:
         parts = [f"{k}={v:.3e}" for k, v in sorted(record.errors.items())]
-        print("  errors: " + " ".join(parts), file=stream)
+        print("  errors: " + " ".join(parts))
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     args = _build_parser().parse_args(argv)
-
-    from dataclasses import replace
-
-    from .experiments import (
-        ExperimentConfig,
-        load_suite,
-        rescale_ablation,
-        run_experiment,
-        run_table,
-    )
-
     try:
         if args.command == "run":
             config = ExperimentConfig.load(args.config)

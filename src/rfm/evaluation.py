@@ -80,12 +80,12 @@ def evaluate_error(
     coefficients: np.ndarray,
     problem: PdeProblem,
     counts: int | tuple[int, ...] = 101,
-    points: np.ndarray | None = None,
 ) -> ErrorReport:
-    """Compare a solved model against the problem's exact solution."""
+    """Compare a solved model against the problem's exact solution on
+    ``evaluation_grid(problem.domain, counts)``."""
     if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
-    pts = evaluation_grid(problem.domain, counts) if points is None else points
+    pts = evaluation_grid(problem.domain, counts)
     if len(pts) == 0:
         raise ValueError("no evaluation points: an error over zero points is undefined")
     value = (0,) * model.dim
@@ -164,27 +164,33 @@ def fourier_error_profile(err_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.arange(kmax + 1), energy
 
 
-def low_frequency_energy(err_grid: np.ndarray, kmax: int = 3) -> float:
-    """Total spectral energy of an error field in bins |k| <= kmax."""
+# Radial frequency bins that count as low in low_frequency_energy.
+LOW_FREQUENCY_KMAX = 3
+
+
+def low_frequency_energy(err_grid: np.ndarray) -> float:
+    """Total spectral energy of an error field in bins |k| <= LOW_FREQUENCY_KMAX."""
     _, energy = fourier_error_profile(err_grid)
-    return float(energy[: kmax + 1].sum())
+    return float(energy[: LOW_FREQUENCY_KMAX + 1].sum())
+
+
+# Points per axis of error_field_on_grid.
+ERROR_FIELD_N = 128
 
 
 def error_field_on_grid(
-    model: RfmModel,
-    coefficients: np.ndarray,
-    problem: PdeProblem,
-    n: int = 128,
-    component: int = 0,
+    model: RfmModel, coefficients: np.ndarray, problem: PdeProblem
 ) -> np.ndarray:
-    """Pointwise error on an n^d cell-centered grid (for spectral analysis).
+    """Pointwise error of the first component on an ERROR_FIELD_N^d
+    cell-centered grid (for spectral analysis).
 
     Cell centers avoid double-counting the periodic endpoint, which keeps
     the FFT binning honest; the domain must be a box for this to make sense.
     """
+    n = ERROR_FIELD_N
     lo, hi = problem.domain.bounds
     axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(n) + 0.5) / n for a in range(problem.domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    e = model.eval(coefficients, pts)[:, component] - problem.exact(pts)[:, component]
+    e = model.eval(coefficients, pts)[:, 0] - problem.exact(pts)[:, 0]
     return e.reshape((n,) * problem.domain.dim)

@@ -129,12 +129,7 @@ class ExperimentConfig:
             raise ValueError("'rank_tol' must lie in [0, 1), got %r" % self.rank_tol)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["patch_counts"] = list(self.patch_counts)
-        out["interior"] = list(self.interior)
-        if self.eval_counts is not None:
-            out["eval_counts"] = list(self.eval_counts)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -148,10 +143,6 @@ class ExperimentConfig:
         ]
         if missing:
             raise ValueError("missing config key(s): %s" % ", ".join(map(repr, missing)))
-        data = dict(data)
-        for key in ("patch_counts", "interior", "eval_counts"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
         return cls(**data)
 
     def to_json(self) -> str:
@@ -221,6 +212,22 @@ def make_problem(params: dict) -> PdeProblem:
     return problem
 
 
+def _axis_counts(config: ExperimentConfig, key: str, dim: int) -> tuple[int, ...]:
+    """The per-axis counts ``config.<key>`` for a ``dim``-dimensional problem.
+
+    One entry applies to every axis; ``dim`` entries are used as given.
+    Any other length raises ValueError naming the key.
+    """
+    counts = getattr(config, key)
+    if len(counts) == 1:
+        return counts * dim
+    if len(counts) != dim:
+        raise ValueError(
+            "%r needs 1 or %d counts for a %dD problem, got %r" % (key, dim, dim, list(counts))
+        )
+    return counts
+
+
 def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     """Numeric rm, or the frequency-guided choice when rm == 'auto'.
 
@@ -230,9 +237,7 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     if config.rm != "auto":
         return float(config.rm)
     lo, hi = problem.domain.bounds
-    counts = config.patch_counts
-    if len(counts) == 1:
-        counts = counts * problem.domain.dim
+    counts = _axis_counts(config, "patch_counts", problem.domain.dim)
     best = 1.0
     for axis in range(problem.domain.dim):
         ts = np.linspace(lo[axis], hi[axis], 2049)
@@ -245,13 +250,16 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
 
 
 def build_run(config: ExperimentConfig):
-    """Problem, model, and collocation set for a config (no solve)."""
+    """Problem, model, and collocation set for a config (no solve); the
+    per-axis counts are resolved by ``_axis_counts``."""
     problem = make_problem(config.problem)
+    dim = problem.domain.dim
+    interior = _axis_counts(config, "interior", dim)
     rm = _resolve_rm(config, problem)
     sampler = FeatureSampler(rm=rm, mode=config.feature_mode, seed=config.seed)
     model = build_model(
         problem.domain,
-        config.patch_counts if len(config.patch_counts) > 1 else config.patch_counts[0],
+        _axis_counts(config, "patch_counts", dim),
         config.features_per_patch,
         sampler,
         pou=config.pou,
@@ -259,7 +267,6 @@ def build_run(config: ExperimentConfig):
         n_components=problem.n_components,
         global_features=config.global_features,
     )
-    interior = config.interior if len(config.interior) > 1 else config.interior[0]
     colloc = build_collocation(
         problem.domain,
         interior,
@@ -307,12 +314,12 @@ def _error_dict(report: ErrorReport, n_components: int) -> dict[str, float]:
     return out
 
 
-def _default_eval_counts(config: ExperimentConfig, dim: int) -> tuple[int, ...]:
-    """Evaluation grid with the collocation spacing halved on every axis."""
+def _eval_counts(config: ExperimentConfig, dim: int) -> tuple[int, ...]:
+    """Per-axis counts of the evaluation grid: ``eval_counts``, or by default
+    the collocation spacing halved on every axis."""
     if config.eval_counts is not None:
-        return config.eval_counts
-    interior = config.interior if len(config.interior) > 1 else config.interior * dim
-    return tuple(2 * n + 1 for n in interior)
+        return _axis_counts(config, "eval_counts", dim)
+    return tuple(2 * n + 1 for n in _axis_counts(config, "interior", dim))
 
 
 def run_experiment(
@@ -325,13 +332,16 @@ def run_experiment(
     With ``out_dir`` it appends the record to ``runs.csv`` there and writes
     the solution fields as snapshots; with ``dump_system`` it writes the
     rescaled system to that path (``WeightedSystem.dump``) before the solve,
-    which releases it.  Both BLAS pools run on one thread until the system
-    is assembled, then on the count that ``rfm.blas.threads_for`` gives its
-    shape; the record keeps that count.
+    which releases it.  The evaluation grid's counts are resolved before
+    assembly, so a malformed ``eval_counts`` fails before any solve.  Both
+    BLAS pools run on one thread until the system is assembled, then on the
+    count that ``rfm.blas.threads_for`` gives its shape; the record keeps
+    that count.
     """
     t0 = time.perf_counter()
     with blas_threads() as fit:
         problem, model, colloc = build_run(config)
+        eval_counts = _eval_counts(config, model.dim)
         system = assemble(problem, model, colloc)
         n_rows, n_columns = system.shape
         threads = fit(system.shape)
@@ -344,9 +354,7 @@ def run_experiment(
         del system
         errors: dict[str, float] = {}
         if problem.exact is not None:
-            err = evaluate_error(
-                model, coefficients, problem, counts=_default_eval_counts(config, model.dim)
-            )
+            err = evaluate_error(model, coefficients, problem, counts=eval_counts)
             errors = _error_dict(err, problem.n_components)
         wall = time.perf_counter() - t0
         record = RunRecord(
@@ -376,7 +384,7 @@ def run_experiment(
 
 def write_snapshot(out_dir, config, problem, model, coefficients) -> list[Path]:
     """Solution fields on the evaluation grid as plain-text point files."""
-    pts = evaluation_grid(problem.domain, _default_eval_counts(config, model.dim))
+    pts = evaluation_grid(problem.domain, _eval_counts(config, model.dim))
     values = model.eval(coefficients, pts)
     labels = _COMPONENT_LABELS[problem.n_components]
     safe = config.name.replace(" ", "_").replace("/", "-").replace("=", "")

@@ -101,8 +101,9 @@ class Domain:
         tags += ["hole%d" % i for i in range(len(self.holes))]
         return tuple(tags)
 
-    def contains(self, points: np.ndarray, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        """True for points in the closed domain, within ``tol`` of it."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """True for points in the closed domain, within ``BOUNDARY_TOL`` of it."""
+        tol = BOUNDARY_TOL
         pts = np.atleast_2d(np.asarray(points, float))
         lo, hi = self.bounds
         inside = np.all(pts >= lo - tol, axis=1) & np.all(pts <= hi + tol, axis=1)
@@ -113,8 +114,10 @@ class Domain:
             inside &= h.signed_distance(pts) >= -tol
         return inside
 
-    def strictly_inside(self, points: np.ndarray, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        """True for points in the open interior, at least ``tol`` from the boundary."""
+    def strictly_inside(self, points: np.ndarray) -> np.ndarray:
+        """True for points in the open interior, more than ``BOUNDARY_TOL``
+        from the boundary."""
+        tol = BOUNDARY_TOL
         pts = np.atleast_2d(np.asarray(points, float))
         lo, hi = self.bounds
         inside = np.all(pts > lo + tol, axis=1) & np.all(pts < hi - tol, axis=1)
@@ -144,11 +147,8 @@ class Domain:
             lo[a] + (hi[a] - lo[a]) * (np.arange(c) + 0.5) / c
             for a, c in enumerate(counts)
         ]
-        if self.dim == 1:
-            pts = axes[0][:, None]
-        else:
-            xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel()])
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([m.ravel() for m in mesh])
         return pts[self.strictly_inside(pts)]
 
     def sample_boundary(
@@ -261,15 +261,15 @@ def sample_interface(
     domain: Domain,
     boxes: list[tuple[np.ndarray, np.ndarray]],
     per_edge: int,
-    tol: float = BOUNDARY_TOL,
 ) -> InterfaceSet:
     """Sample shared facets between adjacent patch boxes.
 
     1D partitions get the single junction point of each adjacent pair; 2D
     partitions get ``per_edge`` points cell-centered along each shared edge.
-    Points falling outside the domain interior (inside a hole, outside a
-    disk) are dropped.
+    Boxes meet where their bounds agree to ``BOUNDARY_TOL``.  Points falling
+    outside the domain interior (inside a hole, outside a disk) are dropped.
     """
+    tol = BOUNDARY_TOL
     dim = domain.dim
     pts, nrm, prs = [], [], []
     facets = []
@@ -301,7 +301,7 @@ def sample_interface(
             p = np.empty((per_edge, 2))
             p[:, axis] = coord
             p[:, 1 - axis] = t
-        p = p[domain.strictly_inside(p, tol)]
+        p = p[domain.strictly_inside(p)]
         if not len(p):
             continue
         e = np.zeros(dim)

@@ -448,12 +448,11 @@ def _dirichlet_stencil(tags, n_components, dim, comps=None) -> Stencil:
 def make_helmholtz_1d(
     lam: float = 4.0,
     exact: ManufacturedSolution | None = None,
-    domain: Domain | None = None,
 ) -> PdeProblem:
-    """u'' - lam*u = f on an interval, Dirichlet at both endpoints."""
+    """u'' - lam*u = f on [0, 8], Dirichlet at both endpoints."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    domain = domain or interval(0.0, 8.0)
+    domain = interval(0.0, 8.0)
     exact = exact or wave_product_1d()
     op = Stencil(
         (Term(0, 0, (2,), 1.0), Term(0, 0, (0,), -lam)), 1, 1, 1
@@ -462,12 +461,9 @@ def make_helmholtz_1d(
     return PdeProblem("helmholtz_1d", domain, op, (bc,), 1, exact=exact)
 
 
-def make_poisson_2d(
-    exact: ManufacturedSolution | None = None,
-    domain: Domain | None = None,
-) -> PdeProblem:
-    """u_xx + u_yy = f on a box, Dirichlet on all four edges."""
-    domain = domain or box((0.0, 0.0), (1.0, 1.0))
+def make_poisson_2d(exact: ManufacturedSolution | None = None) -> PdeProblem:
+    """u_xx + u_yy = f on the unit square, Dirichlet on all four edges."""
+    domain = box((0.0, 0.0), (1.0, 1.0))
     exact = exact or two_band_2d()
     op = Stencil(
         (Term(0, 0, (2, 0), 1.0), Term(0, 0, (0, 2), 1.0)), 1, 1, 2
@@ -530,9 +526,12 @@ def make_elasticity_2d(
     )
 
 
-def make_beam_problem(constants: ElasticityConstants | None = None) -> PdeProblem:
-    """Cantilever beam: exact end-shear solution, displacement fixed at x=0."""
-    constants = constants or ElasticityConstants()
+def make_beam_problem() -> PdeProblem:
+    """Cantilever beam: exact end-shear solution, displacement fixed at x=0.
+
+    The material is the default ``ElasticityConstants``.
+    """
+    constants = ElasticityConstants()
     length, depth = 10.0, 10.0
     sol = beam_solution(length, depth, e=constants.e, nu=constants.nu)
     domain = box((0.0, 0.0), (length, depth))
@@ -552,16 +551,14 @@ DEFAULT_PLATE_HOLES = (
 )
 
 
-def make_plate_problem(
-    holes: tuple[Hole, ...] = DEFAULT_PLATE_HOLES,
-    constants: ElasticityConstants | None = None,
-) -> PdeProblem:
+def make_plate_problem(holes: tuple[Hole, ...] = DEFAULT_PLATE_HOLES) -> PdeProblem:
     """Holed square plate with a smooth manufactured displacement field.
 
     Displacement is prescribed on the bottom edge, tractions everywhere
-    else including the hole rims.
+    else including the hole rims.  The material is the default
+    ``ElasticityConstants``.
     """
-    constants = constants or ElasticityConstants()
+    constants = ElasticityConstants()
     domain = box((0.0, 0.0), (8.0, 8.0), holes=holes)
     neumann = tuple(t for t in domain.boundary_tags() if t != "bottom")
     return make_elasticity_2d(
@@ -572,18 +569,22 @@ def make_plate_problem(
     )
 
 
+# Where every Stokes problem pins its pressure: the lower-left corner of the
+# unit square that both Stokes factories use.
+PIN_POINT = (0.0, 0.0)
+
+
 def make_stokes_2d(
     domain: Domain,
     exact: ManufacturedSolution | None = None,
     boundary_velocity: Callable | None = None,
-    pin_point: tuple[float, float] = (0.0, 0.0),
     pin_value: float | None = None,
     name: str = "stokes_2d",
 ) -> PdeProblem:
     """Steady Stokes flow: -Lap u + grad p = f, div u = 0, velocity Dirichlet.
 
     The pressure is only determined up to a constant by the PDE, so one
-    extra condition pins it at ``pin_point`` (to the exact value for a
+    extra condition pins it at ``PIN_POINT`` (to the exact value for a
     manufactured run, or to the given value).
     """
     op = Stencil(
@@ -603,7 +604,7 @@ def make_stokes_2d(
     if pin_value is None:
         if exact is None:
             raise ValueError("flow runs must give an explicit pin value")
-        pin_value = float(exact.deriv(2, np.array([pin_point]), (0, 0))[0])
+        pin_value = float(exact.deriv(2, np.array([PIN_POINT]), (0, 0))[0])
     forcing = None
     boundary_data = None
     if boundary_velocity is not None:
@@ -614,25 +615,27 @@ def make_stokes_2d(
     return PdeProblem(
         name, domain, op, (bc,), 3,
         exact=exact, forcing=forcing, boundary_data=boundary_data,
-        extra_point_conditions=((tuple(pin_point), 2, pin_value),),
+        extra_point_conditions=((PIN_POINT, 2, pin_value),),
     )
 
 
-DEFAULT_STOKES_HOLES = (
+STOKES_HOLES = (
     Hole((0.5, 0.2), 0.1),
     Hole((0.2, 0.8), 0.1),
     Hole((0.8, 0.8), 0.1),
 )
 
 
-def make_stokes_manufactured(holes: tuple[Hole, ...] = DEFAULT_STOKES_HOLES) -> PdeProblem:
-    domain = box((0.0, 0.0), (1.0, 1.0), holes=holes)
+def make_stokes_manufactured() -> PdeProblem:
+    """Polynomial manufactured Stokes flow on the unit square with three holes."""
+    domain = box((0.0, 0.0), (1.0, 1.0), holes=STOKES_HOLES)
     return make_stokes_2d(domain, exact=stokes_poly_solution(), name="stokes_poly_2d")
 
 
-def make_channel_flow(holes: tuple[Hole, ...] = DEFAULT_STOKES_HOLES) -> PdeProblem:
-    """Pressure-free channel: parabolic inflow/outflow at x=0 and x=1."""
-    domain = box((0.0, 0.0), (1.0, 1.0), holes=holes)
+def make_channel_flow() -> PdeProblem:
+    """Pressure-free channel past the three holes of ``make_stokes_manufactured``:
+    parabolic inflow/outflow at x=0 and x=1."""
+    domain = box((0.0, 0.0), (1.0, 1.0), holes=STOKES_HOLES)
 
     def profile(points, normals, tags):
         out = np.zeros((len(points), 2))
@@ -649,10 +652,9 @@ def make_channel_flow(holes: tuple[Hole, ...] = DEFAULT_STOKES_HOLES) -> PdeProb
 def make_varcoef_elliptic(
     coef: HomogenizationCoefficient,
     forcing_value: float = 1.0,
-    domain: Domain | None = None,
 ) -> PdeProblem:
     """-div(a grad u) = f on the unit disk, homogeneous Dirichlet."""
-    domain = domain or disk((0.0, 0.0), 1.0)
+    domain = disk((0.0, 0.0), 1.0)
 
     # the four terms are evaluated in turn on the same points array: compute
     # a and its gradient once per array and let every term read them

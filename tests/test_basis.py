@@ -154,6 +154,15 @@ def test_feature_block_equals_the_per_order_activation_products(activation, orde
         assert np.array_equal(got[a], want[a]), a
 
 
+@pytest.mark.parametrize(
+    "k_shape,b_shape", [((40, 2), (40,)), ((40,), (1, 40))], ids=["2d-k", "1d-k"]
+)
+def test_patch_refuses_feature_arrays_that_are_not_per_component(k_shape, b_shape):
+    """k must be (K, J, d) and b (K, J): a 2-D k is not taken as one component."""
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        Patch(center=np.zeros(2), radius=np.ones(2), k=np.zeros(k_shape), b=np.zeros(b_shape))
+
+
 def test_feature_derivatives_match_finite_differences_2d():
     h = 1e-5
     for activation in ("tanh", "sin", "cos"):

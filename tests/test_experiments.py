@@ -425,6 +425,11 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(rm="1e400"), "rm", "positive finite number"),
         (lambda cfg: cfg.update(rm="fast"), "rm", "positive finite number"),
         (lambda cfg: cfg.update(rm=10**400), "rm", "positive finite number"),
+        (lambda cfg: cfg.update(eval_counts=[21, 21, 99]), "eval_counts", "needs 1 or 2 counts"),
+        (lambda cfg: cfg.update(eval_counts=[]), "eval_counts", "needs 1 or 2 counts"),
+        (lambda cfg: cfg.update(interior=[10, 10, 10]), "interior", "needs 1 or 2 counts"),
+        (lambda cfg: cfg.update(interior=[]), "interior", "needs 1 or 2 counts"),
+        (lambda cfg: cfg.update(patch_counts=[2, 2, 2]), "patch_counts", "needs 1 or 2 counts"),
     ],
     ids=[
         "problem-key",
@@ -451,6 +456,11 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "overflowing-rm-string",
         "word-rm",
         "overflowing-rm-integer",
+        "three-eval-counts",
+        "empty-eval-counts",
+        "three-interior-counts",
+        "empty-interior-counts",
+        "three-patch-counts",
     ],
 )
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
@@ -463,6 +473,17 @@ def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert word in err and repr(key) in err
+
+
+def test_cli_run_applies_one_eval_count_to_every_axis(tmp_path, capsys):
+    from rfm.cli import main
+
+    config = replace(load_suite("stokes-exact")[0], eval_counts=(31,))
+    path = tmp_path / "cfg.json"
+    config.save(path)
+    assert main(["run", "--config", str(path)]) == 0
+    both = replace(config, eval_counts=(31, 31))
+    assert run_experiment(config).errors == run_experiment(both).errors
 
 
 @pytest.mark.parametrize("suite,name", [("stokes-exact", None), ("timoshenko", "M=800 Q=1600")])
@@ -498,51 +519,9 @@ def test_cli_table_unknown_suite_fails():
     assert "bogus" in out.stderr
 
 
-def test_cli_rejects_bad_thread_env(tmp_path):
-    cfg = _fast_config()
-    path = tmp_path / "cfg.json"
-    cfg.save(path)
-    env = dict(os.environ, RFM_THREADS="zero")
-    out = _run_cli("run", "--config", str(path), env=env)
-    assert out.returncode != 0
-
-
-@pytest.mark.parametrize(
-    "environ,want",
-    [
-        ({}, {}),
-        ({"OPENBLAS_NUM_THREADS": "2"}, {}),
-        (
-            {"RFM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"},
-            {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-             "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"},
-        ),
-        (
-            {"RFM_THREADS": "4", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "0",
-             "MKL_NUM_THREADS": "2,1"},
-            {"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "2",
-             "MKL_NUM_THREADS": "4", "NUMEXPR_NUM_THREADS": "4"},
-        ),
-    ],
-    ids=["unset", "no-cap", "lowers-inherited", "keeps-lower-replaces-invalid"],
-)
-def test_rfm_threads_caps_every_thread_variable(environ, want):
-    from rfm.cli import _thread_env
-
-    assert _thread_env(environ) == want
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_rfm_threads_must_be_a_positive_integer(value):
-    from rfm.cli import _thread_env
-
-    with pytest.raises(SystemExit, match="positive integer"):
-        _thread_env({"RFM_THREADS": value})
-
-
 def test_cli_run_prints_the_thread_count(tmp_path):
     path = tmp_path / "cfg.json"
     _fast_config().save(path)
-    out = _run_cli("run", "--config", str(path), env=dict(os.environ, RFM_THREADS="1"))
+    out = _run_cli("run", "--config", str(path), env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert out.returncode == 0, out.stderr
     assert " rm=1 threads=1\n" in out.stdout
