@@ -30,7 +30,7 @@ import numpy as np
 from . import basis
 # feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
 from .basis import RfmModel, feature_block  # noqa: F401
-from .geometry import CollocationSet
+from .geometry import CollocationSet, Domain
 from .problems import PdeProblem, Stencil, Term
 
 def _tall(n_rows, width):
@@ -359,12 +359,28 @@ def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
     factors = sum(w * (w + 1) for _, w in tall)
     copy = max((r * (w + 1) for r, w in tall), default=0)
     need = 8 * (factors + max(blocks + copy, short_blocks + solved * n_cols))
+    _refuse_unless_fits(need, "a %dx%d system" % shape, "its row groups and solve buffers")
+
+
+def check_sampling_memory(
+    domain: Domain, interior_counts: tuple[int, ...], boundary_counts: dict[str, int]
+) -> None:
+    """Refuse per-axis interior counts and boundary counts whose point arrays
+    would not fit in memory, before any point is sampled
+    (``Domain.sampling_bytes``)."""
+    need = domain.sampling_bytes(interior_counts, boundary_counts)
+    grid = "x".join(map(str, interior_counts))
+    subject = "sampling a %s-point interior grid and its boundary" % grid
+    _refuse_unless_fits(need, subject, "the point arrays")
+
+
+def _refuse_unless_fits(need: int, subject: str, purpose: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the memory available."""
     available = available_memory_bytes()
     if available is not None and need > available:
         raise ValueError(
-            "a %dx%d system needs %.1f MB for its row groups and solve buffers, "
-            "but only %.1f MB of memory is available"
-            % (n_rows, n_cols, need / 1e6, available / 1e6)
+            "%s needs %.1f MB for %s, but only %.1f MB of memory is available"
+            % (subject, need / 1e6, purpose, available / 1e6)
         )
 
 

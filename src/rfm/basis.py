@@ -32,7 +32,7 @@ from math import comb, prod
 import numpy as np
 
 from .blas import blas_threads
-from .geometry import Domain
+from .geometry import Domain, axis_counts
 
 # Feature stream index reserved for the patchless global expansion.
 GLOBAL_STREAM = 2**32 - 1
@@ -546,12 +546,9 @@ def grid_patch_layout(
     """Regular patch grid over the bounding box.
 
     Returns (center, radius, clamp_lo, clamp_hi) per patch, ordered
-    lexicographically by axis.
+    lexicographically by axis.  ``counts`` follows ``axis_counts``.
     """
-    if np.isscalar(counts):
-        counts = (int(counts),) * domain.dim
-    if len(counts) != domain.dim or any(c < 1 for c in counts):
-        raise ValueError("need one positive patch count per axis")
+    counts = axis_counts(counts, domain.dim, "patch_counts")
     lo, hi = domain.bounds
     radius = (hi - lo) / (2.0 * np.asarray(counts, float))
     layout = []
@@ -619,12 +616,16 @@ MAX_TONES = 24
 def dominant_frequencies(xs: np.ndarray, fs: np.ndarray) -> list[tuple[float, float]]:
     """Extract the dominant sinusoids from uniform samples of a forcing term.
 
-    Uses shift-invariance of the signal subspace (a Hankel-matrix SVD plus a
-    small eigenvalue problem) to recover tone frequencies, which sidesteps
-    the spectral leakage and resolution limits a bare DFT threshold suffers
-    on non-periodic windows; sums of tones are recovered essentially
-    exactly.  At most ``MAX_TONES`` tones are looked for, and those with
-    amplitude below ``TONE_REL_THRESHOLD`` of the strongest one are
+    Uses shift-invariance of the signal subspace (ESPRIT: the left singular
+    vectors of a Hankel matrix of the samples, plus a small eigenvalue
+    problem) to recover tone frequencies, which sidesteps the spectral
+    leakage and resolution limits a bare DFT threshold suffers on
+    non-periodic windows; sums of tones are recovered essentially exactly.
+    The Hankel matrix H has at most 500 rows and many more columns, so the
+    singular values and left vectors are taken from R^T, where H^T = QR:
+    H = R^T Q^T shares them, and the square SVD never forms H's right
+    singular vectors.  At most ``MAX_TONES`` tones are looked for, and those
+    with amplitude below ``TONE_REL_THRESHOLD`` of the strongest one are
     discarded.  Returns sorted (angular frequency, amplitude) pairs.
     """
     xs = np.asarray(xs, float)
@@ -642,7 +643,7 @@ def dominant_frequencies(xs: np.ndarray, fs: np.ndarray) -> list[tuple[float, fl
 
     rows = min((n + 1) // 2, 500)
     hankel = np.lib.stride_tricks.sliding_window_view(fs, n - rows + 1)
-    u, s, _ = np.linalg.svd(hankel, full_matrices=False)
+    u, s, _ = np.linalg.svd(np.linalg.qr(hankel.T, mode="r").T)
     rank = int(np.sum(s > max(1e-3 * TONE_REL_THRESHOLD, 1e-13) * s[0]))
     rank = min(max(rank, 1), 2 * MAX_TONES + 2)
     shift, *_ = np.linalg.lstsq(u[:-1, :rank], u[1:, :rank], rcond=None)
@@ -682,7 +683,9 @@ def select_rm_from_forcing(xs: np.ndarray, fs: np.ndarray, radius: float) -> flo
     constant) forcing falls back to rm = 1.
 
     The tones are memoized per process, keyed on the exact bytes of ``xs``
-    and ``fs``, so every seed of a config pays for one Hankel SVD in all.
+    and ``fs``, so every seed of a config pays for one ``dominant_frequencies``
+    call in all: a QR of the 1550x500 Hankel transpose and an SVD of its
+    500x500 factor, on the 2049 samples that ``rm="auto"`` takes.
     The selection always runs on one BLAS thread, so its result does not
     depend on the thread count in force at the call, nor on which caller
     filled the memo.

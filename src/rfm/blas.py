@@ -9,7 +9,8 @@ control and every call below does nothing.
 
 The rule: a run builds and assembles on one thread, since those calls are
 small (the feature matmuls have an inner dimension of the space dimension,
-and the largest call, the ``rm="auto"`` Hankel SVD, is 500x1550).  That
+and the largest call, the ``rm="auto"`` tone selection's QR of the 1550x500
+Hankel transpose, is followed by an SVD of only 500x500).  That
 selection also enters its own one-thread scope, so the value
 ``rfm.basis.select_rm_from_forcing`` memoizes is the same whoever calls it.
 Once the system's shape is known, a system with ``min(rows, cols) >=

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RfmModel
-from .geometry import Domain
+from .geometry import Domain, axis_counts
 from .problems import PdeProblem, exact_stress
 
 
@@ -17,9 +17,10 @@ def evaluation_grid(
     """Uniform grid over the bounding box filtered to the domain closure.
 
     Unlike collocation sampling this includes boundary-adjacent points, so
-    the reported error covers the whole closed domain.
+    the reported error covers the whole closed domain.  ``counts`` follows
+    ``axis_counts``.
     """
-    counts = (counts,) * domain.dim if np.isscalar(counts) else tuple(counts)
+    counts = axis_counts(counts, domain.dim, "eval_counts")
     lo, hi = domain.bounds
     axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(domain.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -14,16 +14,17 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import assemble, check_sampling_memory
 from .basis import FeatureSampler, RfmModel, build_model, select_rm_from_forcing
 from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid
-from .geometry import Hole, build_collocation
+from .geometry import Hole, axis_counts, build_collocation
 from .solver import solve_system
 from .problems import (
     HomogenizationCoefficient,
@@ -111,7 +112,7 @@ class ExperimentConfig:
             else:
                 object.__setattr__(self, key, tuple(int(c) for c in values))
         for key, least in (
-            ("features_per_patch", 1), ("global_features", 0), ("interface_per_edge", 0)
+            ("features_per_patch", 1), ("global_features", 0), ("interface_per_edge", 0), ("seed", 0)
         ):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
@@ -170,16 +171,37 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 
+# Numeric problem keys, each mapped to whether it must be an integer >= 0
+# (a Philox key, a lattice bound) rather than any finite number.
+_NUMERIC_PROBLEM_KEYS = {
+    "lam": False, "a_low": False, "b_high": False, "amp": False, "forcing": False,
+    "coef_seed": True, "bound": True,
+}
+_SOLUTIONS = {"wave-product": wave_product_1d, "four-tones": four_tones_1d}
+
+
 def make_problem(params: dict) -> PdeProblem:
     """Instantiate a benchmark problem from its config dict.
 
-    A key that the problem does not take raises ValueError naming it.
+    ``params`` must be a mapping with a string ``id``.  A key that the
+    problem does not take, or a value of the wrong kind (a bool is no
+    number), raises ValueError naming it.
     """
+    if not isinstance(params, Mapping) or not isinstance(params.get("id"), str):
+        raise ValueError("'problem' must be a mapping with a string 'id', got %r" % (params,))
     params = dict(params)
+    for key in [k for k in _NUMERIC_PROBLEM_KEYS if k in params]:
+        value, integral = params[key], _NUMERIC_PROBLEM_KEYS[key]
+        if integral and not (_is_integral(value) and value >= 0):
+            raise ValueError("problem key %r must be an integer >= 0, got %r" % (key, value))
+        if not (_is_real(value) and np.isfinite(value)):
+            raise ValueError("problem key %r must be a finite number, got %r" % (key, value))
     pid = params.pop("id")
     if pid == "helmholtz":
         sol = params.pop("solution", "wave-product")
-        exact = {"wave-product": wave_product_1d, "four-tones": four_tones_1d}[sol]()
+        if sol not in _SOLUTIONS:
+            raise ValueError("problem key 'solution' must be one of %s, got %r" % (list(_SOLUTIONS), sol))
+        exact = _SOLUTIONS[sol]()
         problem = make_helmholtz_1d(lam=params.pop("lam", 4.0), exact=exact)
     elif pid == "poisson":
         exact = two_band_2d(params.pop("a_low", 1.0), params.pop("b_high", 0.0))
@@ -191,6 +213,11 @@ def make_problem(params: dict) -> PdeProblem:
         if holes is None:
             problem = make_plate_problem()
         else:
+            if not all(
+                isinstance(h, (list, tuple)) and len(h) == 3
+                and all(_is_real(v) and np.isfinite(v) for v in h) for h in holes
+            ):
+                raise ValueError("problem key 'holes' must list [x, y, radius] numbers, got %r" % (holes,))
             problem = make_plate_problem(tuple(Hole((h[0], h[1]), h[2]) for h in holes))
     elif pid == "stokes":
         problem = make_stokes_manufactured()
@@ -198,8 +225,8 @@ def make_problem(params: dict) -> PdeProblem:
         problem = make_channel_flow()
     elif pid == "varcoef":
         coef = HomogenizationCoefficient(
-            seed=params.pop("coef_seed", 0),
-            bound=params.pop("bound", 6),
+            seed=int(params.pop("coef_seed", 0)),
+            bound=int(params.pop("bound", 6)),
             amp=params.pop("amp", 0.3),
         )
         problem = make_varcoef_elliptic(coef, forcing_value=params.pop("forcing", 1.0))
@@ -212,22 +239,6 @@ def make_problem(params: dict) -> PdeProblem:
     return problem
 
 
-def _axis_counts(config: ExperimentConfig, key: str, dim: int) -> tuple[int, ...]:
-    """The per-axis counts ``config.<key>`` for a ``dim``-dimensional problem.
-
-    One entry applies to every axis; ``dim`` entries are used as given.
-    Any other length raises ValueError naming the key.
-    """
-    counts = getattr(config, key)
-    if len(counts) == 1:
-        return counts * dim
-    if len(counts) != dim:
-        raise ValueError(
-            "%r needs 1 or %d counts for a %dD problem, got %r" % (key, dim, dim, list(counts))
-        )
-    return counts
-
-
 def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     """Numeric rm, or the frequency-guided choice when rm == 'auto'.
 
@@ -237,7 +248,7 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     if config.rm != "auto":
         return float(config.rm)
     lo, hi = problem.domain.bounds
-    counts = _axis_counts(config, "patch_counts", problem.domain.dim)
+    counts = axis_counts(config.patch_counts, problem.domain.dim, "patch_counts")
     best = 1.0
     for axis in range(problem.domain.dim):
         ts = np.linspace(lo[axis], hi[axis], 2049)
@@ -250,16 +261,19 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
 
 
 def build_run(config: ExperimentConfig):
-    """Problem, model, and collocation set for a config (no solve); the
-    per-axis counts are resolved by ``_axis_counts``."""
+    """Problem, model, and collocation set for a config (no solve).
+
+    The interior counts are resolved, and their point arrays checked to fit
+    in memory, before anything is sampled.
+    """
     problem = make_problem(config.problem)
-    dim = problem.domain.dim
-    interior = _axis_counts(config, "interior", dim)
+    interior = axis_counts(config.interior, problem.domain.dim, "interior")
+    check_sampling_memory(problem.domain, interior, config.boundary)
     rm = _resolve_rm(config, problem)
     sampler = FeatureSampler(rm=rm, mode=config.feature_mode, seed=config.seed)
     model = build_model(
         problem.domain,
-        _axis_counts(config, "patch_counts", dim),
+        config.patch_counts,
         config.features_per_patch,
         sampler,
         pou=config.pou,
@@ -318,8 +332,8 @@ def _eval_counts(config: ExperimentConfig, dim: int) -> tuple[int, ...]:
     """Per-axis counts of the evaluation grid: ``eval_counts``, or by default
     the collocation spacing halved on every axis."""
     if config.eval_counts is not None:
-        return _axis_counts(config, "eval_counts", dim)
-    return tuple(2 * n + 1 for n in _axis_counts(config, "interior", dim))
+        return axis_counts(config.eval_counts, dim, "eval_counts")
+    return tuple(2 * n + 1 for n in axis_counts(config.interior, dim, "interior"))
 
 
 def run_experiment(

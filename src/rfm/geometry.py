@@ -10,11 +10,26 @@ expansions together).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 # Points closer than this to a boundary are treated as lying on it.
 BOUNDARY_TOL = 1e-12
+
+
+def axis_counts(counts, dim: int, name: str) -> tuple[int, ...]:
+    """Per-axis counts on a ``dim``-dimensional domain: a scalar or one entry
+    applies to every axis and ``dim`` entries are used as given; any other
+    length, or an entry that is not an integer >= 0 (a bool is not), raises
+    ValueError naming ``name``."""
+    counts = (counts,) if np.isscalar(counts) else tuple(counts)
+    counts = counts * dim if len(counts) == 1 else counts
+    if len(counts) != dim:
+        raise ValueError("%r needs 1 or %d counts for a %dD domain, got %r" % (name, dim, dim, list(counts)))
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts):
+        raise ValueError("%r counts must be integers >= 0, got %r" % (name, list(counts)))
+    return tuple(map(int, counts))
 
 
 @dataclass(frozen=True)
@@ -136,12 +151,10 @@ class Domain:
         """Cell-centered uniform grid over the bounding box, holes excluded.
 
         Returned points are ordered lexicographically by axis (first axis
-        varies slowest) so runs are reproducible.
+        varies slowest) so runs are reproducible.  ``counts`` follows
+        ``axis_counts``.
         """
-        if np.isscalar(counts):
-            counts = (int(counts),) * self.dim
-        if len(counts) != self.dim or any(c < 1 for c in counts):
-            raise ValueError("need one positive count per axis")
+        counts = axis_counts(counts, self.dim, "interior")
         lo, hi = self.bounds
         axes = [
             lo[a] + (hi[a] - lo[a]) * (np.arange(c) + 0.5) / c
@@ -150,6 +163,21 @@ class Domain:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         return pts[self.strictly_inside(pts)]
+
+    def sampling_bytes(self, counts: int | tuple[int, ...], boundary_counts: dict[str, int]) -> int:
+        """A lower bound on the peak bytes of ``sample_interior(counts)`` and
+        ``sample_boundary(boundary_counts)``, computed without sampling.
+
+        The interior's meshgrid and its stacked copy hold every grid point
+        at once, before the points outside the domain are dropped; the
+        boundary's pieces, their concatenation and the concatenated normals
+        coexist.  The interior points kept while the boundary is sampled are
+        not counted, since holes drop a share that only sampling tells.
+        """
+        grid = prod(axis_counts(counts, self.dim, "interior"))
+        tags = self.boundary_tags()
+        edge = sum(min(c, 1) if self.dim == 1 else c for t, c in boundary_counts.items() if t in tags)
+        return 8 * self.dim * max(2 * grid, 3 * edge)
 
     def sample_boundary(
         self, counts: dict[str, int]

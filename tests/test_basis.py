@@ -14,6 +14,7 @@ from rfm.basis import (
     Patch,
     activation_eval,
     build_model,
+    dominant_frequencies,
     feature_block,
     grid_patch_layout,
     pou_eval,
@@ -447,6 +448,45 @@ def test_select_rm_picks_highest_significant_tone():
     assert got == pytest.approx(16.0, rel=0.02)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    tones=st.lists(
+        st.tuples(
+            st.floats(1.0, 60.0),  # angular frequency
+            st.floats(0.1, 2.0),  # amplitude
+            st.floats(0.0, 2.0 * np.pi),  # phase
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_dominant_frequencies_recovers_every_tone_of_a_sum(tones):
+    freqs = sorted(w for w, _, _ in tones)
+    assume(np.all(np.diff(freqs) >= 0.1))  # tones closer than this are one
+    xs = np.linspace(0.0, 8.0, 2049)
+    fs = sum(a * np.sin(w * xs + phase) for w, a, phase in tones)
+    got = np.array([w for w, _ in dominant_frequencies(xs, fs)])
+    for w in freqs:
+        assert np.min(np.abs(got - w)) <= 1e-6 * w
+
+
+def test_dominant_frequencies_never_takes_the_svd_of_the_wide_hankel_matrix(monkeypatch):
+    """The 500x1550 Hankel matrix of 2049 samples reaches the SVD only through
+    its 500x500 triangular factor."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    xs = np.linspace(0.0, 8.0, 2049)
+    tones = dominant_frequencies(xs, np.sin(4.0 * xs) + 0.5 * np.cos(9.0 * xs))
+    assert [round(w, 9) for w, _ in tones] == [4.0, 9.0]
+    assert shapes and all(shape[-1] <= 500 for shape in shapes)
+
+
 # ----------------------------------------------------------------------
 # model layout
 # ----------------------------------------------------------------------
@@ -465,6 +505,11 @@ def test_grid_patch_layout_centers_and_radii():
     assert first[2].tolist() == [True, True] and first[3].tolist() == [False, False]
     last = layout[-1]
     assert last[2].tolist() == [False, False] and last[3].tolist() == [True, True]
+
+
+def test_grid_patch_layout_refuses_more_counts_than_axes():
+    with pytest.raises(ValueError, match=r"'patch_counts' needs 1 or 2 counts"):
+        grid_patch_layout(box((0.0, 0.0), (8.0, 8.0)), (2, 2, 2))
 
 
 def test_build_model_column_layout_and_global_patch():

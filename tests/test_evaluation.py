@@ -35,6 +35,18 @@ def test_evaluation_grid_covers_closure_and_filters_holes():
     assert len(full) == 441
 
 
+def test_evaluation_grid_applies_one_count_to_every_axis():
+    square = box((0.0, 0.0), (1.0, 1.0))
+    one = evaluation_grid(square, (3,))
+    assert len(one) == 9
+    assert np.array_equal(one, evaluation_grid(square, (3, 3)))
+
+
+def test_evaluation_grid_refuses_more_counts_than_axes():
+    with pytest.raises(ValueError, match=r"'eval_counts' needs 1 or 2 counts .* \[3, 3, 99\]"):
+        evaluation_grid(box((0.0, 0.0), (1.0, 1.0)), (3, 3, 99))
+
+
 def test_evaluate_error_linf_matches_manual_computation():
     problem = make_helmholtz_1d()
     model = _tiny_model()

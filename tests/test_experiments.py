@@ -322,6 +322,20 @@ def test_auto_rm_is_selected_once_per_forcing(tone_calls):
     assert len(tone_calls) == 2
 
 
+@pytest.mark.parametrize(
+    "suite,want",
+    [("helmholtz-adaptive", "0x1.fffffffff4e03p+1"), ("poisson-adaptive", "0x1.921fb54445219p+0")],
+)
+def test_auto_rm_of_the_shipped_configs_stays_put(suite, want):
+    """The values the full Hankel SVD chose; its triangular factor moves
+    them only by rounding."""
+    from rfm.experiments import _resolve_rm
+
+    config = _suite_config(suite, "sin random Rm=auto")
+    got = _resolve_rm(config, make_problem(config.problem))
+    assert got == pytest.approx(float.fromhex(want), rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("suite,axes", [("helmholtz-adaptive", 1), ("poisson-adaptive", 2)])
 def test_a_run_resolves_auto_rm_once(monkeypatch, suite, axes):
     """One selection per axis: the record reads rm from the model, not a second resolve."""
@@ -430,6 +444,19 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(interior=[10, 10, 10]), "interior", "needs 1 or 2 counts"),
         (lambda cfg: cfg.update(interior=[]), "interior", "needs 1 or 2 counts"),
         (lambda cfg: cfg.update(patch_counts=[2, 2, 2]), "patch_counts", "needs 1 or 2 counts"),
+        (lambda cfg: cfg.update(seed=1.5), "seed", "integer >= 0"),
+        (lambda cfg: cfg.update(seed=True), "seed", "integer >= 0"),
+        (lambda cfg: cfg.update(seed=-1), "seed", "integer >= 0"),
+        (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": "x"}), "lam", "finite number"),
+        (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": True}), "lam", "finite number"),
+        (lambda cfg: cfg.update(problem={"id": "poisson", "b_high": float("nan")}), "b_high", "finite number"),
+        (lambda cfg: cfg.update(problem={"id": "varcoef", "coef_seed": 1.5}), "coef_seed", "integer >= 0"),
+        (lambda cfg: cfg.update(problem={"id": "varcoef", "bound": -2}), "bound", "integer >= 0"),
+        (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": "x"}), "solution", "one of"),
+        (lambda cfg: cfg.update(problem={"id": "plate", "holes": [1]}), "holes", "[x, y, radius]"),
+        (lambda cfg: cfg.update(problem=[1]), "problem", "mapping with a string 'id'"),
+        (lambda cfg: cfg.update(problem={}), "problem", "mapping with a string 'id'"),
+        (lambda cfg: cfg.update(problem={"id": 3}), "problem", "mapping with a string 'id'"),
     ],
     ids=[
         "problem-key",
@@ -461,6 +488,19 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "three-interior-counts",
         "empty-interior-counts",
         "three-patch-counts",
+        "fractional-seed",
+        "bool-seed",
+        "negative-seed",
+        "word-lam",
+        "bool-lam",
+        "nan-b-high",
+        "fractional-coef-seed",
+        "negative-bound",
+        "unknown-solution",
+        "malformed-holes",
+        "list-problem",
+        "empty-problem",
+        "numeric-problem-id",
     ],
 )
 def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
@@ -473,6 +513,43 @@ def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert word in err and repr(key) in err
+
+
+def test_cli_run_refuses_points_that_would_not_fit_before_sampling(tmp_path, monkeypatch, capsys):
+    from rfm import assembly
+    from rfm.cli import main
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("build_collocation ran for points that do not fit")
+
+    cfg = load_suite("helmholtz-adaptive")[0].to_dict()
+    cfg["interior"] = [1000000000]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**6)
+    monkeypatch.setattr(experiments, "build_collocation", unreachable)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "1000000000-point interior grid and its boundary needs 16000.0 MB" in err
+    assert "only 1.0 MB of memory is available" in err
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_sampling_bytes_is_a_lower_bound_on_what_sampling_allocates(suite):
+    """Every config that samples within its memory passes the guard: the
+    estimate never exceeds the traced peak of the sampling itself."""
+    import tracemalloc
+
+    config = load_suite(suite)[0]
+    domain = make_problem(config.problem).domain
+    tracemalloc.start()
+    try:
+        domain.sample_interior(config.interior)
+        domain.sample_boundary(config.boundary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < domain.sampling_bytes(config.interior, config.boundary) <= peak
 
 
 def test_cli_run_applies_one_eval_count_to_every_axis(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from rfm.geometry import (
     Hole,
+    axis_counts,
     box,
     build_collocation,
     disk,
@@ -33,6 +34,29 @@ def test_disk_membership():
     assert got[0] and got[1] and not got[2] and got[3]
     # 0.7^2 + 0.71^2 = 0.9941 < 1 so the last point is inside too
     assert got[4]
+
+
+def test_axis_counts_applies_one_entry_to_every_axis():
+    assert axis_counts(3, 2, "interior") == (3, 3)
+    assert axis_counts((3,), 2, "interior") == (3, 3)
+    assert axis_counts(np.array([4, 5]), 2, "interior") == (4, 5)
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ((3, 3, 99), r"'interior' needs 1 or 2 counts for a 2D domain"),
+        ((), r"'interior' needs 1 or 2 counts"),
+        ((3, -1), r"'interior' counts must be integers >= 0"),
+        ((3, 2.5), r"'interior' counts must be integers >= 0"),
+        ((True, 3), r"'interior' counts must be integers >= 0"),
+    ],
+)
+def test_axis_counts_refuses_a_malformed_count(counts, message):
+    with pytest.raises(ValueError, match=message):
+        axis_counts(counts, 2, "interior")
+    with pytest.raises(ValueError, match=message):
+        box((0.0, 0.0), (1.0, 1.0)).sample_interior(counts)
 
 
 def test_interior_sampling_is_cell_centered():
