@@ -281,15 +281,15 @@ def _fill_stencil_rows(
     nonzero.  Term coefficients are evaluated once on the whole point set (a
     coefficient field may cache its values by the points array); the basis
     blocks are taken a chunk of an expansion's points at a time (see
-    ``_chunks``), so their temporaries stay bounded however many points the
-    set has.
+    ``basis.point_chunks``), so their temporaries stay bounded however many
+    points the set has.
     """
     base = start + np.arange(len(points)) * stencil.n_rows
     coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
     comps = sorted({t.comp for t in stencil.terms})
     for n, sign in enumerate(signs):
         where = np.flatnonzero(sign)
-        for chunk in _chunks(len(where)):
+        for chunk in basis.point_chunks(len(where)):
             at = where[chunk]
             for comp in comps:
                 blocks = model.basis_block(n, comp, points[at], stencil.alphas_for(comp))
@@ -298,20 +298,6 @@ def _fill_stencil_rows(
                         weight = coeff[at] * sign[at]
                         fill.add(base[at] + t.row, comp, n, weight[:, None] * blocks[t.alpha])
                 del blocks  # before the next component's blocks are made
-
-
-def _chunks(count: int) -> list[slice]:
-    """Consecutive slices of EVAL_CHUNK items that cover ``count`` items.
-
-    A lone last item joins the slice before it: numpy multiplies a single
-    row through a matrix-vector product, which rounds differently from the
-    matrix-matrix product that evaluates the same point among others, so
-    the chunks fill the same bits as one pass over all the items would.
-    """
-    starts = list(range(0, count, basis.EVAL_CHUNK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
 def _interface_stencil(model: RfmModel) -> Stencil:
@@ -339,7 +325,9 @@ def available_memory_bytes() -> int | None:
     return None
 
 
-def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
+def _check_memory(
+    shape: tuple[int, int], sizes: list[tuple[int, int]], available: int | None
+) -> None:
     """Refuse a system whose row groups and solve buffers would not fit in memory.
 
     ``sizes`` gives each row group's (rows, columns).  A solve first takes
@@ -349,7 +337,8 @@ def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
     full-width row for each row of a group that is not tall, and for each
     column of a tall one).  The budget is the larger of the two phases: all
     blocks, the largest weighted copy and the R factors, or the blocks of
-    the groups that are not tall, the R factors and the buffer.
+    the groups that are not tall, the R factors and the buffer.  ``available``
+    is the memory available in bytes, or None to skip the check.
     """
     n_rows, n_cols = shape
     tall = [(r, w) for r, w in sizes if _tall(r, w)]
@@ -359,7 +348,9 @@ def _check_memory(shape: tuple[int, int], sizes: list[tuple[int, int]]) -> None:
     factors = sum(w * (w + 1) for _, w in tall)
     copy = max((r * (w + 1) for r, w in tall), default=0)
     need = 8 * (factors + max(blocks + copy, short_blocks + solved * n_cols))
-    _refuse_unless_fits(need, "a %dx%d system" % shape, "its row groups and solve buffers")
+    _refuse_unless_fits(
+        need, available, "a %dx%d system" % shape, "its row groups and solve buffers"
+    )
 
 
 def check_sampling_memory(
@@ -371,12 +362,11 @@ def check_sampling_memory(
     need = domain.sampling_bytes(interior_counts, boundary_counts)
     grid = "x".join(map(str, interior_counts))
     subject = "sampling a %s-point interior grid and its boundary" % grid
-    _refuse_unless_fits(need, subject, "the point arrays")
+    _refuse_unless_fits(need, available_memory_bytes(), subject, "the point arrays")
 
 
-def _refuse_unless_fits(need: int, subject: str, purpose: str) -> None:
-    """Raise ValueError when ``need`` bytes exceed the memory available."""
-    available = available_memory_bytes()
+def _refuse_unless_fits(need: int, available: int | None, subject: str, purpose: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed ``available`` (None: no check)."""
     if available is not None and need > available:
         raise ValueError(
             "%s needs %.1f MB for %s, but only %.1f MB of memory is available"
@@ -408,6 +398,18 @@ def assemble(
     pins = problem.extra_point_conditions
     n_rows = n_int + n_bnd + n_ifc + len(pins)
     n_exp = len(model.expansions)
+
+    # every interior row lies in a group at least as wide as the narrowest
+    # expansion, so these blocks alone are a lower bound on _check_memory's
+    # budget: refuse them before the point sets' temporaries are built
+    available = available_memory_bytes()
+    narrowest = min(p.n_features for p in model.expansions)
+    _refuse_unless_fits(
+        8 * n_int * narrowest,
+        available,
+        "a %dx%d system" % (n_rows, model.n_columns),
+        "the blocks of its %d interior rows" % n_int,
+    )
 
     # every stencil's point set as (first row, points, normals, stencil, data,
     # signs): the interior, the boundary per stencil in collocation order, the
@@ -452,7 +454,7 @@ def assemble(
         )
 
     fill = _GroupFill(model, touched)
-    _check_memory((n_rows, model.n_columns), fill.sizes)
+    _check_memory((n_rows, model.n_columns), fill.sizes, available)
     groups = fill.allocate()
     b = np.zeros(n_rows)
     for first, points, normals, st, data, signs in sets:

@@ -37,12 +37,26 @@ from .geometry import Domain, axis_counts
 # Feature stream index reserved for the patchless global expansion.
 GLOBAL_STREAM = 2**32 - 1
 
-# Points per chunk of RfmModel.eval_many.
+# Points per chunk of RfmModel.eval_many and of assembly.
 EVAL_CHUNK = 2048
 
 # Kind-"a" points this close to a patch facet, in normalized coordinates, are
 # assigned to one patch by RfmModel.supports.
 FACET_TOL = 1e-9
+
+
+def point_chunks(count: int) -> list[slice]:
+    """Consecutive slices of EVAL_CHUNK items that cover ``count`` items.
+
+    A lone last item joins the slice before it: numpy multiplies a single
+    row through a matrix-vector product, which rounds differently from the
+    matrix-matrix product that evaluates the same point among others, so
+    the chunks give the same bits as one pass over all the items would.
+    """
+    starts = list(range(0, count, EVAL_CHUNK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
 
 
 # ----------------------------------------------------------------------
@@ -509,8 +523,8 @@ class RfmModel:
 
         Returns one (P, K) array per multi-index.  Each patch's features are
         evaluated once for all of ``alphas``, and the points are walked in
-        chunks of EVAL_CHUNK so the (points x features) temporaries stay
-        bounded however large the evaluation grid is.
+        chunks (``point_chunks``) so the (points x features) temporaries
+        stay bounded however large the evaluation grid is.
         """
         points = np.atleast_2d(np.asarray(points, float))
         coefficients = np.asarray(coefficients, float)
@@ -520,9 +534,8 @@ class RfmModel:
             )
         alphas = [tuple(a) for a in alphas]
         out = {a: np.zeros((len(points), self.n_components)) for a in alphas}
-        for lo in range(0, len(points), EVAL_CHUNK):
-            chunk = points[lo : lo + EVAL_CHUNK]
-            rows = slice(lo, lo + len(chunk))
+        for rows in point_chunks(len(points)):
+            chunk = points[rows]
             for n, mask in enumerate(self.supports(chunk)):
                 if not mask.any():
                     continue

@@ -51,20 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_record(record) -> None:
-    head = (
-        f"{record.suite}/{record.name}: seed={record.seed} M={record.m_features} "
-        f"N={record.n_rows} columns={record.n_columns} rank={record.rank} "
-        f"loss={record.loss:.3e} wall={record.wall_time_s:.2f}s rm={record.rm:.6g}"
-    )
-    if record.blas_threads is not None:
-        head += f" threads={record.blas_threads}"
-    print(head)
-    if record.errors:
-        parts = [f"{k}={v:.3e}" for k, v in sorted(record.errors.items())]
-        print("  errors: " + " ".join(parts))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -73,23 +59,20 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
             record = run_experiment(config, out_dir=args.out, dump_system=args.dump_system)
-            _print_record(record)
+            print(record.text())
         elif args.command == "table":
             rows = run_table(args.suite, list(range(args.seeds)), out_dir=args.out)
-            cols = ("suite", "M", "N", "seed_count", "err_u_linf", "err_u_l2rel",
-                    "rank", "loss", "wall_time_s", "label")
+            # the CSV columns that some config fills, in file order
+            cols = [c for c in rows[0] if any(row[c] for row in rows)]
             print("\t".join(cols))
             for row in rows:
-                print("\t".join(str(row[c]) for c in cols))
+                print("\t".join(row[c] for c in cols))
             if args.out:
                 print(f"wrote {os.path.join(args.out, args.suite + '.csv')}")
         elif args.command == "ablate-rescale":
             config = ExperimentConfig.load(args.config)
             on, off = rescale_ablation(config)
-            print("rescaling on:")
-            _print_record(on)
-            print("rescaling off:")
-            _print_record(off)
+            print("rescaling on:", on.text(), "rescaling off:", off.text(), sep="\n")
         elif args.command == "config":
             configs = {c.name: c for c in load_suite(args.suite)}
             name = next(iter(configs)) if args.name is None else args.name

@@ -44,18 +44,6 @@ from .problems import (
 _COMPONENT_LABELS = {1: ("u",), 2: ("u", "v"), 3: ("u", "v", "p")}
 _STRESS_LABELS = ("sx", "sy", "txy")
 
-# fixed CSV column order; unused error columns stay blank
-CSV_COLUMNS = (
-    "suite", "M", "N", "seed_count",
-    *(
-        f"err_{label}_{norm}"
-        for label in _COMPONENT_LABELS[3] + _STRESS_LABELS
-        for norm in ("linf", "l2rel")
-    ),
-    "rank", "loss", "wall_time_s", "label",
-)
-
-
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
@@ -98,10 +86,17 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("suite", "name", "pou", "activation", "feature_mode"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError("%r must be a string, got %r" % (key, getattr(self, key)))
+        if not isinstance(self.rescale_on, bool):
+            raise ValueError("'rescale_on' must be true or false, got %r" % (self.rescale_on,))
         for key in ("patch_counts", "interior", "boundary", "eval_counts"):
             value = getattr(self, key)
-            if value is None:
+            if value is None and key == "eval_counts":
                 continue
+            if key == "boundary" and not isinstance(value, Mapping):
+                raise ValueError("'boundary' must map boundary tags to counts, got %r" % (value,))
             values = value.values() if key == "boundary" else np.ravel(np.asarray(value, object))
             if not all(_is_integral(c) for c in values):
                 raise ValueError("%r counts must be integers, got %r" % (key, value))
@@ -124,10 +119,12 @@ class ExperimentConfig:
             )
         if self.rm != "auto" and not (_is_real(self.rm) and 0.0 < self.rm <= sys.float_info.max):
             raise ValueError("'rm' must be 'auto' or a positive finite number, got %r" % (self.rm,))
-        if not 0.0 < float(self.rescale_scale) < np.inf:
-            raise ValueError("'rescale_scale' must be positive and finite, got %r" % self.rescale_scale)
-        if self.rank_tol is not None and not 0.0 <= float(self.rank_tol) < 1.0:
-            raise ValueError("'rank_tol' must lie in [0, 1), got %r" % self.rank_tol)
+        if not (_is_real(self.rescale_scale) and 0.0 < self.rescale_scale <= sys.float_info.max):
+            raise ValueError(
+                "'rescale_scale' must be a positive and finite number, got %r" % (self.rescale_scale,)
+            )
+        if self.rank_tol is not None and not (_is_real(self.rank_tol) and 0.0 <= self.rank_tol < 1.0):
+            raise ValueError("'rank_tol' must be null or a number in [0, 1), got %r" % (self.rank_tol,))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,15 +194,23 @@ def make_problem(params: dict) -> PdeProblem:
         if not (_is_real(value) and np.isfinite(value)):
             raise ValueError("problem key %r must be a finite number, got %r" % (key, value))
     pid = params.pop("id")
+
+    def given(*keys, **renamed) -> dict:
+        """The problem keys that the config gives, taken out of ``params``,
+        under the factory's argument names (``arg="key"`` where they differ)."""
+        names = {k: k for k in keys} | renamed
+        return {arg: params.pop(key) for arg, key in names.items() if key in params}
+
     if pid == "helmholtz":
-        sol = params.pop("solution", "wave-product")
-        if sol not in _SOLUTIONS:
-            raise ValueError("problem key 'solution' must be one of %s, got %r" % (list(_SOLUTIONS), sol))
-        exact = _SOLUTIONS[sol]()
-        problem = make_helmholtz_1d(lam=params.pop("lam", 4.0), exact=exact)
+        kw = given("lam")
+        if "solution" in params:
+            sol = params.pop("solution")
+            if not isinstance(sol, str) or sol not in _SOLUTIONS:
+                raise ValueError("problem key 'solution' must be one of %s, got %r" % (list(_SOLUTIONS), sol))
+            kw["exact"] = _SOLUTIONS[sol]()
+        problem = make_helmholtz_1d(**kw)
     elif pid == "poisson":
-        exact = two_band_2d(params.pop("a_low", 1.0), params.pop("b_high", 0.0))
-        problem = make_poisson_2d(exact=exact)
+        problem = make_poisson_2d(exact=two_band_2d(**given("a_low", "b_high")))
     elif pid == "beam":
         problem = make_beam_problem()
     elif pid == "plate":
@@ -213,7 +218,7 @@ def make_problem(params: dict) -> PdeProblem:
         if holes is None:
             problem = make_plate_problem()
         else:
-            if not all(
+            if not isinstance(holes, (list, tuple)) or not all(
                 isinstance(h, (list, tuple)) and len(h) == 3
                 and all(_is_real(v) and np.isfinite(v) for v in h) for h in holes
             ):
@@ -224,12 +229,9 @@ def make_problem(params: dict) -> PdeProblem:
     elif pid == "channel":
         problem = make_channel_flow()
     elif pid == "varcoef":
-        coef = HomogenizationCoefficient(
-            seed=int(params.pop("coef_seed", 0)),
-            bound=int(params.pop("bound", 6)),
-            amp=params.pop("amp", 0.3),
-        )
-        problem = make_varcoef_elliptic(coef, forcing_value=params.pop("forcing", 1.0))
+        coef = {k: int(v) for k, v in given(seed="coef_seed", bound="bound").items()}
+        coef = HomogenizationCoefficient(**coef, **given("amp"))
+        problem = make_varcoef_elliptic(coef, **given(forcing_value="forcing"))
     else:
         raise ValueError("unknown problem id %r" % pid)
     if params:
@@ -295,34 +297,64 @@ def build_run(config: ExperimentConfig):
 # run records
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One solved config: rm, sizes, rank, errors, loss, timing."""
+def _shown(csv=None, text=None, seeds=None, **kw):
+    return field(metadata={"csv": csv, "text": text, "seeds": seeds}, **kw)
 
-    suite: str
-    name: str
-    config_hash: str
-    seed: int
-    rm: float  # the rm the features were drawn with, "auto" resolved
-    m_features: int
-    n_rows: int
-    n_columns: int
-    rank: int
-    sigma_max: float
-    sigma_min_kept: float
-    loss: float
-    wall_time_s: float
-    errors: dict[str, float] = field(default_factory=dict)
-    blas_threads: int | None = None  # BLAS threads of the solve; None without thread control
+
+@dataclass(frozen=True, kw_only=True)
+class RunRecord:
+    """One solved config, or (``median_record``) one config over seeds.
+
+    Each field's metadata (``_shown``) gives its CSV column and %-format,
+    ``errors``' column a pattern for each error key; its %-format in
+    ``text``; and how seeds combine: ``"median"``, ``"first"`` (for what
+    differs by seed), ``"sum"``, or, unset, all records must agree.  Both
+    outputs follow the field order, so ``name`` (CSV ``label``) is last."""
+
+    suite: str = _shown(csv=("suite", "%s"))
+    config_hash: str = _shown(seeds="first")
+    seed: int = _shown(text="seed=%d", seeds="first")
+    m_features: int = _shown(csv=("M", "%d"), text="M=%d")
+    n_rows: int = _shown(csv=("N", "%d"), text="N=%d")
+    n_columns: int = _shown(text="columns=%d")
+    seed_count: int = _shown(csv=("seed_count", "%d"), seeds="sum", default=1)
+    errors: dict[str, float] = _shown(
+        csv=("err_%s", "%.6e"), text="%s=%.3e", seeds="median", default_factory=dict
+    )
+    rank: int = _shown(csv=("rank", "%d"), text="rank=%d", seeds="median")
+    sigma_max: float = _shown(seeds="median")
+    sigma_min_kept: float = _shown(seeds="median")
+    loss: float = _shown(csv=("loss", "%.6e"), text="loss=%.3e", seeds="median")
+    wall_time_s: float = _shown(csv=("wall_time_s", "%.3f"), text="wall=%.2fs", seeds="median")
+    rm: float = _shown(text="rm=%.6g")  # the rm the features were drawn with, "auto" resolved
+    blas_threads: int | None = _shown(text="threads=%d", default=None)  # None: no thread control
+    name: str = _shown(csv=("label", "%s"))
+
+    def text(self) -> str:
+        """The record as ``rfm run`` prints it, the errors on a line of their own."""
+        head, lines = [f"{self.suite}/{self.name}:"], []
+        for f in fields(self):
+            value, fmt = getattr(self, f.name), f.metadata["text"]
+            if fmt and isinstance(value, dict) and value:
+                lines.append(f"  {f.name}: " + " ".join(fmt % kv for kv in sorted(value.items())))
+            elif fmt and value is not None and not isinstance(value, dict):
+                head.append(fmt % value)
+        return "\n".join([" ".join(head), *lines])
+
+
+_ERROR_KEYS = [f"{c}_{n}" for c in _COMPONENT_LABELS[3] + _STRESS_LABELS for n in ("linf", "l2rel")]
+# the CSV columns in file order; the errors' pattern gives one per error key
+CSV_COLUMNS = tuple(
+    f.metadata["csv"][0] % key
+    for f in fields(RunRecord) if f.metadata["csv"]
+    for key in (_ERROR_KEYS if f.name == "errors" else [()])
+)
 
 
 def _error_dict(report: ErrorReport, n_components: int) -> dict[str, float]:
     out = {}
-    labels = _COMPONENT_LABELS[n_components]
-    for label, comp in zip(labels, report.components):
-        out[f"{label}_linf"] = comp.linf
-        out[f"{label}_l2rel"] = comp.l2_rel
-    for label, comp in zip(_STRESS_LABELS, report.stresses):
+    labels = _COMPONENT_LABELS[n_components] + _STRESS_LABELS
+    for label, comp in zip(labels, report.components + report.stresses):
         out[f"{label}_linf"] = comp.linf
         out[f"{label}_l2rel"] = comp.l2_rel
     return out
@@ -391,7 +423,7 @@ def run_experiment(
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            _append_run_csv(out / "runs.csv", record)
+            _write_csv(out / "runs.csv", [_record_row(record)], "a")
             write_snapshot(out, config, problem, model, coefficients)
     return record
 
@@ -418,48 +450,50 @@ def write_snapshot(out_dir, config, problem, model, coefficients) -> list[Path]:
 # ----------------------------------------------------------------------
 
 
-def _record_row(record: RunRecord, seed_count: int) -> dict:
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(
-        suite=record.suite,
-        M=record.m_features,
-        N=record.n_rows,
-        seed_count=seed_count,
-        rank=record.rank,
-        loss="%.6e" % record.loss,
-        wall_time_s="%.3f" % record.wall_time_s,
-        label=record.name,
-    )
-    for key, val in record.errors.items():
-        row["err_" + key] = "%.6e" % val
+def _record_row(record: RunRecord) -> dict[str, str]:
+    """The record's CSV row: every column of ``CSV_COLUMNS``, blank where it has no value."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    for f in fields(record):
+        if f.metadata["csv"]:
+            column, fmt = f.metadata["csv"]
+            value = getattr(record, f.name)
+            items = value.items() if isinstance(value, dict) else [((), value)]
+            row.update((column % key, fmt % v) for key, v in items)
     return row
 
 
-def _append_run_csv(path: Path, record: RunRecord) -> None:
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
+def _write_csv(path: Path, rows: list[dict], mode: str) -> None:
+    """Write or (mode "a") append rows, the header first in a new file."""
+    fresh = mode == "w" or not path.exists()
+    with open(path, mode, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if fresh:
             writer.writeheader()
-        writer.writerow(_record_row(record, 1))
+        writer.writerows(rows)
 
 
 def median_record(records: list[RunRecord]) -> RunRecord:
-    """Componentwise median across seeds of the same config."""
+    """One record for the seeds of one config, each field combined by its
+    ``seeds`` rule (an int's median truncated, the errors' taken per key).  A
+    ValueError names the first other field, or error keys, that differ."""
     if not records:
         raise ValueError("no records to aggregate")
-    first = records[0]
-    keys = first.errors.keys()
-    errors = {k: float(np.median([r.errors[k] for r in records])) for k in keys}
-    return replace(
-        first,
-        errors=errors,
-        rank=int(np.median([r.rank for r in records])),
-        loss=float(np.median([r.loss for r in records])),
-        wall_time_s=float(np.median([r.wall_time_s for r in records])),
-        sigma_max=float(np.median([r.sigma_max for r in records])),
-        sigma_min_kept=float(np.median([r.sigma_min_kept for r in records])),
-    )
+    combined = {}
+    for f in fields(RunRecord):
+        values = [getattr(r, f.name) for r in records]
+        rule, first = f.metadata["seeds"], values[0]
+        # what must agree: the error keys, and every field without a rule
+        same = [set(v) for v in values] if isinstance(first, dict) else [] if rule else values
+        if any(v != same[0] for v in same):
+            raise ValueError("records of different configs: their %r differ, %r" % (f.name, same))
+        if rule == "median" and isinstance(first, dict):
+            first = {k: float(np.median([v[k] for v in values])) for k in first}
+        elif rule == "median":
+            first = type(first)(np.median(values))
+        elif rule == "sum":
+            first = sum(values)
+        combined[f.name] = first
+    return RunRecord(**combined)
 
 
 def run_table(suite: str, seeds: list[int], out_dir=None) -> list[dict]:
@@ -467,18 +501,14 @@ def run_table(suite: str, seeds: list[int], out_dir=None) -> list[dict]:
     if not seeds:
         raise ValueError("seed list must not be empty")
     configs = load_suite(suite)
-    rows = []
-    for config in configs:
-        records = [run_experiment(replace(config, seed=s)) for s in seeds]
-        agg = median_record(records)
-        rows.append(_record_row(agg, len(seeds)))
+    rows = [
+        _record_row(median_record([run_experiment(replace(c, seed=s)) for s in seeds]))
+        for c in configs
+    ]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{suite}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / f"{suite}.csv", rows, "w")
     return rows
 
 

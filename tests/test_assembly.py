@@ -3,6 +3,7 @@ rescaling invariants, interface structure, memory, and the dump/load round
 trip."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -512,6 +513,25 @@ def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     # an unreadable probe skips the guard
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: None)
     assert assemble(problem, model, colloc).shape == (3, 1)
+
+
+def test_assemble_refuses_interior_blocks_that_would_not_fit_before_building_supports(
+    monkeypatch,
+):
+    config = load_suite("helmholtz-adaptive")[0]
+    problem, model, colloc = build_run(replace(config, interior=(100000,)))
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("supports ran for a system that does not fit")
+
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**7)
+    monkeypatch.setattr(RfmModel, "supports", unreachable)
+    with pytest.raises(
+        ValueError,
+        match=r"100008x400 system needs 80.0 MB for the blocks of its 100000 interior rows, "
+        r"but only 10.0 MB",
+    ):
+        assemble(problem, model, colloc)
 
 
 def test_available_memory_probe_reads_a_positive_byte_count():

@@ -572,3 +572,22 @@ def test_eval_many_matches_per_alpha_loop_across_chunks(pou, monkeypatch):
         want = _eval_one_alpha_unchunked(model, coef, pts, alpha)
         assert np.abs(got[alpha] - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(model.eval(coef, pts, alpha), got[alpha])
+
+
+def test_eval_on_a_lone_last_point_matches_one_pass(monkeypatch):
+    """A grid of EVAL_CHUNK + 1 points gives the bits of a single pass: its
+    last point is not evaluated on its own (a matrix-vector product, which
+    rounds differently), on a solve whose coefficients reach 1e11."""
+    from rfm.assembly import assemble
+    from rfm.evaluation import evaluation_grid
+    from rfm.experiments import build_run, load_suite
+    from rfm.solver import solve_system
+
+    config = load_suite("helmholtz-pou")[0]
+    problem, model, colloc = build_run(config)
+    coef, _ = solve_system(assemble(problem, model, colloc).rescale(config.rescale_scale), None)
+    assert np.linalg.norm(coef) > 1e11
+    pts = evaluation_grid(problem.domain, (basis.EVAL_CHUNK + 1,))
+    chunked = model.eval(coef, pts)
+    monkeypatch.setattr(basis, "EVAL_CHUNK", 2 * basis.EVAL_CHUNK)
+    assert np.array_equal(chunked, model.eval(coef, pts))

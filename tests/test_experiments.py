@@ -224,6 +224,57 @@ def test_median_record_aggregates_componentwise():
     assert agg.blas_threads == records[0].blas_threads
 
 
+def test_median_record_refuses_records_of_different_configs():
+    a, b = (_suite_config("helmholtz-pou", f"pou-{pou} M=200") for pou in ("a", "b"))
+    records = [run_experiment(a), run_experiment(b)]
+    with pytest.raises(ValueError, match=r"their 'n_rows' differ, \[208, 202\]"):
+        median_record(records)
+
+
+@st.composite
+def _seed_records(draw):
+    """Records of one config at distinct seeds, with drawn per-seed values."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    keys = draw(st.sampled_from([("u_linf", "u_l2rel"), ("u_linf", "u_l2rel", "v_linf", "v_l2rel", "p_linf", "p_l2rel")]))
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=7, unique=True))
+    return [
+        experiments.RunRecord(
+            suite="s",
+            name="c",
+            config_hash="%012x" % seed,
+            seed=seed,
+            rm=2.5,
+            m_features=200,
+            n_rows=208,
+            n_columns=200,
+            rank=draw(st.integers(0, 200)),
+            sigma_max=draw(floats),
+            sigma_min_kept=draw(floats),
+            loss=draw(floats),
+            wall_time_s=draw(floats),
+            errors={k: draw(floats) for k in keys},
+            blas_threads=1,
+        )
+        for seed in seeds
+    ]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(records=_seed_records(), data=st.data())
+def test_median_record_takes_the_median_of_every_seed_field(records, data):
+    agg = median_record(records)
+    for key in ("sigma_max", "sigma_min_kept", "loss", "wall_time_s"):
+        assert getattr(agg, key) == np.median([getattr(r, key) for r in records])
+    assert agg.rank == int(np.median([r.rank for r in records]))
+    assert agg.errors == {k: np.median([r.errors[k] for r in records]) for k in records[0].errors}
+    assert (agg.seed, agg.config_hash) == (records[0].seed, records[0].config_hash)
+    assert agg.seed_count == len(records)
+    assert (agg.n_rows, agg.rm, agg.blas_threads, agg.name) == (208, 2.5, 1, "c")
+    shuffled = data.draw(st.permutations(records))
+    again = median_record(shuffled)
+    assert replace(again, seed=agg.seed, config_hash=agg.config_hash) == agg
+
+
 def test_run_table_writes_one_row_per_config(tmp_path):
     rows = run_table("helmholtz-pou", seeds=[0], out_dir=tmp_path)
     assert len(rows) == 8
@@ -427,10 +478,22 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(rescale_scale=-1.0), "rescale_scale", "positive and finite"),
         (lambda cfg: cfg.update(rescale_scale=float("inf")), "rescale_scale", "positive and finite"),
         (lambda cfg: cfg.update(rank_tol=-1.0), "rank_tol", "[0, 1)"),
+        (lambda cfg: cfg.update(rank_tol="0.1"), "rank_tol", "[0, 1)"),
+        (lambda cfg: cfg.update(rank_tol=False), "rank_tol", "[0, 1)"),
+        (lambda cfg: cfg.update(rescale_scale="100"), "rescale_scale", "positive and finite"),
+        (lambda cfg: cfg.update(rescale_scale=True), "rescale_scale", "positive and finite"),
+        (lambda cfg: cfg.update(rescale_on="no"), "rescale_on", "true or false"),
+        (lambda cfg: cfg.update(name=7), "name", "must be a string"),
+        (lambda cfg: cfg.update(suite=None), "suite", "must be a string"),
+        (lambda cfg: cfg.update(pou=["a"]), "pou", "must be a string"),
+        (lambda cfg: cfg.update(activation=1), "activation", "must be a string"),
+        (lambda cfg: cfg.update(feature_mode=False), "feature_mode", "must be a string"),
         (lambda cfg: cfg.update(eval_counts=[0]), "eval_counts", "must be positive"),
         (lambda cfg: cfg.update(interior=[200.7]), "interior", "must be integers"),
         (lambda cfg: cfg.update(patch_counts=[4.9, 2]), "patch_counts", "must be integers"),
         (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
+        (lambda cfg: cfg.update(boundary=[10, 10]), "boundary", "must map boundary tags"),
+        (lambda cfg: cfg.update(interior=None), "interior", "must be integers"),
         (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
         (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
         (lambda cfg: cfg.update(rm=float("nan")), "rm", "positive finite number"),
@@ -453,7 +516,9 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(problem={"id": "varcoef", "coef_seed": 1.5}), "coef_seed", "integer >= 0"),
         (lambda cfg: cfg.update(problem={"id": "varcoef", "bound": -2}), "bound", "integer >= 0"),
         (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": "x"}), "solution", "one of"),
+        (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": ["x"]}), "solution", "one of"),
         (lambda cfg: cfg.update(problem={"id": "plate", "holes": [1]}), "holes", "[x, y, radius]"),
+        (lambda cfg: cfg.update(problem={"id": "plate", "holes": 3}), "holes", "[x, y, radius]"),
         (lambda cfg: cfg.update(problem=[1]), "problem", "mapping with a string 'id'"),
         (lambda cfg: cfg.update(problem={}), "problem", "mapping with a string 'id'"),
         (lambda cfg: cfg.update(problem={"id": 3}), "problem", "mapping with a string 'id'"),
@@ -471,10 +536,22 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "negative-rescale-scale",
         "infinite-rescale-scale",
         "negative-rank-tol",
+        "string-rank-tol",
+        "bool-rank-tol",
+        "string-rescale-scale",
+        "bool-rescale-scale",
+        "string-rescale-on",
+        "numeric-name",
+        "null-suite",
+        "list-pou",
+        "numeric-activation",
+        "bool-feature-mode",
         "zero-eval-count",
         "fractional-interior-count",
         "fractional-patch-count",
         "fractional-boundary-count",
+        "list-boundary",
+        "null-interior",
         "fractional-eval-count",
         "bool-interior-count",
         "nan-rm",
@@ -497,7 +574,9 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "fractional-coef-seed",
         "negative-bound",
         "unknown-solution",
+        "list-solution",
         "malformed-holes",
+        "numeric-holes",
         "list-problem",
         "empty-problem",
         "numeric-problem-id",
@@ -588,6 +667,27 @@ def test_cli_config_rejects_an_unknown_suite_or_name(capsys, argv, message):
     assert main(["config", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+TABLE_HEAD = ["suite", "M", "N", "seed_count", "err_u_linf", "err_u_l2rel"]
+TABLE_TAIL = ["rank", "loss", "wall_time_s", "label"]
+
+
+@pytest.mark.parametrize(
+    "suite,errors",
+    [
+        ("helmholtz-pou", []),
+        ("stokes-exact", ["err_v_linf", "err_v_l2rel", "err_p_linf", "err_p_l2rel"]),
+    ],
+)
+def test_cli_table_prints_every_column_a_config_fills(capsys, suite, errors):
+    from rfm.cli import main
+
+    assert main(["table", "--suite", suite, "--seeds", "1"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    assert head.split("\t") == TABLE_HEAD + errors + TABLE_TAIL
+    assert len(rows) == len(load_suite(suite))
+    assert all(len(row.split("\t")) == len(TABLE_HEAD + errors + TABLE_TAIL) for row in rows)
 
 
 def test_cli_table_unknown_suite_fails():
