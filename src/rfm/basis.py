@@ -32,7 +32,7 @@ from math import comb, prod
 import numpy as np
 
 from .blas import blas_threads
-from .geometry import Domain, axis_counts
+from .geometry import Domain, grid_patch_layout
 
 # Feature stream index reserved for the patchless global expansion.
 GLOBAL_STREAM = 2**32 - 1
@@ -400,9 +400,6 @@ class RfmModel:
             base + self._offsets[patch_index], base + self._offsets[patch_index + 1]
         )
 
-    def boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [p.box for p in self.patches]
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
@@ -551,27 +548,6 @@ class RfmModel:
 # ----------------------------------------------------------------------
 # model construction over a domain
 # ----------------------------------------------------------------------
-
-
-def grid_patch_layout(
-    domain: Domain, counts: int | tuple[int, ...]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Regular patch grid over the bounding box.
-
-    Returns (center, radius, clamp_lo, clamp_hi) per patch, ordered
-    lexicographically by axis.  ``counts`` follows ``axis_counts``.
-    """
-    counts = axis_counts(counts, domain.dim, "patch_counts")
-    lo, hi = domain.bounds
-    radius = (hi - lo) / (2.0 * np.asarray(counts, float))
-    layout = []
-    for idx in np.ndindex(*counts):
-        i = np.asarray(idx, float)
-        center = lo + (2.0 * i + 1.0) * radius
-        clamp_lo = np.array([j == 0 for j in idx])
-        clamp_hi = np.array([idx[a] == counts[a] - 1 for a in range(domain.dim)])
-        layout.append((center, radius, clamp_lo, clamp_hi))
-    return layout
 
 
 def build_model(

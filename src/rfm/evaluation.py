@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RfmModel
-from .geometry import Domain, axis_counts
+from .geometry import Domain, axis_counts, cell_centres, grid_points
 from .problems import PdeProblem, exact_stress
 
 
@@ -22,9 +22,7 @@ def evaluation_grid(
     """
     counts = axis_counts(counts, domain.dim, "eval_counts")
     lo, hi = domain.bounds
-    axes = [np.linspace(lo[a], hi[a], counts[a]) for a in range(domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = grid_points([np.linspace(lo[a], hi[a], counts[a]) for a in range(domain.dim)])
     return pts[domain.contains(pts)]
 
 
@@ -190,8 +188,6 @@ def error_field_on_grid(
     """
     n = ERROR_FIELD_N
     lo, hi = problem.domain.bounds
-    axes = [lo[a] + (hi[a] - lo[a]) * (np.arange(n) + 0.5) / n for a in range(problem.domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts = grid_points([cell_centres(lo[a], hi[a], n) for a in range(problem.domain.dim)])
     e = model.eval(coefficients, pts)[:, 0] - problem.exact(pts)[:, 0]
     return e.reshape((n,) * problem.domain.dim)

@@ -24,7 +24,7 @@ from .assembly import assemble, check_sampling_memory
 from .basis import FeatureSampler, RfmModel, build_model, select_rm_from_forcing
 from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid
-from .geometry import Hole, axis_counts, build_collocation
+from .geometry import Hole, axis_counts, build_collocation, grid_patch_layout
 from .solver import solve_system
 from .problems import (
     HomogenizationCoefficient,
@@ -250,15 +250,14 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     if config.rm != "auto":
         return float(config.rm)
     lo, hi = problem.domain.bounds
-    counts = axis_counts(config.patch_counts, problem.domain.dim, "patch_counts")
+    _, radius, _, _ = grid_patch_layout(problem.domain, config.patch_counts)[0]
     best = 1.0
     for axis in range(problem.domain.dim):
         ts = np.linspace(lo[axis], hi[axis], 2049)
         pts = np.tile(0.5 * (lo + hi), (len(ts), 1))
         pts[:, axis] = ts
         fs = problem.forcing_values(pts)[:, 0]
-        radius = (hi[axis] - lo[axis]) / (2 * counts[axis])
-        best = max(best, select_rm_from_forcing(ts, fs, radius))
+        best = max(best, select_rm_from_forcing(ts, fs, radius[axis]))
     return best
 
 
@@ -287,7 +286,7 @@ def build_run(config: ExperimentConfig):
         problem.domain,
         interior,
         dict(config.boundary),
-        model.boxes(),
+        config.patch_counts,
         config.interface_per_edge,
     )
     return problem, model, colloc

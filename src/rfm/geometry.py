@@ -1,16 +1,22 @@
 """Domains, collocation grids, and interface sampling.
 
 Supported geometries: intervals, axis-aligned boxes with optional circular
-holes, and disks.  Collocation points are cell-centered uniform grids in the
-interior, uniformly spaced points on each boundary segment, and uniformly
-spaced points along shared facets of a box partition (used to glue local
-expansions together).
+holes, and disks.  A domain is its table of boundary segments
+(``Domain.segments``): each has a tag, a signed distance that is positive
+inside, and a sampler.  The boundary tags, membership and boundary sampling
+all read that table.  Collocation points are cell-centered grids
+(``cell_centres``, ``grid_points``): in the interior, on each box side, and
+on the shared facets of the patch grid (``grid_patch_layout``), whose index
+neighbours glue the local expansions together.  An interval end and a 1D
+patch facet are single points, so their counts are 0 or 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +38,63 @@ def axis_counts(counts, dim: int, name: str) -> tuple[int, ...]:
     return tuple(map(int, counts))
 
 
+def cell_centres(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of ``n`` equal cells tiling [lo, hi]."""
+    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
+
+
+def grid_points(axes) -> np.ndarray:
+    """Tensor grid of per-axis coordinates as (points, axes), first axis
+    varying slowest."""
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+class Segment(NamedTuple):
+    """One piece of a domain's boundary."""
+
+    tag: str
+    # signed distance of (points, axes) to the segment, positive inside
+    distance: Callable[[np.ndarray], np.ndarray]
+    # count -> (points, outward normals)
+    sample: Callable[[int], tuple[np.ndarray, np.ndarray]]
+
+
+def _side(lo: np.ndarray, hi: np.ndarray, axis: int, upper: bool) -> Segment:
+    """The lower or upper side of the box [lo, hi] across ``axis``, sampled
+    cell-centered along the other axes; in 1D it is one end point."""
+    dim = len(lo)
+    tag = (("left", "right"), ("bottom", "top"))[axis][upper]
+    at, sign = (hi[axis], 1.0) if upper else (lo[axis], -1.0)
+    normal = np.zeros(dim)
+    normal[axis] = sign
+
+    def sample(count: int) -> tuple[np.ndarray, np.ndarray]:
+        if dim == 1 and count > 1:
+            raise ValueError(
+                "boundary %r of an interval is one point: its count must be 0 or 1, got %d"
+                % (tag, count)
+            )
+        axes = [[at] if a == axis else cell_centres(lo[a], hi[a], count) for a in range(dim)]
+        pts = grid_points(axes)
+        return pts, np.broadcast_to(normal, pts.shape)
+
+    return Segment(tag, lambda x: sign * (at - x[:, axis]), sample)
+
+
+def _circle(tag: str, center, radius: float, sign: float) -> Segment:
+    """A circle that bounds the domain from outside (``sign`` +1, a disk) or
+    from inside (``sign`` -1, a hole), sampled uniformly in angle from angle
+    0; the normals point out of the domain."""
+    center = np.asarray(center, float)
+
+    def sample(count: int) -> tuple[np.ndarray, np.ndarray]:
+        th = 2.0 * np.pi * np.arange(count) / count
+        radial = np.column_stack([np.cos(th), np.sin(th)])
+        return center + radius * radial, sign * radial
+
+    return Segment(tag, lambda x: sign * (radius - np.hypot(*(x - center).T)), sample)
+
+
 @dataclass(frozen=True)
 class Hole:
     """Circular exclusion inside a 2D box domain."""
@@ -42,11 +105,6 @@ class Hole:
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError("hole radius must be positive")
-
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance to the circle, negative inside the hole."""
-        d = np.hypot(points[:, 0] - self.center[0], points[:, 1] - self.center[1])
-        return d - self.radius
 
 
 @dataclass(frozen=True)
@@ -97,51 +155,33 @@ class Domain:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, float), np.asarray(self.hi, float)
 
-    @property
-    def disk_center(self) -> np.ndarray:
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The boundary: a disk's circle, or the box sides (an interval's two
+        ends; left, right, bottom, top) and then the holes."""
         lo, hi = self.bounds
-        return 0.5 * (lo + hi)
-
-    @property
-    def disk_radius(self) -> float:
-        lo, hi = self.bounds
-        return 0.5 * float(hi[0] - lo[0])
+        if self.disk:
+            return (_circle("circle", 0.5 * (lo + hi), 0.5 * float(hi[0] - lo[0]), 1.0),)
+        sides = [_side(lo, hi, axis, upper) for axis in range(self.dim) for upper in (False, True)]
+        holes = [_circle("hole%d" % i, h.center, h.radius, -1.0) for i, h in enumerate(self.holes)]
+        return tuple(sides + holes)
 
     def boundary_tags(self) -> tuple[str, ...]:
-        if self.dim == 1:
-            return ("left", "right")
-        if self.disk:
-            return ("circle",)
-        tags = ["left", "right", "bottom", "top"]
-        tags += ["hole%d" % i for i in range(len(self.holes))]
-        return tuple(tags)
+        return tuple(s.tag for s in self.segments)
+
+    def _depth(self, points: np.ndarray) -> np.ndarray:
+        """The least signed distance of each point to a segment."""
+        pts = np.atleast_2d(np.asarray(points, float))
+        return np.min([s.distance(pts) for s in self.segments], axis=0)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """True for points in the closed domain, within ``BOUNDARY_TOL`` of it."""
-        tol = BOUNDARY_TOL
-        pts = np.atleast_2d(np.asarray(points, float))
-        lo, hi = self.bounds
-        inside = np.all(pts >= lo - tol, axis=1) & np.all(pts <= hi + tol, axis=1)
-        if self.disk:
-            r = np.hypot(*(pts - self.disk_center).T)
-            inside &= r <= self.disk_radius + tol
-        for h in self.holes:
-            inside &= h.signed_distance(pts) >= -tol
-        return inside
+        return self._depth(points) >= -BOUNDARY_TOL
 
     def strictly_inside(self, points: np.ndarray) -> np.ndarray:
         """True for points in the open interior, more than ``BOUNDARY_TOL``
         from the boundary."""
-        tol = BOUNDARY_TOL
-        pts = np.atleast_2d(np.asarray(points, float))
-        lo, hi = self.bounds
-        inside = np.all(pts > lo + tol, axis=1) & np.all(pts < hi - tol, axis=1)
-        if self.disk:
-            r = np.hypot(*(pts - self.disk_center).T)
-            inside &= r < self.disk_radius - tol
-        for h in self.holes:
-            inside &= h.signed_distance(pts) > tol
-        return inside
+        return self._depth(points) > BOUNDARY_TOL
 
     # ------------------------------------------------------------------
     # sampling
@@ -156,12 +196,7 @@ class Domain:
         """
         counts = axis_counts(counts, self.dim, "interior")
         lo, hi = self.bounds
-        axes = [
-            lo[a] + (hi[a] - lo[a]) * (np.arange(c) + 0.5) / c
-            for a, c in enumerate(counts)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
+        pts = grid_points([cell_centres(lo[a], hi[a], c) for a, c in enumerate(counts)])
         return pts[self.strictly_inside(pts)]
 
     def sampling_bytes(self, counts: int | tuple[int, ...], boundary_counts: dict[str, int]) -> int:
@@ -176,74 +211,29 @@ class Domain:
         """
         grid = prod(axis_counts(counts, self.dim, "interior"))
         tags = self.boundary_tags()
-        edge = sum(min(c, 1) if self.dim == 1 else c for t, c in boundary_counts.items() if t in tags)
+        edge = sum(c for t, c in boundary_counts.items() if t in tags)
         return 8 * self.dim * max(2 * grid, 3 * edge)
 
     def sample_boundary(
         self, counts: dict[str, int]
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Uniform points on each requested boundary segment.
+        """Uniform points on each requested boundary segment, in the order of
+        ``segments``.
 
         ``counts`` maps segment tags to point counts.  Box edges are sampled
-        cell-centered in arc length (no corner duplicates); circles uniformly
+        cell-centered in arc length (no corner duplicates); an interval end
+        is one point, so its count is 0 or 1; circles are sampled uniformly
         in angle starting at angle 0.  Normals point out of the domain, which
         on a hole means toward the hole center.
         """
-        valid = set(self.boundary_tags())
-        unknown = set(counts) - valid
+        unknown = set(counts) - set(self.boundary_tags())
         if unknown:
             raise ValueError("unknown boundary tags: %s" % sorted(unknown))
-        lo, hi = self.bounds
-        points, normals, tags = [], [], []
-
-        def emit(p: np.ndarray, n: np.ndarray, tag: str) -> None:
-            points.append(p)
-            normals.append(np.broadcast_to(n, p.shape) if n.ndim == 1 else n)
-            tags.extend([tag] * len(p))
-
-        if self.dim == 1:
-            if counts.get("left", 0):
-                emit(np.array([[lo[0]]]), np.array([-1.0]), "left")
-            if counts.get("right", 0):
-                emit(np.array([[hi[0]]]), np.array([1.0]), "right")
-        elif self.disk:
-            c = counts.get("circle", 0)
-            if c:
-                th = 2.0 * np.pi * np.arange(c) / c
-                ctr, rad = self.disk_center, self.disk_radius
-                nrm = np.column_stack([np.cos(th), np.sin(th)])
-                emit(ctr + rad * nrm, nrm, "circle")
-        else:
-            edges = {
-                "left": (0, lo[0], np.array([-1.0, 0.0])),
-                "right": (0, hi[0], np.array([1.0, 0.0])),
-                "bottom": (1, lo[1], np.array([0.0, -1.0])),
-                "top": (1, hi[1], np.array([0.0, 1.0])),
-            }
-            for tag in ("left", "right", "bottom", "top"):
-                c = counts.get(tag, 0)
-                if not c:
-                    continue
-                axis, val, nrm = edges[tag]
-                other = 1 - axis
-                t = lo[other] + (hi[other] - lo[other]) * (np.arange(c) + 0.5) / c
-                p = np.empty((c, 2))
-                p[:, axis] = val
-                p[:, other] = t
-                emit(p, nrm, tag)
-            for i, h in enumerate(self.holes):
-                tag = "hole%d" % i
-                c = counts.get(tag, 0)
-                if not c:
-                    continue
-                th = 2.0 * np.pi * np.arange(c) / c
-                radial = np.column_stack([np.cos(th), np.sin(th)])
-                p = np.asarray(h.center, float) + h.radius * radial
-                emit(p, -radial, tag)
-
-        if not points:
+        pieces = [(s.tag, *s.sample(counts[s.tag])) for s in self.segments if counts.get(s.tag, 0)]
+        if not pieces:
             return np.zeros((0, self.dim)), np.zeros((0, self.dim)), []
-        return np.concatenate(points), np.concatenate(normals).reshape(-1, self.dim), tags
+        tags = [tag for tag, p, _ in pieces for _ in p]
+        return np.concatenate([p for _, p, _ in pieces]), np.concatenate([n for *_, n in pieces]), tags
 
 
 def interval(a: float, b: float) -> Domain:
@@ -264,13 +254,37 @@ def disk(center: tuple[float, float], radius: float) -> Domain:
 
 
 # ----------------------------------------------------------------------
-# interfaces between patch boxes
+# the patch grid and its interfaces
 # ----------------------------------------------------------------------
+
+
+def grid_patch_layout(
+    domain: Domain, counts: int | tuple[int, ...]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Regular patch grid over the bounding box.
+
+    Returns (center, radius, clamp_lo, clamp_hi) per patch, ordered
+    lexicographically by axis.  ``counts`` follows ``axis_counts``, and
+    every axis needs at least one patch.
+    """
+    counts = axis_counts(counts, domain.dim, "patch_counts")
+    if 0 in counts:
+        raise ValueError("'patch_counts' must be >= 1 on every axis, got %r" % (list(counts),))
+    lo, hi = domain.bounds
+    radius = (hi - lo) / (2.0 * np.asarray(counts, float))
+    layout = []
+    for idx in np.ndindex(*counts):
+        i = np.asarray(idx, float)
+        center = lo + (2.0 * i + 1.0) * radius
+        clamp_lo = np.array([j == 0 for j in idx])
+        clamp_hi = np.array([idx[a] == counts[a] - 1 for a in range(domain.dim)])
+        layout.append((center, radius, clamp_lo, clamp_hi))
+    return layout
 
 
 @dataclass
 class InterfaceSet:
-    """Points on shared facets of a box partition.
+    """Points on the shared facets of a patch grid.
 
     ``pairs[i] = (m, n)`` are the indices of the two patches meeting at
     ``points[i]``; ``normals[i]`` is the facet normal pointing from patch
@@ -287,60 +301,42 @@ class InterfaceSet:
 
 def sample_interface(
     domain: Domain,
-    boxes: list[tuple[np.ndarray, np.ndarray]],
+    patch_counts: int | tuple[int, ...],
     per_edge: int,
 ) -> InterfaceSet:
-    """Sample shared facets between adjacent patch boxes.
+    """Sample the shared facets of the patch grid ``grid_patch_layout(domain,
+    patch_counts)``.
 
-    1D partitions get the single junction point of each adjacent pair; 2D
-    partitions get ``per_edge`` points cell-centered along each shared edge.
-    Boxes meet where their bounds agree to ``BOUNDARY_TOL``.  Points falling
-    outside the domain interior (inside a hole, outside a disk) are dropped.
+    Patches m and n that are index neighbours along an axis share the facet
+    at ``center + radius`` of the lower patch m on that axis.  It gets
+    ``per_edge`` points cell-centered along the other axes; in 1D the facet
+    is one point, so ``per_edge`` must be 0 or 1.  Facets come axis by
+    axis, and on each axis by the lower patch's index on that axis, then by
+    its patch index.  Points outside the domain interior (inside a hole,
+    outside a disk) are dropped.
     """
-    tol = BOUNDARY_TOL
     dim = domain.dim
-    pts, nrm, prs = [], [], []
-    facets = []
-    for m in range(len(boxes)):
-        for n in range(len(boxes)):
-            if m == n:
-                continue
-            lo_m, hi_m = boxes[m]
-            lo_n, hi_n = boxes[n]
-            for axis in range(dim):
-                if abs(hi_m[axis] - lo_n[axis]) > tol:
-                    continue
-                if dim == 1:
-                    facets.append((axis, hi_m[axis], 0.0, 0.0, m, n))
-                    continue
-                other = 1 - axis
-                a = max(lo_m[other], lo_n[other])
-                b = min(hi_m[other], hi_n[other])
-                if b - a > tol:
-                    facets.append((axis, hi_m[axis], a, b, m, n))
-    facets.sort(key=lambda f: (f[0], f[1], f[2], f[4], f[5]))
-    for axis, coord, a, b, m, n in facets:
-        if dim == 1:
-            p = np.array([[coord]])
-        else:
-            if per_edge < 1:
-                continue
-            t = a + (b - a) * (np.arange(per_edge) + 0.5) / per_edge
-            p = np.empty((per_edge, 2))
-            p[:, axis] = coord
-            p[:, 1 - axis] = t
-        p = p[domain.strictly_inside(p)]
-        if not len(p):
-            continue
-        e = np.zeros(dim)
-        e[axis] = 1.0
-        pts.append(p)
-        nrm.append(np.broadcast_to(e, p.shape))
-        prs.append(np.broadcast_to(np.array([m, n]), (len(p), 2)))
-    if not pts:
-        return InterfaceSet(
-            np.zeros((0, dim)), np.zeros((0, dim)), np.zeros((0, 2), dtype=int)
+    if dim == 1 and per_edge > 1:
+        raise ValueError(
+            "'interface_per_edge' must be 0 or 1 on a 1D domain, whose patch facets "
+            "are points, got %d" % per_edge
         )
+    counts = axis_counts(patch_counts, dim, "patch_counts")
+    layout = grid_patch_layout(domain, counts)
+    cells = list(np.ndindex(*counts))
+    pts, nrm, prs = [np.zeros((0, dim))], [np.zeros((0, dim))], [np.zeros((0, 2), dtype=int)]
+    for axis in range(dim):
+        step = prod(counts[axis + 1 :])
+        lower = sorted((idx[axis], m) for m, idx in enumerate(cells) if idx[axis] < counts[axis] - 1)
+        for _, m in lower:
+            center, radius = layout[m][:2]
+            lo, hi = center - radius, center + radius
+            axes = [[hi[a]] if a == axis else cell_centres(lo[a], hi[a], per_edge) for a in range(dim)]
+            p = grid_points(axes)
+            p = p[domain.strictly_inside(p)]
+            pts.append(p)
+            nrm.append(np.broadcast_to(np.eye(dim)[axis], p.shape))
+            prs.append(np.broadcast_to([m, m + step], (len(p), 2)))
     return InterfaceSet(np.concatenate(pts), np.concatenate(nrm), np.concatenate(prs))
 
 
@@ -376,14 +372,16 @@ def build_collocation(
     domain: Domain,
     interior_counts: int | tuple[int, ...],
     boundary_counts: dict[str, int],
-    boxes: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    patch_counts: int | tuple[int, ...] | None = None,
     interface_per_edge: int = 0,
 ) -> CollocationSet:
-    """Sample interior, boundary, and (optionally) interface points."""
+    """Sample interior and boundary points, and, given the patch grid's
+    ``patch_counts`` and ``interface_per_edge > 0``, the interface points
+    on its shared facets (``sample_interface``)."""
     interior = domain.sample_interior(interior_counts)
     bp, bn, bt = domain.sample_boundary(boundary_counts)
-    if boxes is not None and interface_per_edge > 0:
-        iface = sample_interface(domain, boxes, interface_per_edge)
+    if patch_counts is not None and interface_per_edge > 0:
+        iface = sample_interface(domain, patch_counts, interface_per_edge)
     else:
         d = domain.dim
         iface = InterfaceSet(np.zeros((0, d)), np.zeros((0, d)), np.zeros((0, 2), dtype=int))

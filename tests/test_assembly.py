@@ -77,7 +77,7 @@ def test_row_ordering_and_meta_kinds():
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
     model = build_model(interval(0.0, 8.0), 4, 25, sampler, pou="a")
     colloc = build_collocation(
-        interval(0.0, 8.0), 40, {"left": 1, "right": 1}, model.boxes(), 1
+        interval(0.0, 8.0), 40, {"left": 1, "right": 1}, 4, 1
     )
     system = assemble(problem, model, colloc)
     assert system.n_interior_rows == 40
@@ -101,15 +101,17 @@ def _interface_setup(dim):
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=5)
     if dim == 1:
         problem = make_helmholtz_1d()
-        model = build_model(problem.domain, 2, 10, sampler, pou="a", global_features=10)
+        counts = 2
+        model = build_model(problem.domain, counts, 10, sampler, pou="a", global_features=10)
         boundary, interior, per_edge = {"left": 1, "right": 1}, 20, 1
     else:
         problem = make_beam_problem()
+        counts = (2, 2)
         model = build_model(
-            problem.domain, (2, 2), 12, sampler, pou="a", n_components=2, global_features=8
+            problem.domain, counts, 12, sampler, pou="a", n_components=2, global_features=8
         )
         boundary, interior, per_edge = {t: 4 for t in ("left", "right", "bottom", "top")}, 6, 3
-    colloc = build_collocation(problem.domain, interior, boundary, model.boxes(), per_edge)
+    colloc = build_collocation(problem.domain, interior, boundary, counts, per_edge)
     return problem, model, colloc
 
 
@@ -155,7 +157,7 @@ def test_interface_points_need_the_sharp_partition():
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
     model = build_model(problem.domain, 4, 25, sampler, pou="b")
     colloc = build_collocation(
-        problem.domain, 40, {"left": 1, "right": 1}, model.boxes(), 1
+        problem.domain, 40, {"left": 1, "right": 1}, 4, 1
     )
     assert colloc.n_interface == 3
     with pytest.raises(ValueError, match="sharp partition"):
@@ -180,7 +182,7 @@ def test_rescale_sets_uniform_row_maxima():
         problem.domain,
         (12, 12),
         {t: 12 for t in ("left", "right", "bottom", "top")},
-        model.boxes(),
+        (2, 2),
         6,
     )
     for c in (10.0, 100.0):
@@ -241,7 +243,7 @@ def test_stokes_assembly_has_pin_row():
     model = build_model(problem.domain, (2, 2), 20, sampler, pou="a", n_components=3)
     boundary = {t: 4 for t in ("left", "right", "bottom", "top")}
     boundary.update({f"hole{i}": 6 for i in range(3)})
-    colloc = build_collocation(problem.domain, (10, 10), boundary, model.boxes(), 4)
+    colloc = build_collocation(problem.domain, (10, 10), boundary, (2, 2), 4)
     system = assemble(problem, model, colloc)
     assert system.n_pin_rows == 1
     assert system.shape[0] == (
@@ -267,7 +269,7 @@ def test_stokes_pin_and_global_block_share_the_stencil_fill():
     )
     boundary = {t: 4 for t in ("left", "right", "bottom", "top")}
     boundary.update({f"hole{i}": 6 for i in range(3)})
-    colloc = build_collocation(problem.domain, (10, 10), boundary, model.boxes(), 4)
+    colloc = build_collocation(problem.domain, (10, 10), boundary, (2, 2), 4)
     system = assemble(problem, model, colloc)
     glob = len(model.patches)
     zero = (0, 0)
@@ -360,8 +362,8 @@ def _stokes_setup(pou):
     )
     boundary = {t: 4 for t in ("left", "right", "bottom", "top")}
     boundary.update({f"hole{i}": 6 for i in range(3)})
-    boxes, per_edge = (model.boxes(), 4) if pou == "a" else (None, 0)
-    colloc = build_collocation(problem.domain, (10, 10), boundary, boxes, per_edge)
+    counts, per_edge = ((2, 2), 4) if pou == "a" else (None, 0)
+    colloc = build_collocation(problem.domain, (10, 10), boundary, counts, per_edge)
     return problem, model, colloc
 
 
@@ -469,7 +471,7 @@ def test_dump_and_load_round_trip(tmp_path):
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
     model = build_model(interval(0.0, 8.0), 4, 25, sampler, pou="a")
     colloc = build_collocation(
-        interval(0.0, 8.0), 40, {"left": 1, "right": 1}, model.boxes(), 1
+        interval(0.0, 8.0), 40, {"left": 1, "right": 1}, 4, 1
     )
     system = assemble(problem, model, colloc).rescale(100.0)
     path = tmp_path / "system.bin"
@@ -489,7 +491,7 @@ def test_assembly_is_deterministic():
         problem.domain,
         (8, 8),
         {t: 8 for t in ("left", "right", "bottom", "top")},
-        model.boxes(),
+        (2, 2),
         4,
     )
     s1 = assemble(problem, model, colloc)

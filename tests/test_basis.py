@@ -2,6 +2,7 @@
 oracles, partition-of-unity identities, and sampling determinism."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from rfm.basis import (
     build_model,
     dominant_frequencies,
     feature_block,
-    grid_patch_layout,
     pou_eval,
     sample_features,
     select_rm_from_forcing,
 )
-from rfm.geometry import box, interval
+from rfm.geometry import box, grid_patch_layout, interval
 
 RNG = np.random.default_rng(1234)
 
@@ -510,6 +510,14 @@ def test_grid_patch_layout_centers_and_radii():
 def test_grid_patch_layout_refuses_more_counts_than_axes():
     with pytest.raises(ValueError, match=r"'patch_counts' needs 1 or 2 counts"):
         grid_patch_layout(box((0.0, 0.0), (8.0, 8.0)), (2, 2, 2))
+
+
+@pytest.mark.parametrize("domain,counts", [(interval(0.0, 8.0), 0), (box((0.0, 0.0), (8.0, 8.0)), (2, 0))])
+def test_build_model_refuses_a_zero_patch_count_before_dividing(domain, counts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"'patch_counts' must be >= 1 on every axis"):
+            build_model(domain, counts, 10, FeatureSampler(1.0))
 
 
 def test_build_model_column_layout_and_global_patch():

@@ -463,6 +463,11 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
     assert "208x200 system needs 0.4 MB" in capsys.readouterr().err
 
 
+def _one_d() -> dict:
+    """A 1D config, whose interval ends and patch facets are single points."""
+    return load_suite("helmholtz-adaptive")[0].to_dict()
+
+
 @pytest.mark.parametrize(
     "edit,key,word",
     [
@@ -493,6 +498,8 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         (lambda cfg: cfg.update(patch_counts=[4.9, 2]), "patch_counts", "must be integers"),
         (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
         (lambda cfg: cfg.update(boundary=[10, 10]), "boundary", "must map boundary tags"),
+        (lambda cfg: cfg.update(_one_d(), boundary={"left": 5, "right": 1}), "left", "0 or 1"),
+        (lambda cfg: cfg.update(_one_d(), interface_per_edge=5), "interface_per_edge", "0 or 1"),
         (lambda cfg: cfg.update(interior=None), "interior", "must be integers"),
         (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
         (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
@@ -551,6 +558,8 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
         "fractional-patch-count",
         "fractional-boundary-count",
         "list-boundary",
+        "interval-end-count",
+        "1d-interface-count",
         "null-interior",
         "fractional-eval-count",
         "bool-interior-count",

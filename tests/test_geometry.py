@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfm.geometry import (
     Hole,
@@ -9,6 +11,7 @@ from rfm.geometry import (
     box,
     build_collocation,
     disk,
+    grid_patch_layout,
     interval,
     sample_interface,
 )
@@ -140,14 +143,17 @@ def test_boundary_sampling_unknown_tag_raises():
         dom.sample_boundary({"left": 1, "nope": 2})
 
 
+def test_interval_ends_are_single_points():
+    dom = interval(0.0, 8.0)
+    with pytest.raises(ValueError, match=r"boundary 'left' of an interval is one point: .* 0 or 1, got 5"):
+        dom.sample_boundary({"left": 5, "right": 1})
+    with pytest.raises(ValueError, match=r"'interface_per_edge' must be 0 or 1 on a 1D domain"):
+        sample_interface(dom, 4, per_edge=5)
+
+
 def test_interface_1d_junction_points():
     dom = interval(0.0, 8.0)
-    edges = np.linspace(0.0, 8.0, 5)
-    boxes = [
-        (np.array([edges[i]]), np.array([edges[i + 1]]))
-        for i in range(4)
-    ]
-    iface = sample_interface(dom, boxes, per_edge=1)
+    iface = sample_interface(dom, 4, per_edge=1)
     assert len(iface) == 3
     assert np.allclose(sorted(iface.points[:, 0]), [2.0, 4.0, 6.0])
     assert np.allclose(iface.normals, 1.0)
@@ -158,12 +164,7 @@ def test_interface_1d_junction_points():
 
 def test_interface_2d_facets_and_hole_filtering():
     dom = box((0.0, 0.0), (1.0, 1.0))
-    boxes = []
-    for i in range(2):
-        for j in range(2):
-            lo = np.array([0.5 * i, 0.5 * j])
-            boxes.append((lo, lo + 0.5))
-    iface = sample_interface(dom, boxes, per_edge=4)
+    iface = sample_interface(dom, (2, 2), per_edge=4)
     # 4 shared facets (2 vertical + 2 horizontal), 4 points each
     assert len(iface) == 16
     vertical = np.isclose(iface.points[:, 0], 0.5) & (iface.normals[:, 0] == 1.0)
@@ -171,23 +172,18 @@ def test_interface_2d_facets_and_hole_filtering():
     assert vertical.sum() == 8 and horizontal.sum() == 8
 
     holed = box((0.0, 0.0), (1.0, 1.0), holes=(Hole((0.5, 0.5), 0.2),))
-    filtered = sample_interface(holed, boxes, per_edge=8)
+    filtered = sample_interface(holed, (2, 2), per_edge=8)
     assert len(filtered) < 32
     assert np.all(np.hypot(*(filtered.points - 0.5).T) > 0.2)
 
 
 def test_build_collocation_counts():
     dom = box((0.0, 0.0), (1.0, 1.0))
-    boxes = []
-    for i in range(2):
-        for j in range(2):
-            lo = np.array([0.5 * i, 0.5 * j])
-            boxes.append((lo, lo + 0.5))
     colloc = build_collocation(
         dom,
         (10, 10),
         {"left": 5, "right": 5, "bottom": 5, "top": 5},
-        boxes,
+        (2, 2),
         interface_per_edge=3,
     )
     assert colloc.n_interior == 100
@@ -203,3 +199,79 @@ def test_sampling_is_deterministic():
     pa, na, ta = dom.sample_boundary({"left": 3, "right": 3, "bottom": 3, "top": 3, "hole0": 9})
     pb, nb, tb = dom.sample_boundary({"left": 3, "right": 3, "bottom": 3, "top": 3, "hole0": 9})
     assert np.array_equal(pa, pb) and np.array_equal(na, nb) and ta == tb
+
+
+# ----------------------------------------------------------------------
+# properties of the segment table and of the patch grid's interfaces
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def domains(draw):
+    """An interval, a disk, or a box with 0-2 holes, each hole in its own
+    column of the box with a gap of at least 5 % of that column around it."""
+    coord, size = st.floats(-5.0, 5.0), st.floats(0.5, 10.0)
+    kind = draw(st.sampled_from(["interval", "disk", "box"]))
+    if kind == "interval":
+        a = draw(coord)
+        return interval(a, a + draw(size))
+    if kind == "disk":
+        return disk((draw(coord), draw(coord)), draw(size) / 2)
+    lo = np.array([draw(coord), draw(coord)])
+    ext = np.array([draw(size), draw(size)])
+    n = draw(st.integers(0, 2))
+    holes = []
+    for i in range(n):
+        w = ext[0] / n
+        fx, fy = draw(st.floats(0.3, 0.7)), draw(st.floats(0.3, 0.7))
+        r = draw(st.floats(0.05, 0.25)) * min(w, ext[1])
+        holes.append(Hole((lo[0] + (i + fx) * w, lo[1] + fy * ext[1]), r))
+    return box(tuple(lo), tuple(lo + ext), holes)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(domains(), st.integers(0, 2**32 - 1))
+def test_strictly_inside_implies_contains(dom, seed):
+    lo, hi = dom.bounds
+    pad = 0.1 * (hi - lo)
+    pts = np.random.default_rng(seed).uniform(lo - pad, hi + pad, (200, dom.dim))
+    pts = np.vstack([pts, dom.sample_boundary({t: 1 for t in dom.boundary_tags()})[0]])
+    assert np.all(dom.contains(pts)[dom.strictly_inside(pts)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(domains(), st.data())
+def test_boundary_samples_lie_on_the_boundary_with_outward_normals(dom, data):
+    top = 1 if dom.dim == 1 else 12
+    counts = {t: data.draw(st.integers(1, top)) for t in dom.boundary_tags()}
+    pts, normals, tags = dom.sample_boundary(counts)
+    assert len(pts) == len(tags) == sum(counts.values())
+    assert np.all(dom.contains(pts)) and not np.any(dom.strictly_inside(pts))
+    lo, hi = dom.bounds
+    step = 1e-6 * np.max(hi - lo) * normals
+    assert not np.any(dom.contains(pts + step))
+    assert np.all(dom.strictly_inside(pts - step))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(domains(), st.data())
+def test_interface_pairs_are_grid_neighbours_on_their_shared_facet(dom, data):
+    counts = tuple(data.draw(st.integers(1, 4)) for _ in range(dom.dim))
+    per_edge = 1 if dom.dim == 1 else data.draw(st.integers(1, 5))
+    iface = sample_interface(dom, counts, per_edge)
+    layout = grid_patch_layout(dom, counts)
+    for p, e, (m, n) in zip(iface.points, iface.normals, iface.pairs):
+        axis = int(np.argmax(e))
+        assert np.array_equal(e, np.eye(dom.dim)[axis])
+        step = np.subtract(np.unravel_index(n, counts), np.unravel_index(m, counts))
+        assert np.array_equal(step, np.eye(dom.dim, dtype=int)[axis])
+        for k in (m, n):
+            center, radius = layout[k][:2]
+            assert np.all(np.abs(p - center) <= radius * (1 + 1e-12))
+        lower_hi = layout[m][0][axis] + layout[m][1][axis]
+        upper_lo = layout[n][0][axis] - layout[n][1][axis]
+        assert p[axis] == lower_hi and upper_lo == pytest.approx(lower_hi, abs=1e-12)
+    assert np.all(dom.strictly_inside(iface.points))
+    if not dom.holes and not dom.disk:
+        facets = sum((c - 1) * np.prod(counts) // c for c in counts)
+        assert len(iface) == per_edge * facets
