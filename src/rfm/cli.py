@@ -16,10 +16,10 @@ from dataclasses import replace
 
 from .experiments import (
     ExperimentConfig,
-    load_suite,
     rescale_ablation,
     run_experiment,
     run_table,
+    suite_config,
 )
 
 
@@ -74,14 +74,7 @@ def main(argv=None) -> int:
             on, off = rescale_ablation(config)
             print("rescaling on:", on.text(), "rescaling off:", off.text(), sep="\n")
         elif args.command == "config":
-            configs = {c.name: c for c in load_suite(args.suite)}
-            name = next(iter(configs)) if args.name is None else args.name
-            if name not in configs:
-                raise ValueError(
-                    "unknown config %r in suite %r (known: %s)"
-                    % (name, args.suite, ", ".join(configs))
-                )
-            print(configs[name].to_json())
+            print(suite_config(args.suite, args.name).to_json())
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

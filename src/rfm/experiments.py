@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -21,25 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import assemble, check_sampling_memory
-from .basis import FeatureSampler, RfmModel, build_model, select_rm_from_forcing
+from .basis import FeatureSampler, build_model, select_rm_from_forcing
 from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid
-from .geometry import Hole, axis_counts, build_collocation, grid_patch_layout
+from .geometry import axis_counts, build_collocation, grid_patch_layout
 from .solver import solve_system
-from .problems import (
-    HomogenizationCoefficient,
-    PdeProblem,
-    four_tones_1d,
-    make_beam_problem,
-    make_channel_flow,
-    make_helmholtz_1d,
-    make_plate_problem,
-    make_poisson_2d,
-    make_stokes_manufactured,
-    make_varcoef_elliptic,
-    two_band_2d,
-    wave_product_1d,
-)
+from .problems import PROBLEMS, PdeProblem, _is_integral, _is_real
 
 _COMPONENT_LABELS = {1: ("u",), 2: ("u", "v"), 3: ("u", "v", "p")}
 _STRESS_LABELS = ("sx", "sy", "txy")
@@ -47,19 +35,6 @@ _STRESS_LABELS = ("sx", "sy", "txy")
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is an int or a float; a bool is not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-        value, (bool, np.bool_)
-    )
-
-
-def _is_integral(count) -> bool:
-    """Whether ``count`` is an integer, or a float with an integral value; a
-    bool is not."""
-    return _is_real(count) and (isinstance(count, (int, np.integer)) or float(count).is_integer())
 
 
 @dataclass(frozen=True)
@@ -168,77 +143,29 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 
-# Numeric problem keys, each mapped to whether it must be an integer >= 0
-# (a Philox key, a lattice bound) rather than any finite number.
-_NUMERIC_PROBLEM_KEYS = {
-    "lam": False, "a_low": False, "b_high": False, "amp": False, "forcing": False,
-    "coef_seed": True, "bound": True,
-}
-_SOLUTIONS = {"wave-product": wave_product_1d, "four-tones": four_tones_1d}
+# the keys each problem id takes besides "id": its factory's keyword arguments
+_PROBLEM_KEYS = {pid: frozenset(inspect.signature(f).parameters) for pid, f in PROBLEMS.items()}
 
 
 def make_problem(params: dict) -> PdeProblem:
     """Instantiate a benchmark problem from its config dict.
 
-    ``params`` must be a mapping with a string ``id``.  A key that the
-    problem does not take, or a value of the wrong kind (a bool is no
-    number), raises ValueError naming it.
+    ``params`` must be a mapping with a string ``id`` that ``PROBLEMS``
+    knows; its other keys go to that factory, which checks their values.
+    A key that the factory does not take raises ValueError naming it.
     """
     if not isinstance(params, Mapping) or not isinstance(params.get("id"), str):
         raise ValueError("'problem' must be a mapping with a string 'id', got %r" % (params,))
-    params = dict(params)
-    for key in [k for k in _NUMERIC_PROBLEM_KEYS if k in params]:
-        value, integral = params[key], _NUMERIC_PROBLEM_KEYS[key]
-        if integral and not (_is_integral(value) and value >= 0):
-            raise ValueError("problem key %r must be an integer >= 0, got %r" % (key, value))
-        if not (_is_real(value) and np.isfinite(value)):
-            raise ValueError("problem key %r must be a finite number, got %r" % (key, value))
-    pid = params.pop("id")
-
-    def given(*keys, **renamed) -> dict:
-        """The problem keys that the config gives, taken out of ``params``,
-        under the factory's argument names (``arg="key"`` where they differ)."""
-        names = {k: k for k in keys} | renamed
-        return {arg: params.pop(key) for arg, key in names.items() if key in params}
-
-    if pid == "helmholtz":
-        kw = given("lam")
-        if "solution" in params:
-            sol = params.pop("solution")
-            if not isinstance(sol, str) or sol not in _SOLUTIONS:
-                raise ValueError("problem key 'solution' must be one of %s, got %r" % (list(_SOLUTIONS), sol))
-            kw["exact"] = _SOLUTIONS[sol]()
-        problem = make_helmholtz_1d(**kw)
-    elif pid == "poisson":
-        problem = make_poisson_2d(exact=two_band_2d(**given("a_low", "b_high")))
-    elif pid == "beam":
-        problem = make_beam_problem()
-    elif pid == "plate":
-        holes = params.pop("holes", None)
-        if holes is None:
-            problem = make_plate_problem()
-        else:
-            if not isinstance(holes, (list, tuple)) or not all(
-                isinstance(h, (list, tuple)) and len(h) == 3
-                and all(_is_real(v) and np.isfinite(v) for v in h) for h in holes
-            ):
-                raise ValueError("problem key 'holes' must list [x, y, radius] numbers, got %r" % (holes,))
-            problem = make_plate_problem(tuple(Hole((h[0], h[1]), h[2]) for h in holes))
-    elif pid == "stokes":
-        problem = make_stokes_manufactured()
-    elif pid == "channel":
-        problem = make_channel_flow()
-    elif pid == "varcoef":
-        coef = {k: int(v) for k, v in given(seed="coef_seed", bound="bound").items()}
-        coef = HomogenizationCoefficient(**coef, **given("amp"))
-        problem = make_varcoef_elliptic(coef, **given(forcing_value="forcing"))
-    else:
-        raise ValueError("unknown problem id %r" % pid)
-    if params:
+    kw = dict(params)
+    pid = kw.pop("id")
+    if pid not in PROBLEMS:
+        raise ValueError("unknown problem id %r (known: %s)" % (pid, ", ".join(PROBLEMS)))
+    unknown = set(kw) - _PROBLEM_KEYS[pid]
+    if unknown:
         raise ValueError(
-            "unknown key(s) for problem %r: %s" % (pid, ", ".join(map(repr, sorted(params))))
+            "unknown key(s) for problem %r: %s" % (pid, ", ".join(sorted(map(repr, unknown))))
         )
-    return problem
+    return PROBLEMS[pid](**kw)
 
 
 def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
@@ -711,3 +638,15 @@ def load_suite(suite: str) -> list[ExperimentConfig]:
             "unknown suite %r (known: %s)" % (suite, ", ".join(SUITE_NAMES))
         )
     return default_suite_configs()[suite]
+
+
+def suite_config(suite: str, name: str | None = None) -> ExperimentConfig:
+    """The shipped config of ``suite`` called ``name``, or by default the suite's first."""
+    configs = {c.name: c for c in load_suite(suite)}
+    if name is None:
+        return next(iter(configs.values()))
+    if name not in configs:
+        raise ValueError(
+            "unknown config %r in suite %r (known: %s)" % (name, suite, ", ".join(configs))
+        )
+    return configs[name]

@@ -13,10 +13,16 @@ form (``ManufacturedSolution``): per component, a sum of products of
 one-axis factors, each factor a sum of terms c t^p g(omega t + phi) with g
 cos or exp.  Tone sums, polynomials and the holed plate's field are all
 written this way, and derivatives of any order are derived from it.
+
+``PROBLEMS`` maps each config ``problem`` id to the factory that builds it.
+A factory's keyword arguments are exactly that id's config keys, and the
+factory (or the object it builds) checks each one, so a library call and a
+config get the same ValueError, naming the key as the config spells it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, perm
@@ -25,6 +31,30 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Domain, Hole, box, disk, interval
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+
+
+def _is_integral(count) -> bool:
+    """Whether ``count`` is an integer, or a float with an integral value; a
+    bool is not."""
+    return _is_real(count) and (isinstance(count, (int, np.integer)) or float(count).is_integer())
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a number within the float range; a bool is not."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
+def _require(ok: bool, key: str, what: str, value) -> None:
+    """A ValueError naming ``key``, as a config spells it, unless ``ok``."""
+    if not ok:
+        raise ValueError("%r must be %s, got %r" % (key, what, value))
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +244,13 @@ def four_tones_1d() -> ManufacturedSolution:
     return ManufacturedSolution([[(1.0, (tones,))] + _polynomial({(0,): 2.0})])
 
 
+SOLUTIONS_1D = {"wave-product": wave_product_1d, "four-tones": four_tones_1d}
+
+
 def two_band_2d(a_low: float = 1.0, b_high: float = 0.0) -> ManufacturedSolution:
     """Separable waves with a low band (freq pi, 2pi) and a doubled band."""
+    for key, value in (("a_low", a_low), ("b_high", b_high)):
+        _require(_is_finite(value), key, "a finite number", value)
     g1 = _tones((1.5, 2.0), (np.pi, 2 * np.pi), (2 * np.pi / 5, -np.pi / 5))
     g2 = _tones((1.5, 2.0), (2 * np.pi, 4 * np.pi), (4 * np.pi / 5, -2 * np.pi / 5))
     return ManufacturedSolution([[(-a, (g, g)) for a, g in ((a_low, g1), (b_high, g2)) if a]])
@@ -319,9 +354,19 @@ class HomogenizationCoefficient:
     pins the whole field.
     """
 
-    seed: int = 0
+    coef_seed: int = 0
     bound: int = 6
     amp: float = 0.3
+
+    def __post_init__(self) -> None:
+        # the seed is one 64-bit word of the Philox key
+        seed, bound = self.coef_seed, self.bound
+        word = _is_integral(seed) and 0 <= seed < 2**64
+        _require(word, "coef_seed", "an integer >= 0 below 2**64", seed)
+        _require(_is_integral(bound) and bound >= 0, "bound", "an integer >= 0", bound)
+        _require(_is_finite(self.amp), "amp", "a finite number", self.amp)
+        object.__setattr__(self, "coef_seed", int(seed))
+        object.__setattr__(self, "bound", int(bound))
 
     @cached_property
     def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,7 +378,7 @@ class HomogenizationCoefficient:
         ]
         lattice = np.asarray(ks, float)
         rng = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, 0x636F6566], dtype=np.uint64))
+            np.random.Philox(key=np.array([self.coef_seed, 0x636F6566], dtype=np.uint64))
         )
         a = rng.uniform(-self.amp, self.amp, len(lattice))
         b = rng.uniform(-self.amp, self.amp, len(lattice))
@@ -373,7 +418,6 @@ class HomogenizationCoefficient:
 class PdeProblem:
     """A fully specified collocation problem on one domain."""
 
-    name: str
     domain: Domain
     operator: Stencil
     boundary: tuple[Stencil, ...]
@@ -445,31 +489,30 @@ def _dirichlet_stencil(tags, n_components, dim, comps=None) -> Stencil:
     return Stencil(terms, len(terms), n_components, dim, tuple(tags))
 
 
-def make_helmholtz_1d(
-    lam: float = 4.0,
-    exact: ManufacturedSolution | None = None,
-) -> PdeProblem:
-    """u'' - lam*u = f on [0, 8], Dirichlet at both endpoints."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+def make_helmholtz_1d(lam: float = 4.0, solution: str = "wave-product") -> PdeProblem:
+    """u'' - lam*u = f on [0, 8], Dirichlet at both endpoints; the exact
+    solution is ``SOLUTIONS_1D[solution]``."""
+    _require(_is_real(lam) and 0 < lam <= sys.float_info.max, "lam", "a positive finite number", lam)
+    known = isinstance(solution, str) and solution in SOLUTIONS_1D
+    _require(known, "solution", "one of %s" % list(SOLUTIONS_1D), solution)
     domain = interval(0.0, 8.0)
-    exact = exact or wave_product_1d()
     op = Stencil(
         (Term(0, 0, (2,), 1.0), Term(0, 0, (0,), -lam)), 1, 1, 1
     )
     bc = _dirichlet_stencil(("left", "right"), 1, 1)
-    return PdeProblem("helmholtz_1d", domain, op, (bc,), 1, exact=exact)
+    return PdeProblem(domain, op, (bc,), 1, exact=SOLUTIONS_1D[solution]())
 
 
-def make_poisson_2d(exact: ManufacturedSolution | None = None) -> PdeProblem:
-    """u_xx + u_yy = f on the unit square, Dirichlet on all four edges."""
+def make_poisson_2d(a_low: float = 1.0, b_high: float = 0.0) -> PdeProblem:
+    """u_xx + u_yy = f on the unit square, Dirichlet on all four edges; the
+    exact solution is ``two_band_2d(a_low, b_high)``."""
+    exact = two_band_2d(a_low, b_high)
     domain = box((0.0, 0.0), (1.0, 1.0))
-    exact = exact or two_band_2d()
     op = Stencil(
         (Term(0, 0, (2, 0), 1.0), Term(0, 0, (0, 2), 1.0)), 1, 1, 2
     )
     bc = _dirichlet_stencil(domain.boundary_tags(), 1, 2)
-    return PdeProblem("poisson_2d", domain, op, (bc,), 1, exact=exact)
+    return PdeProblem(domain, op, (bc,), 1, exact=exact)
 
 
 def _traction_stencil(tags, constants: ElasticityConstants) -> Stencil:
@@ -498,7 +541,6 @@ def make_elasticity_2d(
     dirichlet_tags: tuple[str, ...],
     neumann_tags: tuple[str, ...],
     exact: ManufacturedSolution,
-    name: str = "elasticity_2d",
 ) -> PdeProblem:
     """-div sigma(u) = B in plane stress; displacement on Gamma_D, traction on Gamma_N."""
     c = constants.stiffness
@@ -521,7 +563,7 @@ def make_elasticity_2d(
     if neumann_tags:
         stencils.append(_traction_stencil(neumann_tags, constants))
     return PdeProblem(
-        name, domain, op, tuple(stencils), 2,
+        domain, op, tuple(stencils), 2,
         exact=exact, constants=constants,
     )
 
@@ -539,33 +581,37 @@ def make_beam_problem() -> PdeProblem:
         domain, constants,
         dirichlet_tags=("left",),
         neumann_tags=("right", "bottom", "top"),
-        exact=sol, name="beam_2d",
+        exact=sol,
     )
 
 
 DEFAULT_PLATE_HOLES = (
-    Hole((1.6, 1.6), 0.45),
-    Hole((6.2, 2.0), 0.55),
-    Hole((2.3, 6.1), 0.5),
-    Hole((5.9, 6.3), 0.4),
+    (1.6, 1.6, 0.45),
+    (6.2, 2.0, 0.55),
+    (2.3, 6.1, 0.5),
+    (5.9, 6.3, 0.4),
 )
 
 
-def make_plate_problem(holes: tuple[Hole, ...] = DEFAULT_PLATE_HOLES) -> PdeProblem:
+def make_plate_problem(holes=DEFAULT_PLATE_HOLES) -> PdeProblem:
     """Holed square plate with a smooth manufactured displacement field.
 
-    Displacement is prescribed on the bottom edge, tractions everywhere
-    else including the hole rims.  The material is the default
-    ``ElasticityConstants``.
+    ``holes`` lists one ``[x, y, radius]`` per hole.  Displacement is
+    prescribed on the bottom edge, tractions everywhere else including the
+    hole rims.  The material is the default ``ElasticityConstants``.
     """
+    triples = isinstance(holes, (list, tuple)) and all(
+        isinstance(h, (list, tuple)) and len(h) == 3 and all(map(_is_finite, h)) for h in holes
+    )
+    _require(triples, "holes", "a list of [x, y, radius] numbers", holes)
     constants = ElasticityConstants()
-    domain = box((0.0, 0.0), (8.0, 8.0), holes=holes)
+    domain = box((0.0, 0.0), (8.0, 8.0), holes=[Hole((x, y), r) for x, y, r in holes])
     neumann = tuple(t for t in domain.boundary_tags() if t != "bottom")
     return make_elasticity_2d(
         domain, constants,
         dirichlet_tags=("bottom",),
         neumann_tags=neumann,
-        exact=plate_solution(), name="plate_2d",
+        exact=plate_solution(),
     )
 
 
@@ -579,7 +625,6 @@ def make_stokes_2d(
     exact: ManufacturedSolution | None = None,
     boundary_velocity: Callable | None = None,
     pin_value: float | None = None,
-    name: str = "stokes_2d",
 ) -> PdeProblem:
     """Steady Stokes flow: -Lap u + grad p = f, div u = 0, velocity Dirichlet.
 
@@ -613,7 +658,7 @@ def make_stokes_2d(
 
         boundary_data = boundary_velocity
     return PdeProblem(
-        name, domain, op, (bc,), 3,
+        domain, op, (bc,), 3,
         exact=exact, forcing=forcing, boundary_data=boundary_data,
         extra_point_conditions=((PIN_POINT, 2, pin_value),),
     )
@@ -629,7 +674,7 @@ STOKES_HOLES = (
 def make_stokes_manufactured() -> PdeProblem:
     """Polynomial manufactured Stokes flow on the unit square with three holes."""
     domain = box((0.0, 0.0), (1.0, 1.0), holes=STOKES_HOLES)
-    return make_stokes_2d(domain, exact=stokes_poly_solution(), name="stokes_poly_2d")
+    return make_stokes_2d(domain, exact=stokes_poly_solution())
 
 
 def make_channel_flow() -> PdeProblem:
@@ -644,16 +689,16 @@ def make_channel_flow() -> PdeProblem:
         out[on_ends, 0] = y * (1.0 - y)
         return out
 
-    return make_stokes_2d(
-        domain, boundary_velocity=profile, pin_value=0.0, name="channel_flow_2d"
-    )
+    return make_stokes_2d(domain, boundary_velocity=profile, pin_value=0.0)
 
 
 def make_varcoef_elliptic(
-    coef: HomogenizationCoefficient,
-    forcing_value: float = 1.0,
+    coef_seed: int = 0, bound: int = 6, amp: float = 0.3, forcing: float = 1.0
 ) -> PdeProblem:
-    """-div(a grad u) = f on the unit disk, homogeneous Dirichlet."""
+    """-div(a grad u) = forcing on the unit disk, homogeneous Dirichlet, with
+    a = ``HomogenizationCoefficient(coef_seed, bound, amp)``."""
+    coef = HomogenizationCoefficient(coef_seed, bound, amp)
+    _require(_is_finite(forcing), "forcing", "a finite number", forcing)
     domain = disk((0.0, 0.0), 1.0)
 
     # the four terms are evaluated in turn on the same points array: compute
@@ -686,13 +731,24 @@ def make_varcoef_elliptic(
     )
     bc = _dirichlet_stencil(domain.boundary_tags(), 1, 2)
 
-    def forcing(points):
-        return np.full((len(points), 1), float(forcing_value))
+    def forcing_data(points):
+        return np.full((len(points), 1), float(forcing))
 
     def boundary_data(points, normals, tags):
         return np.zeros((len(points), 1))
 
     return PdeProblem(
-        "varcoef_disk", domain, op, (bc,), 1,
-        forcing=forcing, boundary_data=boundary_data,
+        domain, op, (bc,), 1,
+        forcing=forcing_data, boundary_data=boundary_data,
     )
+
+
+PROBLEMS = {
+    "helmholtz": make_helmholtz_1d,
+    "poisson": make_poisson_2d,
+    "beam": make_beam_problem,
+    "plate": make_plate_problem,
+    "stokes": make_stokes_manufactured,
+    "channel": make_channel_flow,
+    "varcoef": make_varcoef_elliptic,
+}

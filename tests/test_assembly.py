@@ -11,7 +11,7 @@ import pytest
 from rfm import assembly, basis
 from rfm.assembly import RowGroup, assemble, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
-from rfm.experiments import build_run, load_suite
+from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
 from rfm.problems import (
     HomogenizationCoefficient,
@@ -321,7 +321,7 @@ def test_term_coefficients_run_once_per_point_set():
     tags = plain.domain.boundary_tags()
     bc = Stencil((Term(0, 0, (0, 0), counted("bc", 1.0)),), 1, 1, 2, tags)
     problem = PdeProblem(
-        "counted", plain.domain, op, (bc,), 1,
+        plain.domain, op, (bc,), 1,
         forcing=plain.forcing_values, boundary_data=plain.boundary_values,
     )
     sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=2)
@@ -448,7 +448,7 @@ def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
     group's block once its R factor is taken, so the peak is the blocks and
     the weighted copy of one tall group (99 MB on this beam, whose dense
     matrix would take 184 MB), not the blocks twice."""
-    config = {c.name: c for c in load_suite("timoshenko")}["M=800 Q=6400"]
+    config = suite_config("timoshenko", "M=800 Q=6400")
     problem, model, colloc = build_run(config)
     tracemalloc.start()
     try:

@@ -9,19 +9,15 @@ import pytest
 import rfm.experiments as experiments
 from rfm import assembly, basis
 from rfm.blas import POOLS, SMALL_SYSTEM, blas_threads, find_pools, threads_for
-from rfm.experiments import load_suite, run_experiment
+from rfm.experiments import run_experiment, suite_config
 
 needs_pools = pytest.mark.skipif(
     len(POOLS) != 2, reason="needs the OpenBLAS bundled with numpy and with scipy"
 )
 
 
-def _config(suite: str, name: str):
-    return {c.name: c for c in load_suite(suite)}[name]
-
-
-SMALL = _config("stokes-exact", "M=400 Q=100")  # 501x1200
-LARGE = _config("helmholtz-pou", "pou-b M=800")  # 802x800
+SMALL = suite_config("stokes-exact", "M=400 Q=100")  # 501x1200
+LARGE = suite_config("helmholtz-pou", "pou-b M=800")  # 802x800
 
 
 def _counts() -> list[int]:
@@ -142,7 +138,7 @@ def test_same_config_and_seed_give_the_same_record(config):
 def test_auto_rm_is_the_same_at_every_entry_count(entry_count):
     """The memoized tone selection runs on one thread, so no caller's count
     reaches the value it stores."""
-    config = _config("helmholtz-adaptive", "sin random Rm=auto")
+    config = suite_config("helmholtz-adaptive", "sin random Rm=auto")
     problem = experiments.make_problem(config.problem)
     chosen = []
     for count in (1, 2):

@@ -12,7 +12,7 @@ from rfm.evaluation import (
     low_frequency_energy,
     self_convergence,
 )
-from rfm.experiments import load_suite, run_experiment
+from rfm.experiments import run_experiment, suite_config
 from rfm.geometry import Hole, box, interval
 from rfm.problems import make_helmholtz_1d
 
@@ -130,7 +130,7 @@ def test_near_zero_reference_is_measured_against_its_group_scale():
 
 def test_beam_sy_l2rel_is_not_divided_by_rounding_noise():
     # the exact sigma_y of the beam is 0; its reference norm is about 1e-13
-    config = {c.name: c for c in load_suite("timoshenko")}["M=800 Q=1600"]
+    config = suite_config("timoshenko", "M=800 Q=1600")
     record = run_experiment(config)
     assert record.errors["sy_l2rel"] <= 1e-6
     assert record.errors["sx_l2rel"] <= 1e-6

@@ -27,7 +27,9 @@ from rfm.experiments import (
     rescale_ablation,
     run_experiment,
     run_table,
+    suite_config,
 )
+from rfm.problems import PROBLEMS
 
 
 def _fast_config(**overrides) -> ExperimentConfig:
@@ -116,21 +118,16 @@ def test_config_validation_rejects_bad_counts():
 
 
 def test_make_problem_dispatch_covers_all_ids():
-    specs = [
-        {"id": "helmholtz"},
+    specs = [{"id": pid} for pid in PROBLEMS] + [
         {"id": "helmholtz", "solution": "four-tones"},
         {"id": "poisson", "a_low": 0.5, "b_high": 0.5},
-        {"id": "beam"},
-        {"id": "plate"},
-        {"id": "stokes"},
-        {"id": "channel"},
         {"id": "varcoef", "coef_seed": 1, "bound": 2},
     ]
     dims = []
     for params in specs:
         prob = make_problem(params)
         dims.append(prob.domain.dim)
-    assert dims == [1, 1, 2, 2, 2, 2, 2, 2]
+    assert dims == [1, 2, 2, 2, 2, 2, 2, 1, 2, 2]
     with pytest.raises(ValueError):
         make_problem({"id": "nonsense"})
 
@@ -202,7 +199,7 @@ def test_run_experiment_dumps_the_system_before_the_solve_releases_it(tmp_path):
     the dump is still the whole assembled and rescaled system."""
     from rfm.assembly import assemble, load_system_dump
 
-    config = {c.name: c for c in load_suite("poisson-multiscale")}["low pou-only"]
+    config = suite_config("poisson-multiscale", "low pou-only")
     path = tmp_path / "system.bin"
     run_experiment(config, dump_system=path)
     a, b, w, _ = load_system_dump(path)
@@ -225,7 +222,7 @@ def test_median_record_aggregates_componentwise():
 
 
 def test_median_record_refuses_records_of_different_configs():
-    a, b = (_suite_config("helmholtz-pou", f"pou-{pou} M=200") for pou in ("a", "b"))
+    a, b = (suite_config("helmholtz-pou", f"pou-{pou} M=200") for pou in ("a", "b"))
     records = [run_experiment(a), run_experiment(b)]
     with pytest.raises(ValueError, match=r"their 'n_rows' differ, \[208, 202\]"):
         median_record(records)
@@ -354,14 +351,10 @@ def tone_calls(monkeypatch):
     return calls
 
 
-def _suite_config(suite: str, name: str) -> ExperimentConfig:
-    return {c.name: c for c in load_suite(suite)}[name]
-
-
 def test_auto_rm_is_selected_once_per_forcing(tone_calls):
     from rfm.experiments import _resolve_rm
 
-    config = _suite_config("helmholtz-adaptive", "sin random Rm=auto")
+    config = suite_config("helmholtz-adaptive", "sin random Rm=auto")
     first = run_experiment(replace(config, seed=0))
     assert len(tone_calls) == 1
     second = run_experiment(replace(config, seed=1))
@@ -382,7 +375,7 @@ def test_auto_rm_of_the_shipped_configs_stays_put(suite, want):
     them only by rounding."""
     from rfm.experiments import _resolve_rm
 
-    config = _suite_config(suite, "sin random Rm=auto")
+    config = suite_config(suite, "sin random Rm=auto")
     got = _resolve_rm(config, make_problem(config.problem))
     assert got == pytest.approx(float.fromhex(want), rel=1e-10, abs=0.0)
 
@@ -398,14 +391,14 @@ def test_a_run_resolves_auto_rm_once(monkeypatch, suite, axes):
         return select(*args)
 
     monkeypatch.setattr(experiments, "select_rm_from_forcing", counted)
-    config = _suite_config(suite, "sin random Rm=auto")
+    config = suite_config(suite, "sin random Rm=auto")
     record = run_experiment(config)
     assert len(calls) == axes
     assert record.rm == experiments._resolve_rm(config, make_problem(config.problem))
 
 
 def test_auto_rm_of_a_2d_config_hits_the_memo_on_its_second_seed(tone_calls):
-    config = _suite_config("poisson-adaptive", "sin random Rm=auto")
+    config = suite_config("poisson-adaptive", "sin random Rm=auto")
     build_run(replace(config, seed=0))
     # the forcing is symmetric, so both midlines sample the same bytes
     assert len(tone_calls) == 1

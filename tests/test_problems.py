@@ -1,12 +1,14 @@
 """Manufactured solutions and PDE stencils: closed-form derivatives vs
 finite differences, stencil self-consistency, and frozen spot values."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfm.geometry import interval
+from rfm.geometry import Hole, interval
 from rfm.problems import (
     HomogenizationCoefficient,
     ManufacturedSolution,
@@ -219,7 +221,7 @@ def test_helmholtz_constant_solution_forcing():
         def __call__(self, pts):
             return np.full((len(pts), 1), 2.0)
 
-    prob = make_helmholtz_1d(lam=4.0, exact=Flat())
+    prob = replace(make_helmholtz_1d(lam=4.0), exact=Flat())
     pts = np.linspace(1, 7, 9)[:, None]
     f = prob.forcing_values(pts)
     assert np.allclose(f, -8.0)
@@ -287,13 +289,13 @@ def test_problem_rejects_a_tagged_operator_and_an_untagged_boundary_stencil():
     dirichlet = (Term(0, 0, (0,), 1.0),)
     bc = Stencil(dirichlet, 1, 1, 1, ("left", "right"))
     exact = wave_product_1d()
-    PdeProblem("ok", interval(0.0, 1.0), op, (bc,), 1, exact=exact)
+    PdeProblem(interval(0.0, 1.0), op, (bc,), 1, exact=exact)
     tagged_op = Stencil((Term(0, 0, (1,), 1.0),), 1, 1, 1, ("left",))
     with pytest.raises(ValueError, match="operator must not carry"):
-        PdeProblem("p", interval(0.0, 1.0), tagged_op, (bc,), 1, exact=exact)
+        PdeProblem(interval(0.0, 1.0), tagged_op, (bc,), 1, exact=exact)
     untagged = Stencil(dirichlet, 1, 1, 1)
     with pytest.raises(ValueError, match="must name its segment tags"):
-        PdeProblem("p", interval(0.0, 1.0), op, (bc, untagged), 1, exact=exact)
+        PdeProblem(interval(0.0, 1.0), op, (bc, untagged), 1, exact=exact)
 
 
 def test_elasticity_rigid_translation_in_kernel():
@@ -350,16 +352,16 @@ def test_beam_problem_tags_cover_all_edges():
 
 
 def test_coefficient_field_is_seed_deterministic():
-    a1 = HomogenizationCoefficient(seed=1, bound=2)
-    a2 = HomogenizationCoefficient(seed=1, bound=2)
-    a3 = HomogenizationCoefficient(seed=2, bound=2)
+    a1 = HomogenizationCoefficient(coef_seed=1, bound=2)
+    a2 = HomogenizationCoefficient(coef_seed=1, bound=2)
+    a3 = HomogenizationCoefficient(coef_seed=2, bound=2)
     pts = RNG.uniform(-0.5, 0.5, size=(40, 2))
     assert np.array_equal(a1.value(pts), a2.value(pts))
     assert not np.array_equal(a1.value(pts), a3.value(pts))
 
 
 def test_coefficient_field_positive_and_contrast():
-    a = HomogenizationCoefficient(seed=1, bound=2)
+    a = HomogenizationCoefficient(coef_seed=1, bound=2)
     pts = RNG.uniform(-0.7, 0.7, size=(2000, 2))
     vals = a.value(pts)
     assert np.all(vals > 0)
@@ -367,7 +369,7 @@ def test_coefficient_field_positive_and_contrast():
 
 
 def test_coefficient_gradient_matches_finite_differences():
-    a = HomogenizationCoefficient(seed=3, bound=2)
+    a = HomogenizationCoefficient(coef_seed=3, bound=2)
     pts = RNG.uniform(-0.6, 0.6, size=(100, 2))
     h = 1e-5
     value, got = a.value_and_grad(pts)
@@ -381,8 +383,7 @@ def test_coefficient_gradient_matches_finite_differences():
 
 
 def test_varcoef_flat_field_reduces_to_poisson():
-    flat = HomogenizationCoefficient(seed=0, bound=2, amp=0.0)
-    prob = make_varcoef_elliptic(flat, forcing_value=1.0)
+    prob = make_varcoef_elliptic(coef_seed=0, bound=2, amp=0.0, forcing=1.0)
     pts = RNG.uniform(-0.5, 0.5, size=(50, 2))
 
     class Quad:
@@ -404,9 +405,36 @@ def test_varcoef_flat_field_reduces_to_poisson():
     assert np.allclose(applied, -8.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call,key",
+    [
+        (lambda: make_helmholtz_1d(lam=float("nan")), "lam"),
+        (lambda: two_band_2d(a_low=float("inf")), "a_low"),
+        (lambda: HomogenizationCoefficient(coef_seed=-1), "coef_seed"),
+        (lambda: HomogenizationCoefficient(coef_seed=2**64), "coef_seed"),
+        (lambda: HomogenizationCoefficient(bound=-2), "bound"),
+        (lambda: HomogenizationCoefficient(amp=float("inf")), "amp"),
+        (lambda: make_varcoef_elliptic(forcing=float("nan")), "forcing"),
+        (lambda: make_plate_problem([[1, 1]]), "holes"),
+    ],
+    ids=["nan-lam", "inf-a-low", "negative-coef-seed", "65-bit-coef-seed", "negative-bound",
+         "inf-amp", "nan-forcing", "pair-hole"],
+)
+def test_factories_refuse_a_bad_key_at_the_call(call, key):
+    """The check is made where the value is given, not when it is first used,
+    and the message names the key as a config spells it."""
+    with pytest.raises(ValueError, match="'%s' must be" % key):
+        call()
+
+
+def test_plate_problem_builds_its_holes_from_triples():
+    prob = make_plate_problem([[4.0, 4.0, 0.5]])
+    assert prob.domain.holes == (Hole((4.0, 4.0), 0.5),)
+    assert prob.domain.boundary_tags() == ("left", "right", "bottom", "top", "hole0")
+
+
 def test_varcoef_forcing_is_constant():
-    a = HomogenizationCoefficient(seed=1, bound=2)
-    prob = make_varcoef_elliptic(a, forcing_value=1.0)
+    prob = make_varcoef_elliptic(coef_seed=1, bound=2, forcing=1.0)
     pts = RNG.uniform(-0.5, 0.5, size=(20, 2))
     assert np.allclose(prob.forcing_values(pts), 1.0)
     assert prob.exact is None
