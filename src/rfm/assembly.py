@@ -16,21 +16,30 @@ component and expansion) of the expansions that hold its point (at an
 interface point, the two patches that meet there), and of the components
 its condition involves.  Rows that touch the same blocks form a row group,
 stored as a dense block over those columns alone, so the full matrix is
-only built on request (``WeightedSystem.matrix``).  The system is stored
-unweighted; per-row rescale factors live alongside it so rescaling is
-exactly reproducible and can be recomputed at any time.
+only built on request (``WeightedSystem.matrix``).
+
+``assemble`` lays the system out without filling it: it builds the point
+sets with their supports and term coefficients, the row groups' rows and
+columns, and the right-hand side.  A group's block is filled when it is
+first needed, from the points that own rows in it; ``solve_system`` fills
+the tall groups one at a time, so only one tall block is alive at once.
+The system is stored unweighted; ``rescale`` keeps only its scale, and each
+row's weight is taken from its group's block, so rescaling is exactly
+reproducible and can be recomputed at any time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import basis
 # feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
 from .basis import RfmModel, feature_block  # noqa: F401
-from .geometry import CollocationSet, Domain
+from .blas import blas_threads
+from .geometry import CollocationSet, Domain, available_memory_bytes
 from .problems import PdeProblem, Stencil, Term
 
 def _tall(n_rows, width):
@@ -45,16 +54,22 @@ class RowGroup:
 
     ``rows`` are the group's rows in the system, ascending, and ``cols`` its
     column blocks in column order.  ``block[i]`` holds row ``rows[i]`` at
-    those columns; the row is zero at every other column.
+    those columns; the row is zero at every other column.  An assembled
+    system's groups start with no block: it is filled when first needed
+    (``fill_blocks``).
     """
 
     rows: np.ndarray
     cols: list[slice]
-    block: np.ndarray
+    block: np.ndarray | None = None
+
+    @property
+    def width(self) -> int:
+        return sum(c.stop - c.start for c in self.cols)
 
     @property
     def tall(self) -> bool:
-        return _tall(*self.block.shape)
+        return _tall(len(self.rows), self.width)
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """The entries of a full-length column vector at the group's columns."""
@@ -70,27 +85,56 @@ class RowGroup:
             offset += width
 
 
+def fill_blocks(groups: list[RowGroup], which, fill: _GroupFill | None) -> None:
+    """Fill, in one pass of ``fill``, the blocks of those ``groups[i]``,
+    ``i`` in ``which``, that have none yet."""
+    missing = [i for i in which if groups[i].block is None]
+    if missing:
+        for i, block in zip(missing, fill.blocks(missing)):
+            groups[i].block = block
+
+
+def row_weights(block: np.ndarray, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rescale weight, scale / max_j |a_ij| (1 for a zero row, and
+    for every row when ``scale`` is None), and which rows are zero.
+
+    max|a| is taken as max(max a, -min a), so no temporary as large as the
+    block is made.  A row's weight depends on that row alone, so weighing a
+    system group by group gives the same bits as weighing it whole.
+    """
+    rowmax = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
+    zero = rowmax == 0.0
+    w = np.ones_like(rowmax)
+    if scale is not None:
+        np.divide(scale, rowmax, out=w, where=~zero)
+    return w, zero
+
+
 @dataclass
 class WeightedSystem:
     """A @ u ~ b with per-row rescale weights kept separate from A.
 
-    A is held as row groups, every row in exactly one.  The four row counts
-    give each row family as a contiguous slice, in the order interior,
-    boundary, interface, pin.  ``solve_system`` takes the groups over
-    (``release_groups``) and frees them as it goes; ``groups`` is None from
-    then on, and every method that needs the matrix raises ValueError.
+    A is held as row groups, every row in exactly one, in the order of
+    ``fill``, which fills the blocks (``fill_blocks``): ``filled_groups``
+    fills every block not filled yet in one pass, and ``solve_system`` one
+    tall group at a time.  The four row counts give each row family as a
+    contiguous slice, in the order interior, boundary, interface, pin.
+    ``scale`` is the one that ``rescale`` set, or None for unit weights.
+    ``solve_system`` takes the groups over (``release_groups``) and frees
+    them as it goes; ``groups`` is None from then on, and every method that
+    needs the matrix raises ValueError.
     """
 
     groups: list[RowGroup] | None
     rhs: np.ndarray
-    weights: np.ndarray
     model: RfmModel
     problem: PdeProblem
     n_interior_rows: int
     n_boundary_rows: int
     n_interface_rows: int
     n_pin_rows: int
-    zero_rows: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    scale: float | None = None
+    fill: _GroupFill | None = None  # None when every group comes with its block
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -100,7 +144,7 @@ class WeightedSystem:
     def matrix(self) -> np.ndarray:
         """The full matrix, stacked from the row groups: a new dense copy per call."""
         a = np.zeros(self.shape)
-        for g in self._live_groups():
+        for g in self.filled_groups():
             g.place(a, g.rows, g.block)
         return a
 
@@ -113,12 +157,38 @@ class WeightedSystem:
             )
         return self.groups
 
+    def filled_groups(self) -> list[RowGroup]:
+        """The row groups, every block filled; the blocks are kept."""
+        groups = self._live_groups()
+        fill_blocks(groups, range(len(groups)), self.fill)
+        return groups
+
     def release_groups(self) -> list[RowGroup]:
-        """Hand the row groups over, for the caller to free; the system then
-        refuses every use that needs them."""
+        """Hand the row groups over, for the caller to fill and free; the
+        system then refuses every use that needs them."""
         groups = self._live_groups()
         self.groups = None
         return groups
+
+    def _weighing(self) -> tuple[np.ndarray, np.ndarray]:
+        """``row_weights`` over the whole system: the weights and the zero rows."""
+        w, zero = np.ones(self.shape[0]), np.zeros(self.shape[0], bool)
+        if self.scale is not None:
+            for g in self.filled_groups():
+                w[g.rows], zero[g.rows] = row_weights(g.block, self.scale)
+        return w, zero
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each row's weight (``row_weights``): 1 until ``rescale``, then taken
+        from the raw matrix, whose blocks this fills."""
+        return self._weighing()[0]
+
+    @property
+    def zero_rows(self) -> np.ndarray:
+        """The rows that are zero in the raw matrix, which keep weight 1; none
+        until ``rescale``."""
+        return np.flatnonzero(self._weighing()[1])
 
     def weighted_matrix(self) -> np.ndarray:
         a = self.matrix
@@ -129,27 +199,20 @@ class WeightedSystem:
         return self.weights * self.rhs
 
     def rescale(self, scale: float = 100.0) -> "WeightedSystem":
-        """Set each row's weight to scale / max_j |A_ij| (1 for zero rows).
+        """Weigh each row by scale / max_j |A_ij| (1 for zero rows).
 
-        Weights are always computed from the raw matrix, so calling this
-        twice is the same as calling it once.  max|a| is taken as
-        max(max a, -min a), so no temporary as large as a group is made.
+        Only the scale is kept.  The weights are taken from the raw matrix
+        where they are needed, by ``weights`` for the whole system and by
+        ``solve_system`` one group at a time, so calling this twice is the
+        same as calling it once, and it fills no block.
         """
-        rowmax = np.zeros(self.shape[0])
-        for g in self._live_groups():
-            rowmax[g.rows] = np.maximum(
-                g.block.max(axis=1, initial=0.0), -g.block.min(axis=1, initial=0.0)
-            )
-        zero = rowmax == 0.0
-        w = np.ones_like(rowmax)
-        np.divide(scale, rowmax, out=w, where=~zero)
-        self.weights = w
-        self.zero_rows = np.flatnonzero(zero)
+        self._live_groups()
+        self.scale = scale
         return self
 
     def residual(self, coefficients: np.ndarray) -> np.ndarray:
         out = -self.rhs
-        for g in self._live_groups():
+        for g in self.filled_groups():
             out[g.rows] += g.block @ g.take(coefficients)
         return out
 
@@ -160,7 +223,8 @@ class WeightedSystem:
     def dump(self, path) -> None:
         """Raw binary dump: int64 header (rows, cols, interior-condition count),
         then the matrix row-major, the right-hand side, and the weights.  The
-        matrix is stacked from the row groups, one dense copy."""
+        matrix is stacked from the row groups, one dense copy, and the blocks
+        stay filled."""
         n, m = self.shape
         matrix = self.matrix  # before the file is opened: a solved system leaves none
         with open(path, "wb") as fh:
@@ -186,20 +250,43 @@ def load_system_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class _PointSet:
+    """One stencil's conditions at a batch of points.
+
+    Condition ``row`` at point ``p`` is system row first + p*n_rows + row.
+    ``signs[n, p]`` weighs expansion n's block at point p: 1 (True) where the
+    model ``supports`` it, +1 / -1 for the lower / upper patch at an interface
+    point, 0 elsewhere (the global patch is smooth across a facet).
+    ``coeffs`` holds each term's coefficient at the points, evaluated once on
+    the whole set (a coefficient field may cache its values by the points
+    array).
+    """
+
+    first: int
+    points: np.ndarray
+    stencil: Stencil
+    signs: np.ndarray
+    coeffs: list[np.ndarray]
+
+
 class _GroupFill:
-    """Row groups being filled: the group of every system row, its row in the
-    group's block, and where each (component, expansion) column block sits
-    in that block.
+    """The row groups of a system, and the point sets that fill their blocks.
 
     ``touched[i, comp, n]`` says whether row ``i`` touches the column block
     of component ``comp`` and expansion ``n``.  Rows that touch the same
     blocks form a group, and a group that is not tall joins the first tall
     group that holds all of its blocks, whose QR then takes its rows at no
     extra width (the Dirichlet rows of a patch join its interior rows).
-    Blocks are allocated by ``allocate``.
+    Kept per group: its rows, ``local`` (a system row's row in its group's
+    block), and where each (component, expansion) column block sits in the
+    block; per point set, once a fill asks for some groups only, its points
+    ordered by the groups they own rows in (``owners``).  ``blocks`` fills
+    the blocks of any groups, walking only their points.
     """
 
-    def __init__(self, model: RfmModel, touched: np.ndarray):
+    def __init__(self, model: RfmModel, sets: list[_PointSet], touched: np.ndarray):
+        self.model, self.sets = model, sets
         n_exp = len(model.expansions)
         blocks = [
             model.col_slice(comp, n) for comp in range(model.n_components) for n in range(n_exp)
@@ -209,15 +296,15 @@ class _GroupFill:
         packed = np.packbits(touched, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         unique, labels = np.unique(keys, return_inverse=True)
-        sets = np.unpackbits(
+        sets_of_blocks = np.unpackbits(
             unique.view(np.uint8).reshape(len(unique), -1), axis=1, count=len(blocks)
         ).astype(bool)
-        counts = np.bincount(labels.ravel(), minlength=len(sets))
-        is_tall = _tall(counts, sets @ np.array([c.stop - c.start for c in blocks]))
+        counts = np.bincount(labels.ravel(), minlength=len(sets_of_blocks))
+        is_tall = _tall(counts, sets_of_blocks @ np.array([c.stop - c.start for c in blocks]))
         tall = np.flatnonzero(is_tall)
-        target = np.arange(len(sets))
+        target = np.arange(len(sets_of_blocks))
         for g in np.flatnonzero(~is_tall):
-            holds = ~np.any(sets[g] & ~sets[tall], axis=1)
+            holds = ~np.any(sets_of_blocks[g] & ~sets_of_blocks[tall], axis=1)
             if holds.any():
                 target[g] = tall[np.argmax(holds)]
         kept = np.unique(target)
@@ -229,7 +316,7 @@ class _GroupFill:
         self.rows = np.split(order, np.cumsum(counts)[:-1])
         self.cols: list[list[slice]] = []
         self.offsets: list[dict[tuple[int, int], int]] = []
-        for key in sets[kept]:
+        for key in sets_of_blocks[kept]:
             cols, offsets, width = [], {}, 0
             for j in np.flatnonzero(key):
                 offsets[divmod(int(j), n_exp)] = width
@@ -237,7 +324,19 @@ class _GroupFill:
                 width += blocks[j].stop - blocks[j].start
             self.cols.append(cols)
             self.offsets.append(offsets)
-        self.groups: list[RowGroup] = []
+
+    @cached_property
+    def owners(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per point set, its points ordered by the groups they own rows in:
+        those of group g are ``points[bounds[g] : bounds[g + 1]]``, ascending."""
+        owners = []
+        for s in self.sets:
+            n_pts = max(len(s.points), 1)
+            group_of = self.labels[s.first : s.first + len(s.points) * s.stencil.n_rows]
+            pairs = np.unique(group_of * n_pts + np.arange(len(group_of)) // s.stencil.n_rows)
+            bounds = np.searchsorted(pairs // n_pts, np.arange(len(self.rows) + 1))
+            owners.append((pairs % n_pts, bounds))
+        return owners
 
     @property
     def sizes(self) -> list[tuple[int, int]]:
@@ -247,57 +346,107 @@ class _GroupFill:
             for rows, cols in zip(self.rows, self.cols)
         ]
 
-    def allocate(self) -> list[RowGroup]:
-        self.groups = [
-            RowGroup(rows, cols, np.zeros(size))
-            for rows, cols, size in zip(self.rows, self.cols, self.sizes)
-        ]
-        return self.groups
+    def groups(self) -> list[RowGroup]:
+        """Every group's rows and columns, with no block yet."""
+        return [RowGroup(rows, cols) for rows, cols in zip(self.rows, self.cols)]
 
-    def add(self, rows: np.ndarray, comp: int, n: int, values: np.ndarray) -> None:
-        """Add ``values`` at system rows ``rows`` and column block (comp, n)."""
+    def blocks(self, which: list[int]) -> list[np.ndarray]:
+        """The blocks of groups ``which``, filled in one pass over the point
+        sets that visits only the points owning rows in them (every point
+        when every group is filled)."""
+        sizes = self.sizes
+        out = {g: np.zeros(sizes[g]) for g in which}
+        needed = {key for g in which for key in self.offsets[g]}
+        every = len(out) == len(self.rows)
+        with blas_threads():  # small matmuls, on one thread as in the rest of assembly
+            for i, s in enumerate(self.sets):
+                if every:
+                    points = np.arange(len(s.points))
+                else:
+                    owners, bounds = self.owners[i]
+                    points = [owners[bounds[g] : bounds[g + 1]] for g in which]
+                    points = points[0] if len(points) == 1 else np.unique(np.concatenate(points))
+                _fill_stencil_rows(self, out, needed, s, points)
+        return [out[g] for g in which]
+
+    def add(
+        self, out: dict[int, np.ndarray], rows: np.ndarray, comp: int, n: int, values: np.ndarray
+    ) -> None:
+        """Add ``values`` at system rows ``rows`` and column block (comp, n) to
+        the blocks ``out`` being filled; rows of other groups are skipped."""
         labels = self.labels[rows]
         present = np.flatnonzero(np.bincount(labels))
         for g in present:
+            if g not in out:
+                continue
             sel = slice(None) if len(present) == 1 else labels == g
             at = self.offsets[g][comp, n]
-            self.groups[g].block[self.local[rows[sel]], at : at + values.shape[1]] += values[sel]
+            out[g][_as_slice(self.local[rows[sel]]), at : at + values.shape[1]] += values[sel]
+
+
+def _as_slice(index: np.ndarray) -> np.ndarray | slice:
+    """``index``, strictly increasing, as a slice where it is an arithmetic
+    progression, so that an update through it works in place instead of
+    through a copy.  A progression spans step * (len - 1), and with step 1
+    nothing else strictly increasing does."""
+    n = len(index)
+    if n < 2:
+        return index
+    lo, hi = int(index[0]), int(index[-1])
+    step = int(index[1]) - lo
+    if hi - lo == step * (n - 1) and (step == 1 or np.all(np.diff(index) == step)):
+        return slice(lo, hi + 1, step)
+    return index
 
 
 def _fill_stencil_rows(
     fill: _GroupFill,
-    start: int,
-    model: RfmModel,
+    out: dict[int, np.ndarray],
+    needed: set[tuple[int, int]],
+    s: _PointSet,
     points: np.ndarray,
-    stencil: Stencil,
-    signs: np.ndarray,
-    normals: np.ndarray | None = None,
 ) -> None:
-    """Add one stencil's conditions for a batch of points into the row groups.
+    """Add one point set's conditions at ``points`` (indices into the set,
+    ascending) to the blocks ``out`` being filled, which hold the
+    (component, expansion) column blocks ``needed``.
 
-    Row index of condition ``row`` at point ``p`` is start + p*n_rows + row.
-    Every expansion ``n`` of the model (local patches and the global patch)
-    adds its block, times ``signs[n]``, at the points where that sign is
-    nonzero.  Term coefficients are evaluated once on the whole point set (a
-    coefficient field may cache its values by the points array); the basis
+    Every expansion ``n`` whose blocks those groups hold adds its block,
+    times ``signs[n]``, at the points where that sign is nonzero.  The basis
     blocks are taken a chunk of an expansion's points at a time (see
     ``basis.point_chunks``), so their temporaries stay bounded however many
-    points the set has.
+    points the set has.  Each row's terms are added in the same order
+    whichever groups are filled, so a block has the same bits filled alone
+    or with every other.
     """
-    base = start + np.arange(len(points)) * stencil.n_rows
-    coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
-    comps = sorted({t.comp for t in stencil.terms})
-    for n, sign in enumerate(signs):
-        where = np.flatnonzero(sign)
+    st = s.stencil
+    comps = sorted({t.comp for t in st.terms})
+    for n, sign in enumerate(s.signs):
+        kept = [comp for comp in comps if (comp, n) in needed]
+        if not kept:
+            continue
+        where = points[sign[points] != 0]
+        if len(where) == 1 and np.count_nonzero(sign) > 1:
+            # a lone point would go through a matrix-vector product, which
+            # rounds differently (basis.point_chunks); another point of the
+            # expansion, whose rows lie in no group being filled, joins it
+            where = np.union1d(where, np.flatnonzero(sign)[:2])
         for chunk in basis.point_chunks(len(where)):
             at = where[chunk]
-            for comp in comps:
-                blocks = model.basis_block(n, comp, points[at], stencil.alphas_for(comp))
-                for t, coeff in zip(stencil.terms, coeffs):
+            for comp in kept:
+                blocks = fill.model.basis_block(n, comp, s.points[at], st.alphas_for(comp))
+                # a row's terms on comp, summed in term order: the block starts
+                # at 0 there, so one add gives the bits of one add per term
+                sums: dict[int, np.ndarray] = {}
+                for t, coeff in zip(st.terms, s.coeffs):
                     if t.comp == comp:
-                        weight = coeff[at] * sign[at]
-                        fill.add(base[at] + t.row, comp, n, weight[:, None] * blocks[t.alpha])
+                        value = (coeff[at] * sign[at])[:, None] * blocks[t.alpha]
+                        if t.row in sums:
+                            sums[t.row] += value
+                        else:
+                            sums[t.row] = value
                 del blocks  # before the next component's blocks are made
+                for row, values in sums.items():
+                    fill.add(out, s.first + at * st.n_rows + row, comp, n, values)
 
 
 def _interface_stencil(model: RfmModel) -> Stencil:
@@ -313,41 +462,29 @@ def _interface_stencil(model: RfmModel) -> Stencil:
     return Stencil(tuple(terms), 2 * k, k, dim)
 
 
-def available_memory_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
-
-
 def _check_memory(
     shape: tuple[int, int], sizes: list[tuple[int, int]], available: int | None
 ) -> None:
     """Refuse a system whose row groups and solve buffers would not fit in memory.
 
-    ``sizes`` gives each row group's (rows, columns).  A solve first takes
-    the R factor of each tall group, with its rotated right-hand side, from
-    a weighted copy of the group, then frees the group's block; it then
-    fills the weighted buffer that the SVD factorizes in place (one
-    full-width row for each row of a group that is not tall, and for each
-    column of a tall one).  The budget is the larger of the two phases: all
-    blocks, the largest weighted copy and the R factors, or the blocks of
-    the groups that are not tall, the R factors and the buffer.  ``available``
-    is the memory available in bytes, or None to skip the check.
+    ``sizes`` gives each row group's (rows, columns).  A solve first fills
+    each tall group in turn, takes its R factor, with its rotated
+    right-hand side, from a weighted copy of the group, and frees the
+    group's block; it then fills the groups that are not tall and the
+    weighted buffer that the SVD factorizes in place (one full-width row for
+    each row of a group that is not tall, and for each column of a tall
+    one).  The budget is the R factors plus the larger of the two phases:
+    the largest tall block with its weighted copy, or the blocks of the
+    groups that are not tall with the buffer.  ``available`` is the memory
+    available in bytes, or None to skip the check.
     """
     n_rows, n_cols = shape
     tall = [(r, w) for r, w in sizes if _tall(r, w)]
     solved = n_rows - sum(r for r, _ in tall) + sum(w for _, w in tall)
-    blocks = sum(r * w for r, w in sizes)
-    short_blocks = blocks - sum(r * w for r, w in tall)
+    short_blocks = sum(r * w for r, w in sizes) - sum(r * w for r, w in tall)
     factors = sum(w * (w + 1) for _, w in tall)
-    copy = max((r * (w + 1) for r, w in tall), default=0)
-    need = 8 * (factors + max(blocks + copy, short_blocks + solved * n_cols))
+    largest = max((r * w + r * (w + 1) for r, w in tall), default=0)
+    need = 8 * (factors + max(largest, short_blocks + solved * n_cols))
     _refuse_unless_fits(
         need, available, "a %dx%d system" % shape, "its row groups and solve buffers"
     )
@@ -377,7 +514,8 @@ def _refuse_unless_fits(need: int, available: int | None, subject: str, purpose:
 def assemble(
     problem: PdeProblem, model: RfmModel, colloc: CollocationSet
 ) -> WeightedSystem:
-    """Build the collocation system for a problem/model pair, as row groups."""
+    """Lay out the collocation system for a problem/model pair as row groups
+    whose blocks are filled when first needed (see the module docstring)."""
     if model.dim != problem.domain.dim or model.n_components != problem.n_components:
         raise ValueError("model does not match the problem layout")
     sampled = set(colloc.boundary_tags)
@@ -399,76 +537,75 @@ def assemble(
     n_rows = n_int + n_bnd + n_ifc + len(pins)
     n_exp = len(model.expansions)
 
-    # every interior row lies in a group at least as wide as the narrowest
-    # expansion, so these blocks alone are a lower bound on _check_memory's
-    # budget: refuse them before the point sets' temporaries are built
+    # a lower bound on what assembly allocates before _check_memory: the
+    # interior points' coordinates in every expansion that ``supports`` takes,
+    # and the block flags of every row; refuse it before either is built
     available = available_memory_bytes()
-    narrowest = min(p.n_features for p in model.expansions)
     _refuse_unless_fits(
-        8 * n_int * narrowest,
+        8 * n_exp * colloc.n_interior * model.dim + n_rows * k * n_exp,
         available,
         "a %dx%d system" % (n_rows, model.n_columns),
-        "the blocks of its %d interior rows" % n_int,
+        "the supports and block flags of its %d interior rows" % n_int,
     )
 
-    # every stencil's point set as (first row, points, normals, stencil, data,
-    # signs): the interior, the boundary per stencil in collocation order, the
-    # interface, and the pins, one-point Dirichlet conditions on one component.
-    # signs[n, p] weighs expansion n's block at point p: 1 (True) where the
-    # model ``supports`` it, +1 / -1 for the lower / upper patch at an interface
-    # point, 0 elsewhere (the global patch is smooth across a facet)
+    # every stencil's point set (see _PointSet) and its right-hand side: the
+    # interior, the boundary per stencil in collocation order, the interface,
+    # and the pins, one-point Dirichlet conditions on one component
     tags = np.asarray(colloc.boundary_tags)
     values = problem.boundary_values(
         colloc.boundary_points, colloc.boundary_normals, colloc.boundary_tags
     )
-    interior, forcing = colloc.interior, problem.forcing_values(colloc.interior)
-    sets = [(0, interior, None, problem.operator, forcing, model.supports(interior))]
+    b = np.zeros(n_rows)
+    sets = []
+
+    def add_set(first, points, normals, stencil, data, signs):
+        coeffs = [t.coeff_at(points, normals) for t in stencil.terms]
+        sets.append(_PointSet(first, points, stencil, signs, coeffs))
+        b[first : first + data.size] = data.ravel()
+
+    interior = colloc.interior
+    add_set(0, interior, None, problem.operator, problem.forcing_values(interior),
+            model.supports(interior))
     start = n_int
     for st in problem.boundary:
         sel = np.flatnonzero(np.isin(tags, st.tags))
         pts = colloc.boundary_points[sel]
-        sets.append((start, pts, colloc.boundary_normals[sel], st, values[sel], model.supports(pts)))
+        add_set(start, pts, colloc.boundary_normals[sel], st, values[sel], model.supports(pts))
         start += len(sel) * k_b
     iface = colloc.interface
     signs = np.zeros((n_exp, len(iface)))
     signs[iface.pairs[:, 0], np.arange(len(iface))] = 1.0
     signs[iface.pairs[:, 1], np.arange(len(iface))] = -1.0
-    ifc = _interface_stencil(model)
-    sets.append((start, iface.points, iface.normals, ifc, np.zeros(n_ifc), signs))
+    add_set(start, iface.points, iface.normals, _interface_stencil(model), np.zeros(n_ifc), signs)
     start += n_ifc
     for j, (point, comp, value) in enumerate(pins):
         pin = Stencil((Term(0, comp, (0,) * model.dim, 1.0),), 1, k, model.dim)
         pts = np.asarray([point], float)
-        sets.append((start + j, pts, None, pin, np.asarray(value), model.supports(pts)))
+        add_set(start + j, pts, None, pin, np.asarray(value), model.supports(pts))
 
     # the column blocks each row touches: those of its terms' components at
     # the expansions with a nonzero sign at its point
     touched = np.zeros((n_rows, k, n_exp), bool)
-    for first, points, _, st, _, signs in sets:
+    for s in sets:
+        st = s.stencil
         acts = np.zeros((st.n_rows, k), bool)  # acts[row, comp]: a term of row acts on comp
         for t in st.terms:
             acts[t.row, t.comp] = True
-        rows = slice(first, first + len(points) * st.n_rows)
-        touched[rows] = (acts[None, :, :, None] & (signs != 0.0).T[:, None, None, :]).reshape(
+        rows = slice(s.first, s.first + len(s.points) * st.n_rows)
+        touched[rows] = (acts[None, :, :, None] & (s.signs != 0.0).T[:, None, None, :]).reshape(
             -1, k, n_exp
         )
 
-    fill = _GroupFill(model, touched)
+    fill = _GroupFill(model, sets, touched)
     _check_memory((n_rows, model.n_columns), fill.sizes, available)
-    groups = fill.allocate()
-    b = np.zeros(n_rows)
-    for first, points, normals, st, data, signs in sets:
-        _fill_stencil_rows(fill, first, model, points, st, signs, normals)
-        b[first : first + data.size] = data.ravel()
-
     return WeightedSystem(
-        groups=groups,
+        groups=fill.groups(),
         rhs=b,
-        weights=np.ones(n_rows),
         model=model,
         problem=problem,
         n_interior_rows=n_int,
         n_boundary_rows=n_bnd,
         n_interface_rows=n_ifc,
         n_pin_rows=len(pins),
+        fill=fill,
     )

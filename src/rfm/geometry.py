@@ -24,6 +24,18 @@ import numpy as np
 BOUNDARY_TOL = 1e-12
 
 
+def available_memory_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
 def axis_counts(counts, dim: int, name: str) -> tuple[int, ...]:
     """Per-axis counts on a ``dim``-dimensional domain: a scalar or one entry
     applies to every axis and ``dim`` entries are used as given; any other

@@ -25,12 +25,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, perm
+from math import comb, isqrt, perm
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Domain, Hole, box, disk, interval
+from . import basis
+from .geometry import Domain, Hole, available_memory_bytes, box, disk, interval
 
 
 def _is_real(value) -> bool:
@@ -351,7 +352,10 @@ class HomogenizationCoefficient:
 
     Wavevectors run over the integer lattice with |k| <= bound; amplitudes
     are i.i.d. U[-amp, amp] drawn from a counter-based stream, so a seed
-    pins the whole field.
+    pins the whole field.  The field is evaluated a chunk of points at a
+    time (``basis.point_chunks``), so its (points x wavevectors) phase,
+    sine and cosine stay bounded however many points it is given; a bound
+    whose wavevectors would not fit in memory with them is refused.
     """
 
     coef_seed: int = 0
@@ -367,16 +371,39 @@ class HomogenizationCoefficient:
         _require(_is_finite(self.amp), "amp", "a finite number", self.amp)
         object.__setattr__(self, "coef_seed", int(seed))
         object.__setattr__(self, "bound", int(bound))
+        self._require_fits(available_memory_bytes())
+
+    def _require_fits(self, available: int | None) -> None:
+        """Refuse a bound whose wavevectors, each with its two coordinates,
+        its two amplitudes and one point chunk's phase, sine and cosine,
+        would take more than ``available`` bytes (None: no check).
+
+        The disk |k| <= bound holds the 2 bound (bound + 1) + 1 wavevectors
+        of the square |k1| + |k2| <= bound, so a bound too large even for
+        those is refused before the disk's are counted.
+        """
+        if available is None:
+            return
+        per_vector = 8 * (4 + 3 * basis.EVAL_CHUNK)
+        b = self.bound
+        count = 2 * b * (b + 1) + 1
+        if count * per_vector <= available:
+            count = sum(2 * isqrt(b * b - k * k) + 1 for k in range(-b, b + 1))
+        need = count * per_vector
+        what = (
+            "small enough that its wavevectors fit in memory "
+            "(%d or more need %.1f MB, %.1f MB is available)" % (count, need / 1e6, available / 1e6)
+        )
+        _require(need <= available, "bound", what, b)
 
     @cached_property
     def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ks = [
-            (k1, k2)
-            for k1 in range(-self.bound, self.bound + 1)
-            for k2 in range(-self.bound, self.bound + 1)
-            if k1 * k1 + k2 * k2 <= self.bound * self.bound
-        ]
-        lattice = np.asarray(ks, float)
+        # row k1 of the lattice runs over |k2| <= half[k1], in increasing order
+        k1 = np.arange(-self.bound, self.bound + 1)
+        half = np.array([isqrt(self.bound**2 - k * k) for k in k1.tolist()], int)
+        counts = 2 * half + 1
+        k2 = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts + half, counts)
+        lattice = np.column_stack([np.repeat(k1, counts), k2]).astype(float)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([self.coef_seed, 0x636F6566], dtype=np.uint64))
         )
@@ -390,22 +417,28 @@ class HomogenizationCoefficient:
 
     def h(self, points: np.ndarray) -> np.ndarray:
         _, a, b = self._series
-        phase = self._phase(points)
-        return np.sin(phase) @ a + np.cos(phase) @ b
+        points = np.atleast_2d(points)
+        out = np.empty(len(points))
+        for rows in basis.point_chunks(len(points)):
+            phase = self._phase(points[rows])
+            out[rows] = np.sin(phase) @ a + np.cos(phase) @ b
+        return out
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return np.exp(self.h(points))
 
     def value_and_grad(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """a and its gradient at ``points``, from one phase matrix."""
+        """a and its gradient at ``points``, from one phase matrix per chunk."""
         lattice, a, b = self._series
-        phase = self._phase(points)
-        sin, cos = np.sin(phase), np.cos(phase)
-        value = np.exp(sin @ a + cos @ b)
-        dh = np.empty((len(phase), 2))
-        for axis in range(2):
-            w = 2.0 * np.pi * lattice[:, axis]
-            dh[:, axis] = cos @ (w * a) - sin @ (w * b)
+        points = np.atleast_2d(points)
+        w = [2.0 * np.pi * lattice[:, axis] for axis in range(2)]
+        value, dh = np.empty(len(points)), np.empty((len(points), 2))
+        for rows in basis.point_chunks(len(points)):
+            phase = self._phase(points[rows])
+            sin, cos = np.sin(phase), np.cos(phase)
+            value[rows] = np.exp(sin @ a + cos @ b)
+            for axis in range(2):
+                dh[rows, axis] = cos @ (w[axis] * a) - sin @ (w[axis] * b)
         return value, value[:, None] * dh
 
 
@@ -605,7 +638,11 @@ def make_plate_problem(holes=DEFAULT_PLATE_HOLES) -> PdeProblem:
     )
     _require(triples, "holes", "a list of [x, y, radius] numbers", holes)
     constants = ElasticityConstants()
-    domain = box((0.0, 0.0), (8.0, 8.0), holes=[Hole((x, y), r) for x, y, r in holes])
+    try:
+        domain = box((0.0, 0.0), (8.0, 8.0), holes=[Hole((x, y), r) for x, y, r in holes])
+    except ValueError as exc:  # a radius <= 0, a hole off the plate, or two that overlap
+        what = "disjoint holes of positive radius strictly inside the plate (%s)" % exc
+        _require(False, "holes", what, holes)
     neumann = tuple(t for t in domain.boundary_tags() if t != "bottom")
     return make_elasticity_2d(
         domain, constants,

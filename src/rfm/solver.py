@@ -1,6 +1,6 @@
 """Minimum-norm least-squares solve and conditioning diagnostics.
 
-A collocation system is solved in two steps.  Assembly stores it as row
+A collocation system is solved in two steps.  Assembly lays it out as row
 groups, the rows that touch the same column blocks (see ``rfm.assembly``); a
 group with at least two more rows than columns is replaced by the R factor
 of its orthogonal QR, as in TSQR (Demmel, Grigori, Hoemmen & Langou, SISC
@@ -9,13 +9,15 @@ unchanged, so the singular values, the set of minimizers and the
 minimum-norm solution are those of the full system.  The compressed system
 then goes through one SVD solve (gelsd).
 
-The solve takes every tall group's R factor first, in group order, and
-frees the group's block as soon as it has it; it then hands the heap's free
-pages back to the system, and only then is the gelsd buffer allocated, so
-the blocks and the buffer are never held at once.  With the blocks gone
-the loss is kept per group: the R factor of ``[W A | W b]`` is ``[R c; 0
-rho]``, and as the orthogonal factor keeps the norm, the group's part of
-the squared loss is ||R x - c||^2 + rho^2.
+The solve works through the tall groups in group order: it fills a
+group's block, weighs its rows, takes its R factor from a weighted copy and
+frees the block before the next group is filled, so one tall block is
+alive at a time.  It then fills the other groups in one pass, hands the
+heap's free pages back to the system, and only then allocates the gelsd
+buffer.  With the tall blocks gone the loss is kept per group: the R
+factor of ``[W A | W b]`` is ``[R c; 0 rho]``, and as the orthogonal factor
+keeps the norm, the group's part of the squared loss is
+||R x - c||^2 + rho^2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
-from .assembly import RowGroup, WeightedSystem
+from .assembly import RowGroup, WeightedSystem, _GroupFill, fill_blocks, row_weights
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -158,16 +160,17 @@ def solve_system(
     The solve takes the system's row groups over (``release_groups``): the
     system refuses any later use that needs them.  Every tall group is
     QR-compressed exactly (see the module docstring), one at a time in
-    group order, and its block is released as soon as its R factor is
-    taken; the heap's free pages then go back to the system (glibc
-    ``malloc_trim``).  Only then is the weighted, compressed system written
+    group order: its block is filled (``fill_blocks``; a block that is
+    already filled is used as it is), its rows weighed (``row_weights``), its
+    R factor taken, and the block released.  Then the groups that are not
+    tall are filled in one pass, the heap's free pages go back to the system
+    (glibc ``malloc_trim``), and the weighted, compressed system is written
     into one Fortran-ordered buffer that gelsd factorizes in place: the
     rows of the other groups first, in their order in the system, then the
-    R factors.
-    At its peak a solve holds either the blocks, the weighted copy of one
-    tall group and the R factors taken so far, or the short groups' blocks,
-    all R factors and the buffer.  The rank cut-off is taken from the full
-    system's shape, and ``rhs`` and ``weights`` are left as they were.
+    R factors.  At its peak a solve holds either one tall block, its
+    weighted copy and the R factors taken so far, or the short groups'
+    blocks, all R factors and the buffer.  The rank cut-off is taken from
+    the full system's shape, and ``rhs`` and ``scale`` are left as they were.
 
     The report's ``n_rows`` is the system's row count, ``solved_rows`` the
     compressed one, and its residual norm is the system's weighted loss at
@@ -178,16 +181,21 @@ def solve_system(
     the direct loss where no group is tall.
     """
     n_rows, n_cols = system.shape
-    weights, rhs = system.weights, system.weighted_rhs()
+    rhs, scale, fill = system.rhs, system.scale, system.fill
     groups = system.release_groups()
-    short = [g for g in groups if not g.tall]
-    kept = np.sort(np.concatenate([g.rows for g in short] + [np.empty(0, int)]))
-    factors = _take_tall_factors(groups, weights, rhs, len(kept))
+    weights = np.ones(n_rows)
+    which = [i for i, g in enumerate(groups) if not g.tall]
+    kept = np.sort(np.concatenate([groups[i].rows for i in which] + [np.empty(0, int)]))
+    factors = _take_tall_factors(groups, fill, scale, weights, rhs, len(kept))
+    fill_blocks(groups, which, fill)
+    short = [groups[i] for i in which]
+    for g in short:
+        weights[g.rows] = row_weights(g.block, scale)[0]
     if factors and _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)  # the freed blocks' pages, before the buffer is mapped
     a = np.zeros((len(kept) + sum(len(r.rows) for r, _, _ in factors), n_cols), order="F")
     b = np.empty(len(a))
-    b[: len(kept)] = rhs[kept]
+    b[: len(kept)] = weights[kept] * rhs[kept]
     for g in short:
         g.place(a, np.searchsorted(kept, g.rows), weights[g.rows, None] * g.block)
     for r, c, _ in factors:
@@ -197,31 +205,41 @@ def solve_system(
         rank_tol = np.finfo(float).eps * max(n_rows, n_cols)
     x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
     short_rhs = np.zeros(n_rows)
-    short_rhs[kept] = system.rhs[kept]
+    short_rhs[kept] = rhs[kept]
+    # WeightedSystem.loss over the short groups, with the weights already taken
+    short_loss = np.linalg.norm(weights * replace(system, groups=short, rhs=short_rhs).residual(x))
     loss = math.hypot(
-        replace(system, groups=short, rhs=short_rhs).loss(x),
+        float(short_loss),
         *(np.linalg.norm(np.append(r.block @ r.take(x) - c, rho)) for r, c, rho in factors),
     )
     return x, replace(report, n_rows=n_rows, residual_norm=loss)
 
 
 def _take_tall_factors(
-    groups: list[RowGroup | None], weights: np.ndarray, rhs: np.ndarray, top: int
+    groups: list[RowGroup],
+    fill: _GroupFill | None,
+    scale: float | None,
+    weights: np.ndarray,
+    rhs: np.ndarray,
+    top: int,
 ) -> list[tuple[RowGroup, np.ndarray, float]]:
     """The R factors of the tall groups, in group order, for the solve buffer.
 
-    Each tall group's entry of ``groups`` is set to None once it is taken,
-    so its block is freed before the next group is weighted.  Per tall
-    group this returns R as a row group over the group's columns, whose
-    rows are its rows in the buffer (from ``top`` on), then c and rho (see
-    ``_group_r``).  ``rhs`` is already weighted.
+    Each tall group's block is filled when its turn comes, its rows of
+    ``weights`` set, and the block released once the R factor is taken, so
+    it is freed before the next group is filled.  Per tall group this
+    returns R as a row group over the group's columns, whose rows are its
+    rows in the buffer (from ``top`` on), then c and rho (see ``_group_r``).
+    ``rhs`` is unweighted.
     """
     factors = []
     for i, g in enumerate(groups):
         if not g.tall:
             continue
-        groups[i] = None
+        fill_blocks(groups, [i], fill)
+        weights[g.rows] = row_weights(g.block, scale)[0]
         rc, rho = _group_r(g, weights, rhs)
+        g.block = None
         n = len(rc)
         factors.append((RowGroup(np.arange(top, top + n), g.cols, rc[:, :n]), rc[:, n], rho))
         top += n
@@ -231,16 +249,16 @@ def _take_tall_factors(
 def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The R factor of ``[W A | W b]`` over a group's rows and columns.
 
-    ``rhs`` is already weighted.  Returns ``[R c]``, one row per column of
-    the group, and rho, the last diagonal entry, whose magnitude is the norm
-    of the part of ``W b`` that the group's columns cannot reach.  A NaN or
+    ``rhs`` is unweighted.  Returns ``[R c]``, one row per column of the
+    group, and rho, the last diagonal entry, whose magnitude is the norm of
+    the part of ``W b`` that the group's columns cannot reach.  A NaN or
     inf in the group raises ValueError.
     """
     rows = group.rows
     n = group.block.shape[1]
     work = np.empty((len(rows), n + 1), order="F")
     np.multiply(weights[rows, None], group.block, out=work[:, :n])
-    work[:, n] = rhs[rows]
+    np.multiply(weights[rows], rhs[rows], out=work[:, n])
     _require_finite(work)
     lwork, info = dgeqrf_lwork(*work.shape)
     if info != 0:

@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfm import assembly, basis
-from rfm.assembly import RowGroup, assemble, load_system_dump
+from rfm.assembly import RowGroup, assemble, fill_blocks, load_system_dump
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
@@ -401,12 +403,12 @@ def test_row_groups_stack_to_a_dense_fill(pou, monkeypatch):
     class OneGroup(assembly._GroupFill):
         """Every row touches every column block: one group over the model's own columns."""
 
-        def __init__(self, model, touched):
-            super().__init__(model, np.ones_like(touched))
+        def __init__(self, model, sets, touched):
+            super().__init__(model, sets, np.ones_like(touched))
 
     monkeypatch.setattr(assembly, "_GroupFill", OneGroup)
     dense = assemble(problem, model, colloc)
-    (group,) = dense.groups
+    (group,) = dense.filled_groups()
     assert np.array_equal(group.rows, np.arange(dense.shape[0]))
     assert np.array_equal(np.r_[tuple(group.cols)], np.arange(model.n_columns))
     assert len(grouped.groups) > 1
@@ -426,10 +428,62 @@ def test_chunked_fill_matches_the_default_chunk(chunk, monkeypatch):
     chunked = assemble(problem, model, colloc)
     assert colloc.n_interior > 2 * chunk and colloc.n_interface > chunk
     assert len(whole.groups) == len(chunked.groups) > 1
-    for g, h in zip(whole.groups, chunked.groups):
+    for g, h in zip(whole.filled_groups(), chunked.filled_groups()):
         assert np.array_equal(g.rows, h.rows) and g.cols == h.cols
         assert np.array_equal(g.block, h.block)
     assert np.array_equal(whole.rhs, chunked.rhs)
+
+
+@st.composite
+def _fill_cases(draw):
+    """A small problem, model and collocation set: 1D Helmholtz with pou "a",
+    2D Poisson with pou "a" (interface rows) or "b" (overlapping supports),
+    or Stokes with its pressure pin.  Random patch grids, feature counts and
+    point counts make groups tall or not, and put a Stokes point's rows in
+    different groups."""
+    kind = draw(st.sampled_from(["interval", "pou-a", "pou-b", "stokes"]))
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=draw(st.integers(0, 2**16)))
+    features, glob = draw(st.integers(1, 12)), draw(st.sampled_from([0, 4]))
+    if kind == "interval":
+        problem = make_helmholtz_1d()
+        counts = draw(st.integers(1, 4))
+        model = build_model(problem.domain, counts, features, sampler, global_features=glob)
+        colloc = build_collocation(
+            problem.domain, draw(st.integers(2, 40)), {"left": 1, "right": 1}, counts, 1
+        )
+        return problem, model, colloc
+    stokes = kind == "stokes"
+    problem = make_stokes_manufactured() if stokes else make_poisson_2d()
+    pou = draw(st.sampled_from("ab")) if stokes else kind[-1]
+    counts = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    model = build_model(
+        problem.domain, counts, features, sampler, pou=pou,
+        n_components=problem.n_components, global_features=glob,
+    )
+    boundary = {t: draw(st.integers(1, 8)) for t in problem.domain.boundary_tags()}
+    per_edge = draw(st.integers(1, 3)) if pou == "a" else 0
+    interior = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    return problem, model, build_collocation(problem.domain, interior, boundary, counts, per_edge)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=_fill_cases(), data=st.data())
+def test_filling_groups_one_at_a_time_matches_one_pass(case, data):
+    """The solve fills the tall groups one at a time, the rest in one pass:
+    any order of single fills gives the blocks, right-hand side and weights
+    of one pass over every group, bit for bit."""
+    problem, model, colloc = case
+    whole = assemble(problem, model, colloc).rescale(100.0)
+    apart = assemble(problem, model, colloc).rescale(100.0)
+    for i in data.draw(st.permutations(range(len(apart.groups)))):
+        fill_blocks(apart.groups, [i], apart.fill)
+    assert len(whole.groups) == len(apart.groups)
+    for g, h in zip(whole.filled_groups(), apart.groups):
+        assert np.array_equal(g.rows, h.rows) and g.cols == h.cols
+        assert np.array_equal(g.block, h.block)
+    assert np.array_equal(whole.rhs, apart.rhs)
+    assert np.array_equal(whole.weights, apart.weights)
+    assert np.array_equal(whole.zero_rows, apart.zero_rows)
 
 
 @pytest.mark.parametrize("pou", ["a", "b"])
@@ -438,29 +492,35 @@ def test_every_row_lies_in_exactly_one_group(pou):
     system = assemble(problem, model, colloc)
     rows = np.concatenate([g.rows for g in system.groups])
     assert np.array_equal(np.sort(rows), np.arange(system.shape[0]))
-    for g in system.groups:
+    for g in system.filled_groups():
         assert np.all(np.diff(g.rows) > 0)
         assert g.block.shape == (len(g.rows), sum(c.stop - c.start for c in g.cols))
 
 
 def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
-    """Assembly walks its points in chunks and the solve frees each tall
-    group's block once its R factor is taken, so the peak is the blocks and
-    the weighted copy of one tall group (99 MB on this beam, whose dense
-    matrix would take 184 MB), not the blocks twice."""
+    """Assembly fills no block, and the solve fills each tall group when it
+    reaches it and frees the block once its R factor is taken, so the peak is
+    the R factors plus the larger of two phases: one tall block with its
+    weighted copy, or the short groups' blocks with the gelsd buffer.  On
+    this beam that is 50 MB, where the blocks alone take 72 MB and the
+    dense matrix would take 184 MB."""
     config = suite_config("timoshenko", "M=800 Q=6400")
     problem, model, colloc = build_run(config)
     tracemalloc.start()
     try:
         system = assemble(problem, model, colloc).rescale(config.rescale_scale)
-        blocks = sum(g.block.nbytes for g in system.groups)
-        copy = max(8 * len(g.rows) * (g.block.shape[1] + 1) for g in system.groups if g.tall)
+        sizes = [(len(g.rows), g.width) for g in system.groups]
         _, report = solve_system(system, config.rank_tol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert system.shape == (14400, 1600)
-    assert peak <= 1.1 * (blocks + copy)
+    tall = [(r, w) for r, w in sizes if r > w + 1]
+    factors = sum(w * (w + 1) for _, w in tall)
+    one_tall = max(r * w + r * (w + 1) for r, w in tall)
+    short = sum(r * w for r, w in sizes) - sum(r * w for r, w in tall)
+    budget = 8 * (factors + max(one_tall, short + report.solved_rows * system.shape[1]))
+    assert peak <= 1.1 * budget
     # the Dirichlet rows join their patch's tall group: each patch reaches the
     # SVD as 640 rows, next to eight interface groups of 80
     assert report.solved_rows == 3200
@@ -503,9 +563,9 @@ def test_assembly_is_deterministic():
 def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     problem, model, colloc = _single_feature_setup()
     # the 3x1 system is one tall group.  While its R factor is taken the solve
-    # holds its block (3 values), its weighted copy with the right-hand side
-    # (6) and R with the rotated right-hand side (2); that outweighs the
-    # second phase, R (2) and the solve buffer (1)
+    # holds its block (3 values) and its weighted copy with the right-hand
+    # side (6); that outweighs the second phase, the solve buffer (1).  R with
+    # the rotated right-hand side (2) is held in both
     need = (3 + 6 + 2) * 8
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=r"3x1 system needs 0.0 MB .* only 0.0 MB"):
@@ -515,6 +575,14 @@ def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     # an unreadable probe skips the guard
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: None)
     assert assemble(problem, model, colloc).shape == (3, 1)
+    # a 21x8 system with two tall groups of 10x2 and a short one of 1x4: the R
+    # factors (2 x 6) and one tall block with its weighted copy (20 + 30), the
+    # other tall block not yet filled, outweigh the short block and the
+    # buffer of 1 + 2 + 2 rows (4 + 40)
+    sizes = [(10, 2), (10, 2), (1, 4)]
+    assembly._check_memory((21, 8), sizes, 8 * 62)
+    with pytest.raises(ValueError, match=r"21x8 system needs 0.0 MB"):
+        assembly._check_memory((21, 8), sizes, 8 * 62 - 1)
 
 
 def test_assemble_refuses_interior_blocks_that_would_not_fit_before_building_supports(
@@ -526,12 +594,14 @@ def test_assemble_refuses_interior_blocks_that_would_not_fit_before_building_sup
     def unreachable(*args, **kwargs):
         pytest.fail("supports ran for a system that does not fit")
 
-    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**7)
+    # the coordinates of 100000 points in 4 expansions (3.2 MB) and the flags
+    # of 4 column blocks for each of 100008 rows (0.4 MB)
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**6)
     monkeypatch.setattr(RfmModel, "supports", unreachable)
     with pytest.raises(
         ValueError,
-        match=r"100008x400 system needs 80.0 MB for the blocks of its 100000 interior rows, "
-        r"but only 10.0 MB",
+        match=r"100008x400 system needs 3.6 MB for the supports and block flags of its "
+        r"100000 interior rows, but only 1.0 MB",
     ):
         assemble(problem, model, colloc)
 

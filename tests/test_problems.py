@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfm import problems
+from rfm.blas import blas_threads
+from rfm.experiments import build_run, load_suite
 from rfm.geometry import Hole, interval
 from rfm.problems import (
     HomogenizationCoefficient,
@@ -382,6 +385,66 @@ def test_coefficient_gradient_matches_finite_differences():
         assert np.abs(got[:, axis] - fd).max() <= 1e-6 * scale
 
 
+def _one_pass_field(coef, points):
+    """The coefficient's lattice, field and gradient as the field was first
+    written: the lattice from a double loop over the bounding square, and
+    one (points x wavevectors) phase matrix over every point."""
+    bound = coef.bound
+    ks = [
+        (k1, k2)
+        for k1 in range(-bound, bound + 1)
+        for k2 in range(-bound, bound + 1)
+        if k1 * k1 + k2 * k2 <= bound * bound
+    ]
+    lattice = np.asarray(ks, float)
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([coef.coef_seed, 0x636F6566], dtype=np.uint64))
+    )
+    a = rng.uniform(-coef.amp, coef.amp, len(lattice))
+    b = rng.uniform(-coef.amp, coef.amp, len(lattice))
+    phase = 2.0 * np.pi * points @ lattice.T
+    sin, cos = np.sin(phase), np.cos(phase)
+    value = np.exp(sin @ a + cos @ b)
+    dh = np.empty((len(points), 2))
+    for axis in range(2):
+        w = 2.0 * np.pi * lattice[:, axis]
+        dh[:, axis] = cos @ (w * a) - sin @ (w * b)
+    return lattice, value, value[:, None] * dh
+
+
+@pytest.mark.parametrize("config", load_suite("homogenization-desk"), ids=lambda c: c.name)
+def test_chunked_coefficient_field_matches_one_pass(config):
+    """The field walks its points in chunks, and gives the bits of one pass
+    over every interior point of each homogenization-desk config, on one
+    BLAS thread, as assembly runs it."""
+    _, _, colloc = build_run(config)
+    points = colloc.interior
+    keys = config.problem
+    coef = HomogenizationCoefficient(keys["coef_seed"], keys["bound"], keys["amp"])
+    with blas_threads():
+        lattice, value, grad = _one_pass_field(coef, points)
+        got_value, got_grad = coef.value_and_grad(points)
+        got_h = coef.h(points)
+    assert np.array_equal(coef._series[0], lattice)
+    assert np.array_equal(got_value, value) and np.array_equal(got_grad, grad)
+    assert np.array_equal(np.exp(got_h), value)
+
+
+def test_coefficient_refuses_a_bound_whose_wavevectors_would_not_fit(monkeypatch):
+    # 2821 wavevectors at bound 30, each with 8 * (4 + 3 * 2048) bytes: its
+    # coordinates, amplitudes, and one point chunk's phase, sine and cosine
+    monkeypatch.setattr(problems, "available_memory_bytes", lambda: 10**8)
+    with pytest.raises(ValueError, match=r"'bound' must be .*\(2821 or more need 138.7 MB"):
+        HomogenizationCoefficient(bound=30)
+    # the inscribed square's 2 * 10**4 * (10**4 + 1) + 1 wavevectors refuse
+    # 10**4 before the disk's 3.1e8 are counted
+    with pytest.raises(ValueError, match=r"'bound' must be .*\(200020001 or more"):
+        make_varcoef_elliptic(bound=10**4)
+    assert len(HomogenizationCoefficient(bound=20)._series[0]) == 1257
+    monkeypatch.setattr(problems, "available_memory_bytes", lambda: None)
+    assert HomogenizationCoefficient(bound=30).bound == 30
+
+
 def test_varcoef_flat_field_reduces_to_poisson():
     prob = make_varcoef_elliptic(coef_seed=0, bound=2, amp=0.0, forcing=1.0)
     pts = RNG.uniform(-0.5, 0.5, size=(50, 2))
@@ -416,9 +479,13 @@ def test_varcoef_flat_field_reduces_to_poisson():
         (lambda: HomogenizationCoefficient(amp=float("inf")), "amp"),
         (lambda: make_varcoef_elliptic(forcing=float("nan")), "forcing"),
         (lambda: make_plate_problem([[1, 1]]), "holes"),
+        (lambda: make_plate_problem([[100, 100, 1]]), "holes"),
+        (lambda: make_plate_problem([[4, 4, 1], [4.5, 4, 1]]), "holes"),
+        (lambda: make_plate_problem([[4, 4, 0]]), "holes"),
     ],
     ids=["nan-lam", "inf-a-low", "negative-coef-seed", "65-bit-coef-seed", "negative-bound",
-         "inf-amp", "nan-forcing", "pair-hole"],
+         "inf-amp", "nan-forcing", "pair-hole", "hole-off-the-plate", "overlapping-holes",
+         "zero-radius-hole"],
 )
 def test_factories_refuse_a_bad_key_at_the_call(call, key):
     """The check is made where the value is given, not when it is first used,

@@ -177,8 +177,9 @@ SUITE_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_N
 
 @pytest.fixture(scope="module")
 def suite_solve(request):
-    """A case's rescaled system, its rank tolerance, and the direct gelsd solve
-    of the full weighted system, plus whether the case compresses.
+    """A case's rescaled system, a copy of it taken before any block was
+    filled, its rank tolerance, and the direct gelsd solve of the full
+    weighted system, plus whether the case compresses.
 
     Module scope lets the two tests below share one assembly and one
     full-system solve per case: pytest runs the tests of one case together
@@ -186,8 +187,9 @@ def suite_solve(request):
     """
     suite, name, compresses = request.param
     system, rank_tol = _system(suite, name)
+    unfilled = copy.deepcopy(system)
     x, report = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
-    return system, rank_tol, x, report, compresses
+    return system, unfilled, rank_tol, x, report, compresses
 
 
 @pytest.mark.parametrize(
@@ -200,7 +202,7 @@ def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
     along near-null directions; test_row_compression_matches_direct_gelsd
     covers it against this direct solve.
     """
-    system, rank_tol, x, report, _ = suite_solve
+    system, _, rank_tol, x, report, _ = suite_solve
     a, b = system.weighted_matrix(), system.weighted_rhs()
     _assert_matches_scipy(x, report, a, b, rank_tol)
     assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
@@ -226,12 +228,13 @@ def _assert_loss_matches_direct(report, system, x):
     indirect=True,
 )
 def test_row_compression_matches_direct_gelsd(suite_solve):
-    system, rank_tol, x_d, direct, compresses = suite_solve
-    before = [system.matrix.copy(), system.rhs.copy(), system.weights.copy()]
-    solved = copy.deepcopy(system)  # the solve releases the row groups it solves
+    system, solved, rank_tol, x_d, direct, compresses = suite_solve
+    before = [system.matrix.copy(), system.rhs.copy()]
+    assert all(g.block is None for g in solved.groups)
     x, report = solve_system(solved, rank_tol)
-    for kept, now in zip(before, (system.matrix, solved.rhs, solved.weights)):
+    for kept, now in zip(before, (system.matrix, solved.rhs)):
         assert np.array_equal(kept, now)
+    assert solved.scale == system.scale
     assert (report.n_rows, report.n_cols) == system.shape
     _assert_loss_matches_direct(report, system, x)
     assert (report.solved_rows < report.n_rows) == compresses
@@ -289,9 +292,7 @@ def _block_systems(draw):
     for cols, block in parts:
         groups.append(RowGroup(np.sort(order[top : top + len(block)]), cols, block))
         top += len(block)
-    system = WeightedSystem(
-        groups, rng.standard_normal(n), np.ones(n), model, None, n, 0, 0, 0
-    )
+    system = WeightedSystem(groups, rng.standard_normal(n), model, None, n, 0, 0, 0)
     return system.rescale()
 
 
@@ -369,7 +370,7 @@ def test_rescale_scale_leaves_the_grouped_solve_unchanged(system, scale):
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_solve_system_rejects_nan(where):
     system, rank_tol = _system("helmholtz-pou")
-    group = next(g for g in system.groups if not g.tall)
+    group = next(g for g in system.filled_groups() if not g.tall)
     if where == "matrix":
         group.block[0, 0] = np.nan
     else:
@@ -381,7 +382,7 @@ def test_solve_system_rejects_nan(where):
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_row_compression_rejects_nan_in_a_tall_group(where):
     system, rank_tol = _system("poisson-multiscale")
-    group = next(g for g in system.groups if g.tall)
+    group = next(g for g in system.filled_groups() if g.tall)
     if where == "matrix":
         group.block[0, np.flatnonzero(group.block[0])[0]] = np.nan
     else:
