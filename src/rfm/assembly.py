@@ -20,12 +20,13 @@ only built on request (``WeightedSystem.matrix``).
 
 ``assemble`` lays the system out without filling it: it builds the point
 sets with their supports and term coefficients, the row groups' rows and
-columns, and the right-hand side.  A group's block is filled when it is
-first needed, from the points that own rows in it; ``solve_system`` fills
-the tall groups one at a time, so only one tall block is alive at once.
-The system is stored unweighted; ``rescale`` keeps only its scale, and each
-row's weight is taken from its group's block, so rescaling is exactly
-reproducible and can be recomputed at any time.
+columns, and the right-hand side.  A system keeps no block: each use fills
+the blocks it needs, from the points that own rows in them, and lets them
+go, so a solved system stays usable.  ``solve_system`` fills the tall groups
+one at a time, so only one tall block is alive at once.  The system is
+stored unweighted; ``rescale`` keeps only its scale, and each row's weight
+is taken from its group's block, so rescaling is exactly reproducible and
+can be recomputed at any time.
 """
 
 from __future__ import annotations
@@ -53,15 +54,12 @@ class RowGroup:
     """Rows that touch the same column blocks, stored over those columns only.
 
     ``rows`` are the group's rows in the system, ascending, and ``cols`` its
-    column blocks in column order.  ``block[i]`` holds row ``rows[i]`` at
-    those columns; the row is zero at every other column.  An assembled
-    system's groups start with no block: it is filled when first needed
-    (``fill_blocks``).
+    column blocks in column order.  The group's block holds row ``rows[i]``
+    at those columns in its row ``i``; the row is zero at every other column.
     """
 
     rows: np.ndarray
     cols: list[slice]
-    block: np.ndarray | None = None
 
     @property
     def width(self) -> int:
@@ -85,22 +83,13 @@ class RowGroup:
             offset += width
 
 
-def fill_blocks(groups: list[RowGroup], which, fill: _GroupFill | None) -> None:
-    """Fill, in one pass of ``fill``, the blocks of those ``groups[i]``,
-    ``i`` in ``which``, that have none yet."""
-    missing = [i for i in which if groups[i].block is None]
-    if missing:
-        for i, block in zip(missing, fill.blocks(missing)):
-            groups[i].block = block
-
-
 def row_weights(block: np.ndarray, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's rescale weight, scale / max_j |a_ij| (1 for a zero row, and
     for every row when ``scale`` is None), and which rows are zero.
 
     max|a| is taken as max(max a, -min a), so no temporary as large as the
     block is made.  A row's weight depends on that row alone, so weighing a
-    system group by group gives the same bits as weighing it whole.
+    system group by group, or its dense matrix whole, gives the same bits.
     """
     rowmax = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
     zero = rowmax == 0.0
@@ -114,18 +103,17 @@ def row_weights(block: np.ndarray, scale: float | None) -> tuple[np.ndarray, np.
 class WeightedSystem:
     """A @ u ~ b with per-row rescale weights kept separate from A.
 
-    A is held as row groups, every row in exactly one, in the order of
-    ``fill``, which fills the blocks (``fill_blocks``): ``filled_groups``
-    fills every block not filled yet in one pass, and ``solve_system`` one
-    tall group at a time.  The four row counts give each row family as a
+    The system holds its layout, its right-hand side and its scale, and no
+    block of A.  The layout (``_GroupFill``) gives the row groups, every row
+    in exactly one, and fills the blocks of any of them on request
+    (``blocks``); each use of A asks for the blocks it needs and lets them
+    go, so a system gives the same matrix, weights and loss however often it
+    is used or solved.  The four row counts give each row family as a
     contiguous slice, in the order interior, boundary, interface, pin.
     ``scale`` is the one that ``rescale`` set, or None for unit weights.
-    ``solve_system`` takes the groups over (``release_groups``) and frees
-    them as it goes; ``groups`` is None from then on, and every method that
-    needs the matrix raises ValueError.
     """
 
-    groups: list[RowGroup] | None
+    layout: _GroupFill
     rhs: np.ndarray
     model: RfmModel
     problem: PdeProblem
@@ -134,65 +122,66 @@ class WeightedSystem:
     n_interface_rows: int
     n_pin_rows: int
     scale: float | None = None
-    fill: _GroupFill | None = None  # None when every group comes with its block
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rhs), self.model.n_columns
 
     @property
+    def groups(self) -> list[RowGroup]:
+        return self.layout.groups
+
+    def blocks(self, which) -> list[np.ndarray]:
+        """New blocks of groups ``which``, filled in one pass; none is kept."""
+        return self.layout.blocks(list(which))
+
+    def _all_blocks(self) -> list[tuple[RowGroup, np.ndarray]]:
+        return list(zip(self.groups, self.blocks(range(len(self.groups)))))
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The full matrix, stacked from the row groups: a new dense copy per call."""
+        """The full matrix, a new dense copy per call, stacked from the
+        blocks of one fill.  A copy that would not fit in memory, with the
+        blocks it is stacked from, is refused with ValueError."""
+        n, m = self.shape
+        blocks = sum(len(g.rows) * g.width for g in self.groups)
+        _refuse_unless_fits(
+            8 * (n * m + blocks), available_memory_bytes(), "a %dx%d system" % self.shape,
+            "a dense copy of its matrix",
+        )
         a = np.zeros(self.shape)
-        for g in self.filled_groups():
-            g.place(a, g.rows, g.block)
+        for g, block in self._all_blocks():
+            g.place(a, g.rows, block)
         return a
 
-    def _live_groups(self) -> list[RowGroup]:
-        """The row groups; every use of the matrix goes through this check."""
-        if self.groups is None:
-            raise ValueError(
-                "solve_system has released this system's row groups: assemble it "
-                "again, or solve a copy.deepcopy of it"
-            )
-        return self.groups
-
-    def filled_groups(self) -> list[RowGroup]:
-        """The row groups, every block filled; the blocks are kept."""
-        groups = self._live_groups()
-        fill_blocks(groups, range(len(groups)), self.fill)
-        return groups
-
-    def release_groups(self) -> list[RowGroup]:
-        """Hand the row groups over, for the caller to fill and free; the
-        system then refuses every use that needs them."""
-        groups = self._live_groups()
-        self.groups = None
-        return groups
-
-    def _weighing(self) -> tuple[np.ndarray, np.ndarray]:
-        """``row_weights`` over the whole system: the weights and the zero rows."""
-        w, zero = np.ones(self.shape[0]), np.zeros(self.shape[0], bool)
-        if self.scale is not None:
-            for g in self.filled_groups():
-                w[g.rows], zero[g.rows] = row_weights(g.block, self.scale)
-        return w, zero
+    def _walk(self, coefficients: np.ndarray | None = None):
+        """One fill of every block: each row's weight (``row_weights``), which
+        rows are zero, and the residual at ``coefficients`` (-rhs without)."""
+        w, zero, out = np.ones(self.shape[0]), np.zeros(self.shape[0], bool), -self.rhs
+        if self.scale is None and coefficients is None:
+            return w, zero, out  # unit weights need no block
+        for g, block in self._all_blocks():
+            if self.scale is not None:
+                w[g.rows], zero[g.rows] = row_weights(block, self.scale)
+            if coefficients is not None:
+                out[g.rows] += block @ g.take(coefficients)
+        return w, zero, out
 
     @property
     def weights(self) -> np.ndarray:
         """Each row's weight (``row_weights``): 1 until ``rescale``, then taken
-        from the raw matrix, whose blocks this fills."""
-        return self._weighing()[0]
+        from the raw matrix."""
+        return self._walk()[0]
 
     @property
     def zero_rows(self) -> np.ndarray:
-        """The rows that are zero in the raw matrix, which keep weight 1; none
-        until ``rescale``."""
-        return np.flatnonzero(self._weighing()[1])
+        """Which rows are zero in the raw matrix, a mask over the rows; those
+        rows keep weight 1.  None is flagged until ``rescale``."""
+        return self._walk()[1]
 
     def weighted_matrix(self) -> np.ndarray:
         a = self.matrix
-        a *= self.weights[:, None]
+        a *= row_weights(a, self.scale)[0][:, None]
         return a
 
     def weighted_rhs(self) -> np.ndarray:
@@ -206,32 +195,28 @@ class WeightedSystem:
         ``solve_system`` one group at a time, so calling this twice is the
         same as calling it once, and it fills no block.
         """
-        self._live_groups()
         self.scale = scale
         return self
 
     def residual(self, coefficients: np.ndarray) -> np.ndarray:
-        out = -self.rhs
-        for g in self.filled_groups():
-            out[g.rows] += g.block @ g.take(coefficients)
-        return out
+        return self._walk(coefficients)[2]
 
     def loss(self, coefficients: np.ndarray) -> float:
         """Norm of the weighted residual, the quantity least squares minimizes."""
-        return float(np.linalg.norm(self.weights * self.residual(coefficients)))
+        w, _, residual = self._walk(coefficients)
+        return float(np.linalg.norm(w * residual))
 
     def dump(self, path) -> None:
         """Raw binary dump: int64 header (rows, cols, interior-condition count),
-        then the matrix row-major, the right-hand side, and the weights.  The
-        matrix is stacked from the row groups, one dense copy, and the blocks
-        stay filled."""
+        then the matrix row-major, the right-hand side, and the weights, all
+        taken from one dense copy of the matrix (``matrix``)."""
         n, m = self.shape
-        matrix = self.matrix  # before the file is opened: a solved system leaves none
+        matrix = self.matrix  # before the file is opened, so a refused copy writes none
         with open(path, "wb") as fh:
             fh.write(np.asarray([n, m, self.problem.k_interior], np.int64).tobytes())
-            fh.write(matrix.tobytes())
-            fh.write(np.asarray(self.rhs, np.float64).tobytes())
-            fh.write(np.asarray(self.weights, np.float64).tobytes())
+            matrix.tofile(fh)
+            np.asarray(self.rhs, np.float64).tofile(fh)
+            row_weights(matrix, self.scale)[0].tofile(fh)
 
 
 def load_system_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -278,11 +263,12 @@ class _GroupFill:
     blocks form a group, and a group that is not tall joins the first tall
     group that holds all of its blocks, whose QR then takes its rows at no
     extra width (the Dirichlet rows of a patch join its interior rows).
-    Kept per group: its rows, ``local`` (a system row's row in its group's
-    block), and where each (component, expansion) column block sits in the
-    block; per point set, once a fill asks for some groups only, its points
-    ordered by the groups they own rows in (``owners``).  ``blocks`` fills
-    the blocks of any groups, walking only their points.
+    Kept per group: its rows and columns (``groups``), ``local`` (a system
+    row's row in its group's block), and where each (component, expansion)
+    column block sits in the block; per point set, once a fill asks for some
+    groups only, its points ordered by the groups they own rows in
+    (``owners``).  ``blocks`` fills new blocks of any groups, walking only
+    their points, and keeps none of them.
     """
 
     def __init__(self, model: RfmModel, sets: list[_PointSet], touched: np.ndarray):
@@ -313,16 +299,15 @@ class _GroupFill:
         counts = np.bincount(self.labels, minlength=len(kept))
         self.local = np.empty(len(order), int)
         self.local[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.rows = np.split(order, np.cumsum(counts)[:-1])
-        self.cols: list[list[slice]] = []
+        self.groups: list[RowGroup] = []
         self.offsets: list[dict[tuple[int, int], int]] = []
-        for key in sets_of_blocks[kept]:
+        for rows, key in zip(np.split(order, np.cumsum(counts)[:-1]), sets_of_blocks[kept]):
             cols, offsets, width = [], {}, 0
             for j in np.flatnonzero(key):
                 offsets[divmod(int(j), n_exp)] = width
                 cols.append(blocks[j])
                 width += blocks[j].stop - blocks[j].start
-            self.cols.append(cols)
+            self.groups.append(RowGroup(rows, cols))
             self.offsets.append(offsets)
 
     @cached_property
@@ -334,30 +319,19 @@ class _GroupFill:
             n_pts = max(len(s.points), 1)
             group_of = self.labels[s.first : s.first + len(s.points) * s.stencil.n_rows]
             pairs = np.unique(group_of * n_pts + np.arange(len(group_of)) // s.stencil.n_rows)
-            bounds = np.searchsorted(pairs // n_pts, np.arange(len(self.rows) + 1))
+            bounds = np.searchsorted(pairs // n_pts, np.arange(len(self.groups) + 1))
             owners.append((pairs % n_pts, bounds))
         return owners
 
-    @property
-    def sizes(self) -> list[tuple[int, int]]:
-        """(rows, columns) of every group's block."""
-        return [
-            (len(rows), sum(c.stop - c.start for c in cols))
-            for rows, cols in zip(self.rows, self.cols)
-        ]
-
-    def groups(self) -> list[RowGroup]:
-        """Every group's rows and columns, with no block yet."""
-        return [RowGroup(rows, cols) for rows, cols in zip(self.rows, self.cols)]
-
     def blocks(self, which: list[int]) -> list[np.ndarray]:
-        """The blocks of groups ``which``, filled in one pass over the point
+        """New blocks of groups ``which``, filled in one pass over the point
         sets that visits only the points owning rows in them (every point
         when every group is filled)."""
-        sizes = self.sizes
-        out = {g: np.zeros(sizes[g]) for g in which}
+        if not which:
+            return []
+        out = {g: np.zeros((len(self.groups[g].rows), self.groups[g].width)) for g in which}
         needed = {key for g in which for key in self.offsets[g]}
-        every = len(out) == len(self.rows)
+        every = len(out) == len(self.groups)
         with blas_threads():  # small matmuls, on one thread as in the rest of assembly
             for i, s in enumerate(self.sets):
                 if every:
@@ -515,7 +489,7 @@ def assemble(
     problem: PdeProblem, model: RfmModel, colloc: CollocationSet
 ) -> WeightedSystem:
     """Lay out the collocation system for a problem/model pair as row groups
-    whose blocks are filled when first needed (see the module docstring)."""
+    whose blocks are filled on request (see the module docstring)."""
     if model.dim != problem.domain.dim or model.n_components != problem.n_components:
         raise ValueError("model does not match the problem layout")
     sampled = set(colloc.boundary_tags)
@@ -596,10 +570,11 @@ def assemble(
             -1, k, n_exp
         )
 
-    fill = _GroupFill(model, sets, touched)
-    _check_memory((n_rows, model.n_columns), fill.sizes, available)
+    layout = _GroupFill(model, sets, touched)
+    sizes = [(len(g.rows), g.width) for g in layout.groups]
+    _check_memory((n_rows, model.n_columns), sizes, available)
     return WeightedSystem(
-        groups=fill.groups(),
+        layout=layout,
         rhs=b,
         model=model,
         problem=problem,
@@ -607,5 +582,4 @@ def assemble(
         n_boundary_rows=n_bnd,
         n_interface_rows=n_ifc,
         n_pin_rows=len(pins),
-        fill=fill,
     )

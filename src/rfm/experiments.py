@@ -304,8 +304,9 @@ def run_experiment(
     With ``out_dir`` it appends the record to ``runs.csv`` there and writes
     the solution fields as snapshots; with ``dump_system`` it writes the
     rescaled system to that path (``WeightedSystem.dump``) before the solve,
-    which releases it.  The evaluation grid's counts are resolved before
-    assembly, so a malformed ``eval_counts`` fails before any solve.  Both
+    so a dense copy that would not fit stops the run before any solve.  The
+    evaluation grid's counts are resolved before assembly, so a malformed
+    ``eval_counts`` fails before any solve.  Both
     BLAS pools run on one thread until the system is assembled, then on the
     count that ``rfm.blas.threads_for`` gives its shape; the record keeps
     that count.
@@ -321,9 +322,8 @@ def run_experiment(
             system = system.rescale(config.rescale_scale)
         if dump_system is not None:
             system.dump(dump_system)
-        # the solve frees the row groups; drop the rest before evaluation
         coefficients, report = solve_system(system, config.rank_tol)
-        del system
+        del system  # its point sets, before evaluation
         errors: dict[str, float] = {}
         if problem.exact is not None:
             err = evaluate_error(model, coefficients, problem, counts=eval_counts)

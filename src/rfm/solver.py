@@ -11,13 +11,13 @@ then goes through one SVD solve (gelsd).
 
 The solve works through the tall groups in group order: it fills a
 group's block, weighs its rows, takes its R factor from a weighted copy and
-frees the block before the next group is filled, so one tall block is
+drops the block before the next group is filled, so one tall block is
 alive at a time.  It then fills the other groups in one pass, hands the
 heap's free pages back to the system, and only then allocates the gelsd
-buffer.  With the tall blocks gone the loss is kept per group: the R
-factor of ``[W A | W b]`` is ``[R c; 0 rho]``, and as the orthogonal factor
-keeps the norm, the group's part of the squared loss is
-||R x - c||^2 + rho^2.
+buffer.  The system keeps no block, so it is left as it was.  With the tall
+blocks gone the loss is kept per group: the R factor of ``[W A | W b]`` is
+``[R c; 0 rho]``, and as the orthogonal factor keeps the norm, the group's
+part of the squared loss is ||R x - c||^2 + rho^2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
-from .assembly import RowGroup, WeightedSystem, _GroupFill, fill_blocks, row_weights
+from .assembly import RowGroup, WeightedSystem, row_weights
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -157,107 +157,101 @@ def solve_system(
 ) -> tuple[np.ndarray, LstsqReport]:
     """Solve a weighted collocation system in the rescaled norm.
 
-    The solve takes the system's row groups over (``release_groups``): the
-    system refuses any later use that needs them.  Every tall group is
-    QR-compressed exactly (see the module docstring), one at a time in
-    group order: its block is filled (``fill_blocks``; a block that is
-    already filled is used as it is), its rows weighed (``row_weights``), its
-    R factor taken, and the block released.  Then the groups that are not
-    tall are filled in one pass, the heap's free pages go back to the system
+    Every tall group is QR-compressed exactly (see the module docstring),
+    one at a time in group order: its block is filled
+    (``WeightedSystem.blocks``), its rows weighed (``row_weights``), its R
+    factor taken, and the block dropped.  Then the groups that are not tall
+    are filled in one pass, the heap's free pages go back to the system
     (glibc ``malloc_trim``), and the weighted, compressed system is written
     into one Fortran-ordered buffer that gelsd factorizes in place: the
     rows of the other groups first, in their order in the system, then the
     R factors.  At its peak a solve holds either one tall block, its
     weighted copy and the R factors taken so far, or the short groups'
-    blocks, all R factors and the buffer.  The rank cut-off is taken from
-    the full system's shape, and ``rhs`` and ``scale`` are left as they were.
+    blocks, all R factors and the buffer.  Each group is filled once, and
+    the system keeps none of the blocks, so it is left as it was and can
+    be used, or solved, again.  The rank cut-off is taken from the full
+    system's shape.
 
     The report's ``n_rows`` is the system's row count, ``solved_rows`` the
     compressed one, and its residual norm is the system's weighted loss at
-    the solution.  The short groups' part of it is ``WeightedSystem.loss``
-    over their rows; a tall group's part is ||R x - c||^2 + rho^2, where
-    ``[R c; 0 rho]`` tops the R factor of ``[W A | W b]`` over the group:
-    the orthogonal factor keeps the norm, so the sum is exact, and it is
-    the direct loss where no group is tall.
+    the solution.  The short groups' part of it is taken from their blocks
+    as ``WeightedSystem.loss`` takes it, over a full-length residual that is
+    zero at the tall groups' rows; a tall group's part is ||R x - c||^2 +
+    rho^2, where ``[R c; 0 rho]`` tops the R factor of ``[W A | W b]`` over
+    the group: the orthogonal factor keeps the norm, so the sum is exact,
+    and it is the direct loss where no group is tall.
     """
     n_rows, n_cols = system.shape
-    rhs, scale, fill = system.rhs, system.scale, system.fill
-    groups = system.release_groups()
+    rhs, groups = system.rhs, system.groups
     weights = np.ones(n_rows)
     which = [i for i, g in enumerate(groups) if not g.tall]
     kept = np.sort(np.concatenate([groups[i].rows for i in which] + [np.empty(0, int)]))
-    factors = _take_tall_factors(groups, fill, scale, weights, rhs, len(kept))
-    fill_blocks(groups, which, fill)
-    short = [groups[i] for i in which]
-    for g in short:
-        weights[g.rows] = row_weights(g.block, scale)[0]
+    factors = _take_tall_factors(system, weights, len(kept))
+    short = list(zip([groups[i] for i in which], system.blocks(which)))
+    for g, block in short:
+        weights[g.rows] = row_weights(block, system.scale)[0]
     if factors and _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)  # the freed blocks' pages, before the buffer is mapped
-    a = np.zeros((len(kept) + sum(len(r.rows) for r, _, _ in factors), n_cols), order="F")
+    a = np.zeros((len(kept) + sum(len(at.rows) for at, _, _, _ in factors), n_cols), order="F")
     b = np.empty(len(a))
     b[: len(kept)] = weights[kept] * rhs[kept]
-    for g in short:
-        g.place(a, np.searchsorted(kept, g.rows), weights[g.rows, None] * g.block)
-    for r, c, _ in factors:
-        r.place(a, r.rows, r.block)
-        b[r.rows] = c
+    for g, block in short:
+        g.place(a, np.searchsorted(kept, g.rows), weights[g.rows, None] * block)
+    for at, r, c, _ in factors:
+        at.place(a, at.rows, r)
+        b[at.rows] = c
     if rank_tol is None:
         rank_tol = np.finfo(float).eps * max(n_rows, n_cols)
     x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
-    short_rhs = np.zeros(n_rows)
-    short_rhs[kept] = rhs[kept]
-    # WeightedSystem.loss over the short groups, with the weights already taken
-    short_loss = np.linalg.norm(weights * replace(system, groups=short, rhs=short_rhs).residual(x))
+    residual = np.zeros(n_rows)
+    residual[kept] = -rhs[kept]
+    for g, block in short:
+        residual[g.rows] += block @ g.take(x)
     loss = math.hypot(
-        float(short_loss),
-        *(np.linalg.norm(np.append(r.block @ r.take(x) - c, rho)) for r, c, rho in factors),
+        float(np.linalg.norm(weights * residual)),
+        *(np.linalg.norm(np.append(r @ at.take(x) - c, rho)) for at, r, c, rho in factors),
     )
     return x, replace(report, n_rows=n_rows, residual_norm=loss)
 
 
 def _take_tall_factors(
-    groups: list[RowGroup],
-    fill: _GroupFill | None,
-    scale: float | None,
-    weights: np.ndarray,
-    rhs: np.ndarray,
-    top: int,
-) -> list[tuple[RowGroup, np.ndarray, float]]:
+    system: WeightedSystem, weights: np.ndarray, top: int
+) -> list[tuple[RowGroup, np.ndarray, np.ndarray, float]]:
     """The R factors of the tall groups, in group order, for the solve buffer.
 
     Each tall group's block is filled when its turn comes, its rows of
-    ``weights`` set, and the block released once the R factor is taken, so
+    ``weights`` set, and the block dropped once the R factor is taken, so
     it is freed before the next group is filled.  Per tall group this
-    returns R as a row group over the group's columns, whose rows are its
-    rows in the buffer (from ``top`` on), then c and rho (see ``_group_r``).
-    ``rhs`` is unweighted.
+    returns a row group over the group's columns whose rows are R's rows in
+    the buffer (from ``top`` on), then R, c and rho (see ``_group_r``).
     """
     factors = []
-    for i, g in enumerate(groups):
+    for i, g in enumerate(system.groups):
         if not g.tall:
             continue
-        fill_blocks(groups, [i], fill)
-        weights[g.rows] = row_weights(g.block, scale)[0]
-        rc, rho = _group_r(g, weights, rhs)
-        g.block = None
+        (block,) = system.blocks([i])
+        weights[g.rows] = row_weights(block, system.scale)[0]
+        rc, rho = _group_r(g.rows, block, weights, system.rhs)
+        del block  # freed before the next group is filled
         n = len(rc)
-        factors.append((RowGroup(np.arange(top, top + n), g.cols, rc[:, :n]), rc[:, n], rho))
+        factors.append((RowGroup(np.arange(top, top + n), g.cols), rc[:, :n], rc[:, n], rho))
         top += n
     return factors
 
 
-def _group_r(group: RowGroup, weights: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The R factor of ``[W A | W b]`` over a group's rows and columns.
+def _group_r(
+    rows: np.ndarray, block: np.ndarray, weights: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The R factor of ``[W A | W b]`` over a group's ``rows`` and ``block``.
 
     ``rhs`` is unweighted.  Returns ``[R c]``, one row per column of the
     group, and rho, the last diagonal entry, whose magnitude is the norm of
     the part of ``W b`` that the group's columns cannot reach.  A NaN or
     inf in the group raises ValueError.
     """
-    rows = group.rows
-    n = group.block.shape[1]
+    n = block.shape[1]
     work = np.empty((len(rows), n + 1), order="F")
-    np.multiply(weights[rows, None], group.block, out=work[:, :n])
+    np.multiply(weights[rows, None], block, out=work[:, :n])
     np.multiply(weights[rows], rhs[rows], out=work[:, n])
     _require_finite(work)
     lwork, info = dgeqrf_lwork(*work.shape)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from given_blocks import given_system
 from rfm import assembly, basis
-from rfm.assembly import RowGroup, assemble, fill_blocks, load_system_dump
+from rfm.assembly import RowGroup, assemble, load_system_dump, row_weights
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
@@ -208,26 +209,41 @@ def test_rescale_flags_zero_rows_with_unit_weight():
     system = assemble(problem, model, colloc).rescale(100.0)
     # tanh(0) = 0 everywhere: every row of the matrix is identically zero
     assert np.all(system.matrix == 0.0)
-    assert len(system.zero_rows) == system.shape[0]
-    assert np.all(system.weights[system.zero_rows] == 1.0)
+    assert system.zero_rows.all()
+    assert np.all(system.weights == 1.0)
+
+
+def _one_block_system(matrix: np.ndarray):
+    """A system whose one row group is ``matrix`` over every column."""
+    rows, cols = matrix.shape
+    sampler = FeatureSampler(rm=1.0, mode="uniform_random", seed=0)
+    model = build_model(interval(0.0, 1.0), 1, cols, sampler)
+    group = RowGroup(np.arange(rows), [slice(0, cols)])
+    return given_system([group], [matrix], np.zeros(rows), model)
 
 
 def test_rescale_row_maxima_are_exact_for_signed_and_zero_rows():
-    problem, model, colloc = _single_feature_setup()
-    system = assemble(problem, model, colloc)
     rows, cols = 500, 300
     matrix = RNG.standard_normal((rows, cols)) * 10.0 ** RNG.integers(-8, 8, (rows, 1))
     matrix[5] = -np.abs(matrix[5])  # a row whose largest magnitude is its minimum
     zero = [0, 250, 251, rows - 1]
     matrix[zero] = 0.0
-    system.groups = [RowGroup(np.arange(len(matrix)), [slice(0, cols)], matrix)]
-    system.rhs = np.zeros(len(matrix))
-    system.rescale(100.0)
+    system = _one_block_system(matrix).rescale(100.0)
+    assert system.shape == (rows, cols)
     rowmax = np.abs(matrix).max(axis=1)
     want = np.ones(len(matrix))
     np.divide(100.0, rowmax, out=want, where=rowmax != 0)
     assert np.array_equal(system.weights, want)
-    assert system.zero_rows.tolist() == zero
+    assert np.flatnonzero(system.zero_rows).tolist() == zero
+
+
+def test_a_zero_first_row_is_flagged():
+    """``zero_rows`` is a mask over the rows, so a system whose only zero row
+    is row 0 has ``zero_rows.any()``."""
+    system = _one_block_system(np.array([[0.0, 0.0], [1.0, -2.0], [0.5, 3.0]])).rescale(100.0)
+    assert system.zero_rows.tolist() == [True, False, False]
+    assert system.zero_rows.any()
+    assert system.weights.tolist() == [1.0, 50.0, 100.0 / 3.0]
 
 
 def test_weighted_residual_and_loss():
@@ -408,11 +424,11 @@ def test_row_groups_stack_to_a_dense_fill(pou, monkeypatch):
 
     monkeypatch.setattr(assembly, "_GroupFill", OneGroup)
     dense = assemble(problem, model, colloc)
-    (group,) = dense.filled_groups()
+    (group,) = dense.groups
     assert np.array_equal(group.rows, np.arange(dense.shape[0]))
     assert np.array_equal(np.r_[tuple(group.cols)], np.arange(model.n_columns))
     assert len(grouped.groups) > 1
-    assert np.array_equal(grouped.matrix, group.block)
+    assert np.array_equal(grouped.matrix, dense.blocks([0])[0])
     assert np.array_equal(grouped.rhs, dense.rhs)
 
 
@@ -428,9 +444,11 @@ def test_chunked_fill_matches_the_default_chunk(chunk, monkeypatch):
     chunked = assemble(problem, model, colloc)
     assert colloc.n_interior > 2 * chunk and colloc.n_interface > chunk
     assert len(whole.groups) == len(chunked.groups) > 1
-    for g, h in zip(whole.filled_groups(), chunked.filled_groups()):
+    every = range(len(whole.groups))
+    for g, h in zip(whole.groups, chunked.groups):
         assert np.array_equal(g.rows, h.rows) and g.cols == h.cols
-        assert np.array_equal(g.block, h.block)
+    for block, chunked_block in zip(whole.blocks(every), chunked.blocks(every)):
+        assert np.array_equal(block, chunked_block)
     assert np.array_equal(whole.rhs, chunked.rhs)
 
 
@@ -470,20 +488,20 @@ def _fill_cases(draw):
 @given(case=_fill_cases(), data=st.data())
 def test_filling_groups_one_at_a_time_matches_one_pass(case, data):
     """The solve fills the tall groups one at a time, the rest in one pass:
-    any order of single fills gives the blocks, right-hand side and weights
-    of one pass over every group, bit for bit."""
+    any order of single fills gives the blocks, and the weights and zero
+    rows taken from them, of one pass over every group, bit for bit."""
     problem, model, colloc = case
-    whole = assemble(problem, model, colloc).rescale(100.0)
-    apart = assemble(problem, model, colloc).rescale(100.0)
-    for i in data.draw(st.permutations(range(len(apart.groups)))):
-        fill_blocks(apart.groups, [i], apart.fill)
-    assert len(whole.groups) == len(apart.groups)
-    for g, h in zip(whole.filled_groups(), apart.groups):
-        assert np.array_equal(g.rows, h.rows) and g.cols == h.cols
-        assert np.array_equal(g.block, h.block)
-    assert np.array_equal(whole.rhs, apart.rhs)
-    assert np.array_equal(whole.weights, apart.weights)
-    assert np.array_equal(whole.zero_rows, apart.zero_rows)
+    system = assemble(problem, model, colloc).rescale(100.0)
+    every = range(len(system.groups))
+    whole = system.blocks(every)
+    weights, zero = np.ones(system.shape[0]), np.zeros(system.shape[0], bool)
+    for i in data.draw(st.permutations(every)):
+        (block,) = system.blocks([i])
+        assert np.array_equal(block, whole[i])
+        rows = system.groups[i].rows
+        weights[rows], zero[rows] = row_weights(block, system.scale)
+    assert np.array_equal(system.weights, weights)
+    assert np.array_equal(system.zero_rows, zero)
 
 
 @pytest.mark.parametrize("pou", ["a", "b"])
@@ -492,9 +510,9 @@ def test_every_row_lies_in_exactly_one_group(pou):
     system = assemble(problem, model, colloc)
     rows = np.concatenate([g.rows for g in system.groups])
     assert np.array_equal(np.sort(rows), np.arange(system.shape[0]))
-    for g in system.filled_groups():
+    for g, block in zip(system.groups, system.blocks(range(len(system.groups)))):
         assert np.all(np.diff(g.rows) > 0)
-        assert g.block.shape == (len(g.rows), sum(c.stop - c.start for c in g.cols))
+        assert block.shape == (len(g.rows), sum(c.stop - c.start for c in g.cols))
 
 
 def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
@@ -583,6 +601,24 @@ def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     assembly._check_memory((21, 8), sizes, 8 * 62)
     with pytest.raises(ValueError, match=r"21x8 system needs 0.0 MB"):
         assembly._check_memory((21, 8), sizes, 8 * 62 - 1)
+
+
+def test_a_dense_copy_that_would_not_fit_is_refused(monkeypatch, tmp_path):
+    """The dense matrix, and so its weighted copy and the dump, is refused
+    when it and the blocks it is stacked from would not fit: here the 3x1
+    matrix (3 values) and the system's one block (3)."""
+    problem, model, colloc = _single_feature_setup()
+    system = assemble(problem, model, colloc).rescale(100.0)
+    need = (3 + 3) * 8
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
+    path = tmp_path / "system.bin"
+    for use in (lambda: system.matrix, system.weighted_matrix, lambda: system.dump(path)):
+        with pytest.raises(ValueError, match=r"3x1 system needs 0.0 MB for a dense copy"):
+            use()
+    assert not path.exists()
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need)
+    system.dump(path)
+    assert np.array_equal(load_system_dump(path)[0], system.matrix)
 
 
 def test_assemble_refuses_interior_blocks_that_would_not_fit_before_building_supports(

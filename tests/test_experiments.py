@@ -1,7 +1,6 @@
 """Config round trips, suite integrity, the end-to-end runner, CSV/snapshot
 outputs, and the command-line interface."""
 
-import copy
 import csv
 import json
 import os
@@ -194,9 +193,9 @@ def test_run_experiment_dumps_system(tmp_path):
     assert k == 1
 
 
-def test_run_experiment_dumps_the_system_before_the_solve_releases_it(tmp_path):
-    """On a config whose solve compresses, and so frees, tall row groups,
-    the dump is still the whole assembled and rescaled system."""
+def test_run_experiment_dumps_the_whole_system_of_a_compressing_solve(tmp_path):
+    """On a config whose solve compresses tall row groups, the dump is the
+    whole assembled and rescaled system."""
     from rfm.assembly import assemble, load_system_dump
 
     config = suite_config("poisson-multiscale", "low pou-only")
@@ -307,9 +306,8 @@ def test_rescale_constant_cancels_at_full_rank():
     )
     colloc = build_collocation(dom, 100, {"left": 1, "right": 1})
     base = assemble(problem, model, colloc)
-    twin = copy.deepcopy(base)  # a solve releases the system it solves
     x10, rep10 = solve_system(base.rescale(10.0), None)
-    x100, rep100 = solve_system(twin.rescale(100.0), None)
+    x100, rep100 = solve_system(base.rescale(100.0), None)
     assert rep10.rank == model.n_columns  # full rank precondition
     assert rep100.rank == rep10.rank
     assert np.allclose(x10, x100, rtol=0, atol=1e-10 * np.linalg.norm(x10))
@@ -454,6 +452,29 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**5)
     assert main(["run", "--config", str(path)]) == 1
     assert "208x200 system needs 0.4 MB" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_a_dump_that_would_not_fit_before_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    """The solve of this 1920x1200 system needs 16.7 MB and fits in 20 MB,
+    but its dense copy, 18.4 MB, and the blocks it is stacked from do not."""
+    from rfm import assembly
+    from rfm.cli import main
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the solve ran for a dump that does not fit")
+
+    path = tmp_path / "cfg.json"
+    suite_config("poisson-multiscale", "low pou-only").save(path)
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 20 * 10**6)
+    monkeypatch.setattr(experiments, "solve_system", unreachable)
+    dump = tmp_path / "system.bin"
+    assert main(["run", "--config", str(path), "--dump-system", str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert "1920x1200 system needs 23.4 MB for a dense copy of its matrix" in err
+    assert "only 20.0 MB of memory is available" in err
+    assert not dump.exists()
 
 
 def _one_d() -> dict:

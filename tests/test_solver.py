@@ -3,7 +3,6 @@ null-space behavior, scaling equivariance, agreement with scipy's gelsd
 least squares on random matrices and on every suite, and exactness of the
 row compression that solve_system applies first."""
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rfm.assembly import RowGroup, WeightedSystem, assemble
+from given_blocks import GivenBlocks, given_system
+from rfm import assembly
+from rfm.assembly import RowGroup, assemble
 from rfm.basis import FeatureSampler, build_model
 from rfm.experiments import SUITE_NAMES, build_run, load_suite
 from rfm.geometry import interval
@@ -177,9 +178,8 @@ SUITE_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_N
 
 @pytest.fixture(scope="module")
 def suite_solve(request):
-    """A case's rescaled system, a copy of it taken before any block was
-    filled, its rank tolerance, and the direct gelsd solve of the full
-    weighted system, plus whether the case compresses.
+    """A case's rescaled system, its rank tolerance, and the direct gelsd
+    solve of the full weighted system, plus whether the case compresses.
 
     Module scope lets the two tests below share one assembly and one
     full-system solve per case: pytest runs the tests of one case together
@@ -187,9 +187,8 @@ def suite_solve(request):
     """
     suite, name, compresses = request.param
     system, rank_tol = _system(suite, name)
-    unfilled = copy.deepcopy(system)
     x, report = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
-    return system, unfilled, rank_tol, x, report, compresses
+    return system, rank_tol, x, report, compresses
 
 
 @pytest.mark.parametrize(
@@ -202,23 +201,25 @@ def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
     along near-null directions; test_row_compression_matches_direct_gelsd
     covers it against this direct solve.
     """
-    system, _, rank_tol, x, report, _ = suite_solve
+    system, rank_tol, x, report, _ = suite_solve
     a, b = system.weighted_matrix(), system.weighted_rhs()
     _assert_matches_scipy(x, report, a, b, rank_tol)
     assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
 
 
-def _assert_loss_matches_direct(report, system, x):
-    """The report's loss against the direct weighted loss of the unsolved
-    system: equal where no group is tall; where tall groups enter through
-    their R factors and rho, within 4 eps ||W b||, a few roundings of
-    the orthogonal transform."""
-    direct = system.loss(x)
+def _assert_loss_matches_direct(report, direct, system, x):
+    """The report's loss against the system's direct weighted loss: equal
+    where no group is tall; where tall groups enter through their R factors
+    and rho, within 4 eps (||W b|| + ||W A||_2 ||x||), a few roundings of
+    the orthogonal transform.  Both losses take W A x, whose rounding
+    scales with ||W A||_2 ||x||, the largest singular value of the direct
+    solve ``direct`` times ||x||."""
+    loss = system.loss(x)
     if any(g.tall for g in system.groups):
-        scale = np.finfo(float).eps * np.linalg.norm(system.weighted_rhs())
-        assert abs(report.residual_norm - direct) <= 4 * scale
+        size = np.linalg.norm(system.weighted_rhs()) + direct.sigma_max * np.linalg.norm(x)
+        assert abs(report.residual_norm - loss) <= 4 * np.finfo(float).eps * size
     else:
-        assert report.residual_norm == direct
+        assert report.residual_norm == loss
 
 
 @pytest.mark.parametrize(
@@ -228,15 +229,10 @@ def _assert_loss_matches_direct(report, system, x):
     indirect=True,
 )
 def test_row_compression_matches_direct_gelsd(suite_solve):
-    system, solved, rank_tol, x_d, direct, compresses = suite_solve
-    before = [system.matrix.copy(), system.rhs.copy()]
-    assert all(g.block is None for g in solved.groups)
-    x, report = solve_system(solved, rank_tol)
-    for kept, now in zip(before, (system.matrix, solved.rhs)):
-        assert np.array_equal(kept, now)
-    assert solved.scale == system.scale
+    system, rank_tol, x_d, direct, compresses = suite_solve
+    x, report = solve_system(system, rank_tol)
     assert (report.n_rows, report.n_cols) == system.shape
-    _assert_loss_matches_direct(report, system, x)
+    _assert_loss_matches_direct(report, direct, system, x)
     assert (report.solved_rows < report.n_rows) == compresses
     if not compresses:
         # nothing compressed: the same gelsd call on the same bits
@@ -290,45 +286,63 @@ def _block_systems(draw):
     order = rng.permutation(n)
     groups, top = [], 0
     for cols, block in parts:
-        groups.append(RowGroup(np.sort(order[top : top + len(block)]), cols, block))
+        groups.append(RowGroup(np.sort(order[top : top + len(block)]), cols))
         top += len(block)
-    system = WeightedSystem(groups, rng.standard_normal(n), model, None, n, 0, 0, 0)
-    return system.rescale()
+    blocks = [block for _, block in parts]
+    return given_system(groups, blocks, rng.standard_normal(n), model).rescale()
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(system=_block_systems())
 def test_row_compression_is_exact_on_random_block_systems(system):
-    unsolved = copy.deepcopy(system)  # a solve releases the system it solves
-    x_d, direct = solve_min_norm(unsolved.weighted_matrix(), unsolved.weighted_rhs())
+    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs())
     x, report = solve_system(system)
-    assert report.solved_rows < report.n_rows == len(unsolved.matrix)
+    assert report.solved_rows < report.n_rows == system.shape[0]
     assert report.rank == direct.rank == system.shape[1]
     assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
-    _assert_loss_matches_direct(report, unsolved, x)
+    _assert_loss_matches_direct(report, direct, system, x)
 
 
-def test_a_solved_system_refuses_reuse(tmp_path):
-    """The solve frees the tall groups' blocks, so every use of the matrix
-    afterwards raises, rather than silently miss the tall rows."""
+def test_a_solved_system_is_left_as_it_was(tmp_path):
+    """The solve keeps no block of the system, which it fills and drops
+    group by group: afterwards the matrix, weights, residual, loss and dump
+    are those taken before it, bit for bit, and a second solve repeats the
+    first."""
     system, rank_tol = _system("poisson-multiscale")
-    x, report = solve_system(system, rank_tol)
+    x = RNG.standard_normal(system.shape[1])
+
+    def uses(path):
+        system.dump(path)
+        return [system.matrix, system.weights, system.residual(x), system.loss(x), path.read_bytes()]
+
+    before = uses(tmp_path / "before.bin")
+    coefficients, report = solve_system(system, rank_tol)
     assert report.solved_rows < report.n_rows
-    assert system.shape == (report.n_rows, report.n_cols)
-    path = tmp_path / "system.bin"
-    uses = [
-        lambda: system.matrix,
-        system.weighted_matrix,
-        lambda: system.residual(x),
-        lambda: system.loss(x),
-        system.rescale,
-        lambda: system.dump(path),
-        lambda: solve_system(system, rank_tol),
-    ]
-    for use in uses:
-        with pytest.raises(ValueError, match="solve_system"):
-            use()
-    assert not path.exists()
+    after = uses(tmp_path / "after.bin")
+    for kept, now in zip(before, after):
+        assert np.array_equal(kept, now)
+    again, second = solve_system(system, rank_tol)
+    assert np.array_equal(again, coefficients)
+    assert replace(second, wall_time_s=0.0) == replace(report, wall_time_s=0.0)
+
+
+@pytest.mark.parametrize("suite", ["poisson-multiscale", "helmholtz-pou"])
+def test_a_solve_fills_every_group_once(suite, monkeypatch):
+    """Tall groups are filled one at a time and the rest in one pass, and
+    no group is filled twice: the short groups' part of the loss comes from
+    the blocks already filled for the buffer."""
+    filled = []
+    fill = assembly._GroupFill.blocks
+
+    def counted(self, which):
+        filled.extend(which)
+        return fill(self, which)
+
+    monkeypatch.setattr(assembly._GroupFill, "blocks", counted)
+    system, rank_tol = _system(suite)
+    assert any(g.tall for g in system.groups) == (suite == "poisson-multiscale")
+    solve_system(system, rank_tol)
+    assert sorted(filled) == list(range(len(system.groups)))
 
 
 @pytest.mark.parametrize("suite,trims", [("poisson-multiscale", 1), ("helmholtz-pou", 0)])
@@ -360,32 +374,33 @@ def test_non_finite_input_is_rejected(where, bad):
 def test_rescale_scale_leaves_the_grouped_solve_unchanged(system, scale):
     """At full column rank a common factor on every weight changes the
     least-squares problem only by rounding: the solution agrees to 1e-11."""
-    twin = copy.deepcopy(system)  # a solve releases the system it solves
     x1, r1 = solve_system(system.rescale(scale))
-    x2, r2 = solve_system(twin.rescale(10.0 * scale))
+    x2, r2 = solve_system(system.rescale(10.0 * scale))
     assert r1.rank == r2.rank == system.shape[1]
     assert np.linalg.norm(x1 - x2) <= 1e-11 * np.linalg.norm(x1)
+
+
+def _with_nan(system, tall: bool, where: str):
+    """The system with a NaN in the first row of its first group that is (or
+    is not) tall: at that row's first nonzero entry, or in its right-hand side."""
+    i = next(i for i, g in enumerate(system.groups) if g.tall == tall)
+    blocks = system.blocks(range(len(system.groups)))
+    if where == "matrix":
+        blocks[i][0, np.flatnonzero(blocks[i][0])[0]] = np.nan
+    else:
+        system.rhs[system.groups[i].rows[0]] = np.nan
+    return replace(system, layout=GivenBlocks(system.groups, blocks))
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_solve_system_rejects_nan(where):
     system, rank_tol = _system("helmholtz-pou")
-    group = next(g for g in system.filled_groups() if not g.tall)
-    if where == "matrix":
-        group.block[0, 0] = np.nan
-    else:
-        system.rhs[group.rows[0]] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_system(system, rank_tol)
+        solve_system(_with_nan(system, False, where), rank_tol)
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
 def test_row_compression_rejects_nan_in_a_tall_group(where):
     system, rank_tol = _system("poisson-multiscale")
-    group = next(g for g in system.filled_groups() if g.tall)
-    if where == "matrix":
-        group.block[0, np.flatnonzero(group.block[0])[0]] = np.nan
-    else:
-        system.rhs[group.rows[0]] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_system(system, rank_tol)
+        solve_system(_with_nan(system, True, where), rank_tol)
