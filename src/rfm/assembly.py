@@ -31,6 +31,7 @@ can be recomputed at any time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,6 +98,15 @@ def row_weights(block: np.ndarray, scale: float | None) -> tuple[np.ndarray, np.
     if scale is not None:
         np.divide(scale, rowmax, out=w, where=~zero)
     return w, zero
+
+
+def scaled_norm(x: np.ndarray) -> float:
+    """||x||_2 that neither overflows nor underflows: x is divided by 2^e,
+    the power of two at max |x|, and the norm multiplied back.  Both steps
+    are exact, so a norm that is in range keeps its bits, and one too large
+    for a float is inf."""
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
 @dataclass
@@ -204,7 +214,7 @@ class WeightedSystem:
     def loss(self, coefficients: np.ndarray) -> float:
         """Norm of the weighted residual, the quantity least squares minimizes."""
         w, _, residual = self._walk(coefficients)
-        return float(np.linalg.norm(w * residual))
+        return scaled_norm(w * residual)
 
     def dump(self, path) -> None:
         """Raw binary dump: int64 header (rows, cols, interior-condition count),

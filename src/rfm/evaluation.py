@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .basis import RfmModel
 from .geometry import Domain, axis_counts, cell_centres, grid_points
-from .problems import PdeProblem, exact_stress
+from .problems import PdeProblem
 
 
 def evaluation_grid(
@@ -36,7 +37,8 @@ class ComponentError:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Per-component errors, stress errors when elastic constants exist."""
+    """Per-component errors, and stress errors when the problem has elastic
+    constants (rows of ``ElasticityConstants.stress``)."""
 
     components: tuple[ComponentError, ...]
     stresses: tuple[ComponentError, ...] = ()
@@ -81,24 +83,24 @@ def evaluate_error(
     counts: int | tuple[int, ...] = 101,
 ) -> ErrorReport:
     """Compare a solved model against the problem's exact solution on
-    ``evaluation_grid(problem.domain, counts)``."""
+    ``evaluation_grid(problem.domain, counts)``.  With elastic constants the
+    stencil ``constants.stress`` is applied to both, the model's derivatives
+    taken with its values from one ``eval_many`` call."""
     if problem.exact is None:
         raise ValueError("problem has no exact solution to compare against")
     pts = evaluation_grid(problem.domain, counts)
     if len(pts) == 0:
         raise ValueError("no evaluation points: an error over zero points is undefined")
     value = (0,) * model.dim
-    elastic = problem.constants is not None and model.n_components == 2
-    alphas = [value, (1, 0), (0, 1)] if elastic else [value]
-    got = model.eval_many(coefficients, pts, alphas)
-    ref = problem.exact(pts)
-    comps = _group_errors(got[value].T, ref.T)
+    stress = None if problem.constants is None else problem.constants.stress
+    terms = () if stress is None else stress.terms
+    got = model.eval_many(coefficients, pts, sorted({value, *(t.alpha for t in terms)}))
+    comps = _group_errors(got[value].T, problem.exact(pts).T)
     stresses: tuple[ComponentError, ...] = ()
-    if elastic:
-        dx, dy = got[(1, 0)], got[(0, 1)]
-        got_s = problem.constants.stress(dx[:, 0], dy[:, 0], dx[:, 1], dy[:, 1])
-        ref_s = exact_stress(problem.constants, problem.exact, pts)
-        stresses = _group_errors(got_s, ref_s)
+    if stress is not None:
+        solved = SimpleNamespace(deriv=lambda comp, _, alpha: got[alpha][:, comp])
+        got_s = stress.apply_to_exact(solved, pts)
+        stresses = _group_errors(got_s.T, stress.apply_to_exact(problem.exact, pts).T)
     return ErrorReport(components=comps, stresses=stresses, n_points=len(pts))
 
 

@@ -312,38 +312,29 @@ def stokes_poly_solution() -> ManufacturedSolution:
 # ----------------------------------------------------------------------
 
 
+# The row of ``ElasticityConstants.stress`` that holds sigma_ij.
+_SIGMA_ROW = ((0, 2), (2, 1))
+
+
 @dataclass(frozen=True)
 class ElasticityConstants:
-    """Plane-stress material: sigma = E/(1-nu^2) [(1-nu) eps + nu tr(eps) I]."""
+    """Plane-stress material: sigma = E/(1-nu^2) [(1-nu) eps + nu tr(eps) I],
+    stated once as ``stress``, a stencil over the displacement (u, v) with
+    rows sigma_x, sigma_y and tau_xy."""
 
     e: float = 3e7
     nu: float = 0.3
 
     @property
-    def stiffness(self) -> float:
-        return self.e / (1.0 - self.nu**2)
-
-    @property
-    def shear_factor(self) -> float:
-        return (1.0 - self.nu) / 2.0
-
-    def stress(self, ux, uy, vx, vy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = self.stiffness
-        sx = c * (ux + self.nu * vy)
-        sy = c * (vy + self.nu * ux)
-        txy = c * self.shear_factor * (uy + vx)
-        return sx, sy, txy
-
-
-def exact_stress(
-    constants: ElasticityConstants, exact: ManufacturedSolution, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plane-stress stresses of a manufactured displacement field."""
-    ux = exact.deriv(0, points, (1, 0))
-    uy = exact.deriv(0, points, (0, 1))
-    vx = exact.deriv(1, points, (1, 0))
-    vy = exact.deriv(1, points, (0, 1))
-    return constants.stress(ux, uy, vx, vy)
+    def stress(self) -> Stencil:
+        c = self.e / (1.0 - self.nu**2)
+        g = (1.0 - self.nu) / 2.0
+        terms = (
+            Term(0, 0, (1, 0), c), Term(0, 1, (0, 1), c * self.nu),
+            Term(1, 1, (0, 1), c), Term(1, 0, (1, 0), c * self.nu),
+            Term(2, 0, (0, 1), c * g), Term(2, 1, (1, 0), c * g),
+        )
+        return Stencil(terms, 3, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -548,24 +539,30 @@ def make_poisson_2d(a_low: float = 1.0, b_high: float = 0.0) -> PdeProblem:
     return PdeProblem(domain, op, (bc,), 1, exact=exact)
 
 
-def _traction_stencil(tags, constants: ElasticityConstants) -> Stencil:
-    c = constants.stiffness
-    g = constants.shear_factor
-    nu = constants.nu
-
-    terms = (
-        # t_x = sigma_x n_x + tau n_y
-        Term(0, 0, (1, 0), lambda p, n: c * n[:, 0]),
-        Term(0, 1, (0, 1), lambda p, n: c * nu * n[:, 0]),
-        Term(0, 0, (0, 1), lambda p, n: c * g * n[:, 1]),
-        Term(0, 1, (1, 0), lambda p, n: c * g * n[:, 1]),
-        # t_y = tau n_x + sigma_y n_y
-        Term(1, 0, (0, 1), lambda p, n: c * g * n[:, 0]),
-        Term(1, 1, (1, 0), lambda p, n: c * g * n[:, 0]),
-        Term(1, 1, (0, 1), lambda p, n: c * n[:, 1]),
-        Term(1, 0, (1, 0), lambda p, n: c * nu * n[:, 1]),
+def _traction_stencil(tags, stress: Stencil) -> Stencil:
+    """t_i = sigma_ij n_j: each stress term, its coefficient times n_j."""
+    terms = tuple(
+        Term(i, t.comp, t.alpha, lambda p, n, c=t.coeff, j=j: c * n[:, j])
+        for i in range(2) for j in range(2) for t in stress.terms if t.row == _SIGMA_ROW[i][j]
     )
     return Stencil(terms, 2, 2, 2, tuple(tags))
+
+
+def _divergence_stencil(stress: Stencil) -> Stencil:
+    """-d_j sigma_ij, like terms merged.  Row i takes sigma_ii before its
+    shear and lists its own component first: rows sum their terms in this
+    order, so it sets the bits of every forcing value and matrix entry."""
+    terms = []
+    for i in range(2):
+        merged: dict = {}
+        for j in (i, 1 - i):
+            for t in stress.terms:
+                if t.row == _SIGMA_ROW[i][j]:
+                    key = t.comp, tuple(a + (axis == j) for axis, a in enumerate(t.alpha))
+                    merged[key] = merged.get(key, 0.0) - t.coeff
+        row = [Term(i, comp, alpha, c) for (comp, alpha), c in merged.items()]
+        terms += sorted(row, key=lambda t: t.comp != i)
+    return Stencil(tuple(terms), 2, 2, 2)
 
 
 def make_elasticity_2d(
@@ -575,28 +572,15 @@ def make_elasticity_2d(
     neumann_tags: tuple[str, ...],
     exact: ManufacturedSolution,
 ) -> PdeProblem:
-    """-div sigma(u) = B in plane stress; displacement on Gamma_D, traction on Gamma_N."""
-    c = constants.stiffness
-    g = constants.shear_factor
-    mixed = c * (constants.nu + g)
-    op = Stencil(
-        (
-            Term(0, 0, (2, 0), -c),
-            Term(0, 0, (0, 2), -c * g),
-            Term(0, 1, (1, 1), -mixed),
-            Term(1, 1, (0, 2), -c),
-            Term(1, 1, (2, 0), -c * g),
-            Term(1, 0, (1, 1), -mixed),
-        ),
-        2, 2, 2,
-    )
+    """-div sigma(u) = B in plane stress; displacement on Gamma_D, traction on
+    Gamma_N.  The operator and the traction rows derive from ``constants.stress``."""
     stencils = []
     if dirichlet_tags:
         stencils.append(_dirichlet_stencil(dirichlet_tags, 2, 2))
     if neumann_tags:
-        stencils.append(_traction_stencil(neumann_tags, constants))
+        stencils.append(_traction_stencil(neumann_tags, constants.stress))
     return PdeProblem(
-        domain, op, tuple(stencils), 2,
+        domain, _divergence_stencil(constants.stress), tuple(stencils), 2,
         exact=exact, constants=constants,
     )
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
-from .assembly import RowGroup, WeightedSystem, row_weights
+from .assembly import RowGroup, WeightedSystem, row_weights, scaled_norm
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -208,8 +208,8 @@ def solve_system(
     for g, block in short:
         residual[g.rows] += block @ g.take(x)
     loss = math.hypot(
-        float(np.linalg.norm(weights * residual)),
-        *(np.linalg.norm(np.append(r @ at.take(x) - c, rho)) for at, r, c, rho in factors),
+        scaled_norm(weights * residual),
+        *(scaled_norm(np.append(r @ at.take(x) - c, rho)) for at, r, c, rho in factors),
     )
     return x, replace(report, n_rows=n_rows, residual_norm=loss)
 

@@ -2,6 +2,7 @@
 rescaling invariants, interface structure, memory, and the dump/load round
 trip."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from given_blocks import given_system
 from rfm import assembly, basis
-from rfm.assembly import RowGroup, assemble, load_system_dump, row_weights
+from rfm.assembly import RowGroup, assemble, load_system_dump, row_weights, scaled_norm
 from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
 from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
@@ -253,6 +255,17 @@ def test_weighted_residual_and_loss():
     res = system.residual(u)
     assert np.allclose(res, system.matrix @ u - system.rhs)
     assert system.loss(u) == pytest.approx(np.linalg.norm(system.weights * res))
+
+
+# entries whose squares are normal floats, so numpy's norm takes them in range
+_IN_RANGE = st.one_of(st.just(0.0), st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=_IN_RANGE), st.integers(-500, 500))
+def test_scaled_norm_is_numpys_in_range_and_exact_under_powers_of_two(x, k):
+    assert scaled_norm(x) == np.linalg.norm(x)
+    assert scaled_norm(np.ldexp(x, k)) == math.ldexp(scaled_norm(x), k)
 
 
 def test_stokes_assembly_has_pin_row():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -311,6 +312,17 @@ def test_rescale_constant_cancels_at_full_rank():
     assert rep10.rank == model.n_columns  # full rank precondition
     assert rep100.rank == rep10.rank
     assert np.allclose(x10, x100, rtol=0, atol=1e-10 * np.linalg.norm(x10))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_an_extreme_rescale_scale_records_the_loss_it_scales_to(scale):
+    # the weighted loss grows with the scale: it must neither overflow nor underflow
+    cfg = suite_config("helmholtz-adaptive")
+    base = run_experiment(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = run_experiment(replace(cfg, rescale_scale=scale))
+    assert got.loss * cfg.rescale_scale / scale == pytest.approx(base.loss, rel=1e-4)
 
 
 def test_auto_rm_resolves_from_forcing():

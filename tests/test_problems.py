@@ -13,6 +13,7 @@ from rfm.blas import blas_threads
 from rfm.experiments import build_run, load_suite
 from rfm.geometry import Hole, interval
 from rfm.problems import (
+    ElasticityConstants,
     HomogenizationCoefficient,
     ManufacturedSolution,
     PdeProblem,
@@ -347,6 +348,60 @@ def test_beam_problem_tags_cover_all_edges():
     for stencil in prob.boundary:
         covered.update(stencil.tags)
     assert covered == set(prob.domain.boundary_tags())
+
+
+def test_stress_stencil_gives_the_beam_stresses_in_closed_form():
+    length, depth, load = 10.0, 10.0, 1000.0
+    inertia = depth**3 / 12.0
+    pts = RNG.uniform(0.0, 10.0, size=(200, 2))
+    x, y = pts.T
+    got = ElasticityConstants().stress.apply_to_exact(beam_solution(length, depth, load), pts)
+    want = np.column_stack([
+        -load * (length - x) * y / inertia,
+        np.zeros(len(pts)),
+        load * (depth * depth / 4.0 - y * y) / (2.0 * inertia),
+    ])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# The plane-stress stencils of the default material written out term by term,
+# the reference the stencils derived from the stress must match bit for bit.
+# Operator: (row, comp, alpha, coefficient).  Traction: (row, comp, alpha,
+# stress coefficient, the axis j of the normal n_j that multiplies it).
+_C, _C_NU, _C_G = "0x1.f70978f78f78fp+24", "0x1.2dd27bc7bc7bcp+23", "0x1.60203b13b13b1p+23"
+_C_MIXED = "-0x1.46f95b6db6db6p+24"
+_LITERAL_OPERATOR = [
+    (0, 0, (2, 0), "-" + _C),
+    (0, 0, (0, 2), "-" + _C_G),
+    (0, 1, (1, 1), _C_MIXED),
+    (1, 1, (0, 2), "-" + _C),
+    (1, 1, (2, 0), "-" + _C_G),
+    (1, 0, (1, 1), _C_MIXED),
+]
+_LITERAL_TRACTION = [
+    (0, 0, (1, 0), _C, 0),
+    (0, 1, (0, 1), _C_NU, 0),
+    (0, 0, (0, 1), _C_G, 1),
+    (0, 1, (1, 0), _C_G, 1),
+    (1, 0, (0, 1), _C_G, 0),
+    (1, 1, (1, 0), _C_G, 0),
+    (1, 1, (0, 1), _C, 1),
+    (1, 0, (1, 0), _C_NU, 1),
+]
+
+
+@pytest.mark.parametrize("factory", [make_beam_problem, make_plate_problem])
+def test_elastic_stencils_derived_from_the_stress_match_the_literal_terms(factory):
+    prob = factory()
+    got = [(t.row, t.comp, t.alpha, float(t.coeff).hex()) for t in prob.operator.terms]
+    assert got == _LITERAL_OPERATOR
+    (traction,) = [st for st in prob.boundary if "right" in st.tags]
+    assert [(t.row, t.comp, t.alpha) for t in traction.terms] == [
+        lit[:3] for lit in _LITERAL_TRACTION
+    ]
+    pts, normals, _ = prob.domain.sample_boundary({tag: 9 for tag in traction.tags})
+    for t, (*_, coeff, j) in zip(traction.terms, _LITERAL_TRACTION):
+        assert np.array_equal(t.coeff_at(pts, normals), float.fromhex(coeff) * normals[:, j])
 
 
 # ----------------------------------------------------------------------
