@@ -41,7 +41,7 @@ from . import basis
 # feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
 from .basis import RfmModel, feature_block  # noqa: F401
 from .blas import blas_threads
-from .geometry import CollocationSet, Domain, available_memory_bytes
+from .geometry import CollocationSet, available_memory_bytes
 from .problems import PdeProblem, Stencil, Term
 
 def _tall(n_rows, width):
@@ -474,16 +474,10 @@ def _check_memory(
     )
 
 
-def check_sampling_memory(
-    domain: Domain, interior_counts: tuple[int, ...], boundary_counts: dict[str, int]
-) -> None:
-    """Refuse per-axis interior counts and boundary counts whose point arrays
-    would not fit in memory, before any point is sampled
-    (``Domain.sampling_bytes``)."""
-    need = domain.sampling_bytes(interior_counts, boundary_counts)
-    grid = "x".join(map(str, interior_counts))
-    subject = "sampling a %s-point interior grid and its boundary" % grid
-    _refuse_unless_fits(need, available_memory_bytes(), subject, "the point arrays")
+def check_memory(need: int, subject: str, purpose: str) -> None:
+    """Refuse ``need`` bytes for ``purpose`` that would not fit in memory,
+    before they are allocated."""
+    _refuse_unless_fits(need, available_memory_bytes(), subject, purpose)
 
 
 def _refuse_unless_fits(need: int, available: int | None, subject: str, purpose: str) -> None:

@@ -13,9 +13,10 @@ frequencies ``k`` and phases ``b`` are drawn once and never trained, and
 * kind "b": a C^1 bump built from sine transitions, constant 1 on the core
   of the patch and decaying to 0 over a half-patch-wide overlap zone.
 
-Patch boxes of kind "a" tile the bounding box; kind "b" centers sit on the
-same grid (spacing exactly 2r) and one-sided variants are used at the
-domain edge so the bumps still sum to one inside the domain.
+A model is its patch grid (``grid_patch_layout``): kind-"a" boxes tile the
+bounding box; kind-"b" centers sit on the same grid (spacing exactly 2r) and
+one-sided variants are used at the domain edge so the bumps still sum to one
+inside the domain.  The model is given only the features of each cell.
 
 ``RfmModel.supports`` is the one place that decides which expansions hold a
 point: the one owning patch of kind "a", every patch whose bump reaches it
@@ -32,7 +33,7 @@ from math import comb, prod
 import numpy as np
 
 from .blas import blas_threads
-from .geometry import Domain, grid_patch_layout
+from .geometry import Domain, axis_counts, grid_patch_layout
 
 # Feature stream index reserved for the patchless global expansion.
 GLOBAL_STREAM = 2**32 - 1
@@ -270,10 +271,6 @@ class Patch:
     def n_features(self) -> int:
         return self.k.shape[1]
 
-    @property
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.center - self.radius, self.center + self.radius
-
     def normalize(self, points: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(points) - self.center) / self.radius
 
@@ -313,34 +310,45 @@ def feature_block(
 
 @dataclass(eq=False)
 class RfmModel:
-    """A full random feature expansion over a tiled patch grid.
+    """A full random feature expansion over the patch grid of a domain.
 
-    ``expansions`` lists the local patches in construction order, then the
-    global patch (if any); every per-patch method takes an index into it.
-    The global patch's support is the whole domain and its PoU factor is 1.
-    Columns of the collocation system are ordered component-major, then by
-    expansion, so the global features come last inside each component block.
+    ``draws`` gives each cell of ``grid_patch_layout(domain, patch_counts)``,
+    in its order, its features ``(k, b)``, shaped as ``Patch`` takes them;
+    ``global_draw`` adds the global patch, whose support is the whole domain
+    and whose PoU factor is 1.  ``expansions`` lists the local patches, then
+    the global patch (if any); every per-patch method takes an index into
+    it.  Columns of the collocation system are ordered component-major, then
+    by expansion, so the global features come last inside each component block.
     """
 
-    patches: list[Patch]
+    domain: Domain
+    patch_counts: int | tuple[int, ...]
+    draws: list[tuple[np.ndarray, np.ndarray]]
     pou: str
-    n_components: int = 1
-    global_patch: Patch | None = None
+    activation: str = "tanh"
+    global_draw: tuple[np.ndarray, np.ndarray] | None = None
     rm: float | None = None  # the rm the features were drawn with
 
     def __post_init__(self) -> None:
-        if not self.patches:
-            raise ValueError("model needs at least one patch")
         if self.pou not in ("a", "b"):
             raise ValueError("unknown PoU kind %r" % self.pou)
-        dims = {p.dim for p in self.patches}
-        comps = {p.k.shape[0] for p in self.patches}
-        if len(dims) != 1 or len(comps) != 1 or comps != {self.n_components}:
-            raise ValueError("patches disagree on dimension or component count")
-        if sum(p.n_features for p in self.patches) == 0:
-            raise ValueError("model has no features")
+        layout = grid_patch_layout(self.domain, self.patch_counts)
+        if len(self.draws) != len(layout):
+            raise ValueError(
+                "%d feature draws for a grid of %d patches" % (len(self.draws), len(layout))
+            )
+        self.patches = [
+            Patch(center, radius, k, b, self.activation, clamp_lo, clamp_hi)
+            for (center, radius, clamp_lo, clamp_hi), (k, b) in zip(layout, self.draws)
+        ]
+        self.global_patch = None
+        if self.global_draw is not None:
+            lo, hi = self.domain.bounds
+            self.global_patch = Patch(0.5 * (lo + hi), 0.5 * (hi - lo), *self.global_draw, self.activation)
         global_ = [] if self.global_patch is None else [self.global_patch]
         self.expansions = self.patches + global_
+        if len({p.k.shape[0] for p in self.expansions}) != 1:
+            raise ValueError("feature draws disagree on the component count")
         self._offsets = np.concatenate(
             [[0], np.cumsum([p.n_features for p in self.expansions])]
         )
@@ -349,33 +357,6 @@ class RfmModel:
         self._radii = np.array([p.radius for p in self.patches])[:, None]
         self._clamp_lo = np.array([p.clamp_lo for p in self.patches])[:, None]
         self._clamp_hi = np.array([p.clamp_hi for p in self.patches])[:, None]
-        self._validate_layout()
-
-    def _validate_layout(self) -> None:
-        boxes = [p.box for p in self.patches]
-        if self.pou == "a":
-            # boxes must tile their bounding box without overlap
-            vol = sum(np.prod(hi - lo) for lo, hi in boxes)
-            lo_all = np.min([lo for lo, _ in boxes], axis=0)
-            hi_all = np.max([hi for _, hi in boxes], axis=0)
-            if not np.isclose(vol, np.prod(hi_all - lo_all), rtol=1e-9):
-                raise ValueError("kind-a patch boxes do not tile their bounding box")
-            for m in range(len(boxes)):
-                for n in range(m + 1, len(boxes)):
-                    lo = np.maximum(boxes[m][0], boxes[n][0])
-                    hi = np.minimum(boxes[m][1], boxes[n][1])
-                    if np.all(hi - lo > 1e-12):
-                        raise ValueError("kind-a patch boxes overlap")
-        else:
-            # centers must sit on a grid with spacing exactly 2r
-            r = self.patches[0].radius
-            c0 = self.patches[0].center
-            for p in self.patches:
-                if not np.allclose(p.radius, r, rtol=1e-12, atol=0):
-                    raise ValueError("kind-b patches must share a common radius")
-                steps = (p.center - c0) / (2.0 * r)
-                if not np.allclose(steps, np.round(steps), atol=1e-9):
-                    raise ValueError("kind-b centers must be spaced by 2r")
 
     # ------------------------------------------------------------------
     # column layout
@@ -383,7 +364,11 @@ class RfmModel:
 
     @property
     def dim(self) -> int:
-        return self.patches[0].dim
+        return self.domain.dim
+
+    @property
+    def n_components(self) -> int:
+        return self.patches[0].k.shape[0]
 
     @property
     def n_features(self) -> int:
@@ -550,6 +535,30 @@ class RfmModel:
 # ----------------------------------------------------------------------
 
 
+# Bytes that tracemalloc counts for a numpy array object apart from its
+# data, a floor: 121.5 for an empty 1-D array and 152 for a 3-D one (numpy 2.4).
+ARRAY_HEADER_BYTES = 120
+
+
+def model_bytes(
+    domain: Domain,
+    patch_counts: int | tuple[int, ...],
+    features_per_patch: int,
+    n_components: int = 1,
+    global_features: int = 0,
+) -> int:
+    """A lower bound on the bytes of the model that ``build_model`` returns for
+    these arguments, computed without drawing.
+
+    Each expansion keeps its features, K*J*(d+1) floats in ``k`` and ``b``,
+    and five arrays (center, clamps, ``k`` and ``b``), each with a header.
+    The Patch objects themselves are not counted.
+    """
+    cells = prod(axis_counts(patch_counts, domain.dim, "patch_counts"))
+    floats = n_components * (domain.dim + 1) * (cells * features_per_patch + global_features)
+    return 8 * floats + 5 * ARRAY_HEADER_BYTES * (cells + (global_features > 0))
+
+
 def build_model(
     domain: Domain,
     patch_counts: int | tuple[int, ...],
@@ -560,10 +569,11 @@ def build_model(
     n_components: int = 1,
     global_features: int = 0,
 ) -> RfmModel:
-    """Build a model on a regular patch grid over ``domain``.
+    """Draw the features of a model on the regular patch grid over ``domain``.
 
-    ``global_features > 0`` adds a domain-wide expansion (center at the
-    domain midpoint, radius half the extents) on top of the local patches;
+    Patch n of ``grid_patch_layout(domain, patch_counts)`` draws from stream
+    n, one draw per component.  ``global_features > 0`` adds a domain-wide
+    expansion, drawn from ``GLOBAL_STREAM``, on top of the local patches;
     its smooth features carry the coarse scales while the patches carry the
     fine ones.
     """
@@ -576,19 +586,16 @@ def build_model(
         ]
         return np.stack([k for k, _ in draws]), np.stack([b for _, b in draws])
 
-    patches = [
-        Patch(center, radius, *draw(features_per_patch, n), activation, clamp_lo, clamp_hi)
-        for n, (center, radius, clamp_lo, clamp_hi) in enumerate(
-            grid_patch_layout(domain, patch_counts)
-        )
-    ]
-    global_patch = None
-    if global_features > 0:
-        lo, hi = domain.bounds
-        global_patch = Patch(
-            0.5 * (lo + hi), 0.5 * (hi - lo), *draw(global_features, GLOBAL_STREAM), activation
-        )
-    return RfmModel(patches, pou, n_components, global_patch, sampler.rm)
+    cells = prod(axis_counts(patch_counts, domain.dim, "patch_counts"))
+    return RfmModel(
+        domain,
+        patch_counts,
+        [draw(features_per_patch, n) for n in range(cells)],
+        pou,
+        activation,
+        draw(global_features, GLOBAL_STREAM) if global_features > 0 else None,
+        sampler.rm,
+    )
 
 
 # ----------------------------------------------------------------------

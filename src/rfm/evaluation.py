@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,20 @@ def evaluation_grid(
     lo, hi = domain.bounds
     pts = grid_points([np.linspace(lo[a], hi[a], counts[a]) for a in range(domain.dim)])
     return pts[domain.contains(pts)]
+
+
+def evaluation_grid_bytes(domain: Domain, counts: int | tuple[int, ...]) -> int:
+    """A lower bound on the peak bytes of ``evaluation_grid(domain, counts)``,
+    computed without building it.
+
+    Every grid point is held at once, before the points outside the domain
+    are dropped: first by the meshgrid and its stacked copy, d + d floats a
+    point, then by the stacked copy with the point's distance to each of the
+    S boundary segments and the (S, points) array their minimum is taken
+    over, d + 2S floats a point.  The mask comes after both.
+    """
+    d, s = domain.dim, len(domain.segments)
+    return 8 * max(2 * d, d + 2 * s) * prod(axis_counts(counts, d, "eval_counts"))
 
 
 @dataclass(frozen=True)

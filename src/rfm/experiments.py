@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import assemble, check_sampling_memory
-from .basis import FeatureSampler, build_model, select_rm_from_forcing
+from .assembly import assemble, check_memory
+from .basis import FeatureSampler, build_model, model_bytes, select_rm_from_forcing
 from .blas import blas_threads
-from .evaluation import ErrorReport, evaluate_error, evaluation_grid
+from .evaluation import ErrorReport, evaluate_error, evaluation_grid, evaluation_grid_bytes
 from .geometry import axis_counts, build_collocation, grid_patch_layout
 from .solver import solve_system
 from .problems import PROBLEMS, PdeProblem, _is_integral, _is_real
@@ -188,15 +188,36 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     return best
 
 
+def _grid(counts: tuple[int, ...]) -> str:
+    """Per-axis counts as a grid's name, such as ``40x40``."""
+    return "x".join(map(str, counts))
+
+
 def build_run(config: ExperimentConfig):
     """Problem, model, and collocation set for a config (no solve).
 
     The interior counts are resolved, and their point arrays checked to fit
-    in memory, before anything is sampled.
+    in memory, before anything is sampled; the model's features and patches
+    are checked before rm is resolved (``rm: "auto"`` lists the patch grid)
+    or any feature is drawn.
     """
     problem = make_problem(config.problem)
-    interior = axis_counts(config.interior, problem.domain.dim, "interior")
-    check_sampling_memory(problem.domain, interior, config.boundary)
+    domain = problem.domain
+    interior = axis_counts(config.interior, domain.dim, "interior")
+    check_memory(
+        domain.sampling_bytes(interior, config.boundary),
+        "sampling a %s-point interior grid and its boundary" % _grid(interior),
+        "the point arrays",
+    )
+    patch_counts = axis_counts(config.patch_counts, domain.dim, "patch_counts")
+    k, glob = problem.n_components, config.global_features
+    check_memory(
+        model_bytes(domain, patch_counts, config.features_per_patch, k, glob),
+        "a %d-component model of %s patches ('patch_counts') with %d features each "
+        "('features_per_patch') and %d global features ('global_features')"
+        % (k, _grid(patch_counts), config.features_per_patch, glob),
+        "its features and patches",
+    )
     rm = _resolve_rm(config, problem)
     sampler = FeatureSampler(rm=rm, mode=config.feature_mode, seed=config.seed)
     model = build_model(
@@ -305,8 +326,9 @@ def run_experiment(
     the solution fields as snapshots; with ``dump_system`` it writes the
     rescaled system to that path (``WeightedSystem.dump``) before the solve,
     so a dense copy that would not fit stops the run before any solve.  The
-    evaluation grid's counts are resolved before assembly, so a malformed
-    ``eval_counts`` fails before any solve.  Both
+    evaluation grid's counts are resolved, and its points checked to fit in
+    memory, before assembly, so a malformed or oversized ``eval_counts``
+    fails before any solve.  Both
     BLAS pools run on one thread until the system is assembled, then on the
     count that ``rfm.blas.threads_for`` gives its shape; the record keeps
     that count.
@@ -315,6 +337,12 @@ def run_experiment(
     with blas_threads() as fit:
         problem, model, colloc = build_run(config)
         eval_counts = _eval_counts(config, model.dim)
+        if problem.exact is not None or out_dir is not None:
+            check_memory(
+                evaluation_grid_bytes(problem.domain, eval_counts),
+                "a %s-point evaluation grid ('eval_counts')" % _grid(eval_counts),
+                "its points",
+            )
         system = assemble(problem, model, colloc)
         n_rows, n_columns = system.shape
         threads = fit(system.shape)

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from given_blocks import given_system
 from rfm import assembly, basis
 from rfm.assembly import RowGroup, assemble, load_system_dump, row_weights, scaled_norm
-from rfm.basis import FeatureSampler, Patch, RfmModel, build_model, feature_block
+from rfm.basis import FeatureSampler, RfmModel, build_model, feature_block
 from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
 from rfm.problems import (
@@ -36,16 +36,8 @@ RNG = np.random.default_rng(41)
 def _single_feature_setup(k=2.0, b=0.0, activation="sin"):
     """One patch covering [0,8] with one hand-picked feature."""
     problem = make_helmholtz_1d(lam=4.0)
-    patch = Patch(
-        center=np.array([4.0]),
-        radius=np.array([4.0]),
-        k=np.array([[[k]]]),
-        b=np.array([[b]]),
-        activation=activation,
-        clamp_lo=np.array([True]),
-        clamp_hi=np.array([True]),
-    )
-    model = RfmModel(patches=[patch], pou="a")
+    draw = (np.array([[[k]]]), np.array([[b]]))
+    model = RfmModel(interval(0.0, 8.0), 1, [draw], pou="a", activation=activation)
     colloc = CollocationSet(
         interior=np.array([[6.0]]),
         boundary_points=np.array([[0.0], [8.0]]),

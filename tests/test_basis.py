@@ -13,6 +13,7 @@ from rfm import basis
 from rfm.basis import (
     FeatureSampler,
     Patch,
+    RfmModel,
     activation_eval,
     build_model,
     dominant_frequencies,
@@ -518,6 +519,12 @@ def test_build_model_refuses_a_zero_patch_count_before_dividing(domain, counts):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"'patch_counts' must be >= 1 on every axis"):
             build_model(domain, counts, 10, FeatureSampler(1.0))
+
+
+def test_model_refuses_a_draw_list_that_is_not_one_draw_per_grid_cell():
+    draw = (np.zeros((1, 3, 2)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="3 feature draws for a grid of 4 patches"):
+        RfmModel(box((0.0, 0.0), (8.0, 8.0)), (2, 2), [draw] * 3, pou="a")
 
 
 def test_build_model_column_layout_and_global_patch():

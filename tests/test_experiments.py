@@ -666,6 +666,96 @@ def test_sampling_bytes_is_a_lower_bound_on_what_sampling_allocates(suite):
     assert 0 < domain.sampling_bytes(config.interior, config.boundary) <= peak
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_model_bytes_is_a_lower_bound_on_what_build_model_allocates(suite):
+    """Every config whose model fits in memory passes the guard: the estimate
+    never exceeds the traced peak of building the model."""
+    import tracemalloc
+
+    config = load_suite(suite)[0]
+    problem = make_problem(config.problem)
+    sampler = basis.FeatureSampler(rm=1.0, mode=config.feature_mode, seed=config.seed)
+    args = (problem.domain, config.patch_counts, config.features_per_patch)
+    k, glob = problem.n_components, config.global_features
+    tracemalloc.start()
+    try:
+        basis.build_model(*args, sampler, config.pou, config.activation, k, glob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < basis.model_bytes(*args, k, glob) <= peak
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_evaluation_grid_bytes_is_a_lower_bound_on_what_the_grid_allocates(suite):
+    import tracemalloc
+
+    from rfm.evaluation import evaluation_grid, evaluation_grid_bytes
+
+    config = load_suite(suite)[0]
+    domain = make_problem(config.problem).domain
+    counts = experiments._eval_counts(config, domain.dim)
+    tracemalloc.start()
+    try:
+        evaluation_grid(domain, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < evaluation_grid_bytes(domain, counts) <= peak
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("features_per_patch", 10**9, "with 1000000000 features each ('features_per_patch')"),
+        ("patch_counts", [10**7], "model of 10000000 patches ('patch_counts')"),
+    ],
+    ids=["features", "patches"],
+)
+def test_cli_run_refuses_a_model_that_would_not_fit_before_drawing(
+    tmp_path, monkeypatch, capsys, key, value, message
+):
+    """The guard runs before rm is resolved (which lists the patch grid) and
+    before any feature is drawn."""
+    from rfm import assembly
+    from rfm.cli import main
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the model was built for features that do not fit")
+
+    cfg = load_suite("helmholtz-adaptive")[0].to_dict()
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**8)
+    monkeypatch.setattr(experiments, "_resolve_rm", unreachable)
+    monkeypatch.setattr(experiments, "build_model", unreachable)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "for its features and patches, but only 100.0 MB of memory is available" in err
+
+
+def test_cli_run_refuses_an_evaluation_grid_that_would_not_fit_before_the_solve(
+    tmp_path, monkeypatch, capsys
+):
+    from rfm import assembly
+    from rfm.cli import main
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the solve ran for an evaluation grid that does not fit")
+
+    cfg = load_suite("helmholtz-adaptive")[0].to_dict()
+    cfg["eval_counts"] = [10**9]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**8)
+    monkeypatch.setattr(experiments, "solve_system", unreachable)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "a 1000000000-point evaluation grid ('eval_counts') needs 40000.0 MB" in err
+
+
 def test_cli_run_applies_one_eval_count_to_every_axis(tmp_path, capsys):
     from rfm.cli import main
 
