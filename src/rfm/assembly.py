@@ -84,19 +84,36 @@ class RowGroup:
             offset += width
 
 
-def row_weights(block: np.ndarray, scale: float | None) -> tuple[np.ndarray, np.ndarray]:
+def row_weights(
+    block: np.ndarray, scale: float | None, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Each row's rescale weight, scale / max_j |a_ij| (1 for a zero row, and
     for every row when ``scale`` is None), and which rows are zero.
 
     max|a| is taken as max(max a, -min a), so no temporary as large as the
     block is made.  A row's weight depends on that row alone, so weighing a
     system group by group, or its dense matrix whole, gives the same bits.
+    A scale that gives a nonzero finite row a weight that is not a normal
+    float, or makes a weighted row or its entry of ``rhs`` (the rows'
+    right-hand side) overflow, raises ValueError naming 'rescale_scale'.
+    The check only reads, so the weights it passes keep their bits; NaN and
+    inf entries are left to the solver's finiteness check.
     """
     rowmax = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
     zero = rowmax == 0.0
     w = np.ones_like(rowmax)
     if scale is not None:
-        np.divide(scale, rowmax, out=w, where=~zero)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(scale, rowmax, out=w, where=~zero)
+            normal = (w >= np.finfo(float).tiny) & (w <= np.finfo(float).max)
+            bad = (~normal & ~zero & np.isfinite(rowmax)) | np.isinf(w * rowmax)
+            bad |= np.isinf(w * rhs) & np.isfinite(rhs)
+        if bad.any():
+            raise ValueError(
+                "'rescale_scale' must keep every row weight (the scale over the row's "
+                "largest entry) a normal float and every weighted row and right-hand "
+                "side finite, got %r" % (scale,)
+            )
     return w, zero
 
 
@@ -172,7 +189,7 @@ class WeightedSystem:
             return w, zero, out  # unit weights need no block
         for g, block in self._all_blocks():
             if self.scale is not None:
-                w[g.rows], zero[g.rows] = row_weights(block, self.scale)
+                w[g.rows], zero[g.rows] = row_weights(block, self.scale, self.rhs[g.rows])
             if coefficients is not None:
                 out[g.rows] += block @ g.take(coefficients)
         return w, zero, out
@@ -191,7 +208,7 @@ class WeightedSystem:
 
     def weighted_matrix(self) -> np.ndarray:
         a = self.matrix
-        a *= row_weights(a, self.scale)[0][:, None]
+        a *= row_weights(a, self.scale, self.rhs)[0][:, None]
         return a
 
     def weighted_rhs(self) -> np.ndarray:
@@ -226,7 +243,7 @@ class WeightedSystem:
             fh.write(np.asarray([n, m, self.problem.k_interior], np.int64).tobytes())
             matrix.tofile(fh)
             np.asarray(self.rhs, np.float64).tofile(fh)
-            row_weights(matrix, self.scale)[0].tofile(fh)
+            row_weights(matrix, self.scale, self.rhs)[0].tofile(fh)
 
 
 def load_system_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -13,10 +13,11 @@ frequencies ``k`` and phases ``b`` are drawn once and never trained, and
 * kind "b": a C^1 bump built from sine transitions, constant 1 on the core
   of the patch and decaying to 0 over a half-patch-wide overlap zone.
 
-A model is its patch grid (``grid_patch_layout``): kind-"a" boxes tile the
-bounding box; kind-"b" centers sit on the same grid (spacing exactly 2r) and
-one-sided variants are used at the domain edge so the bumps still sum to one
-inside the domain.  The model is given only the features of each cell.
+A model is its patch grid (``grid_patch_layout``), kept as ``grid``:
+kind-"a" boxes tile the bounding box; kind-"b" centers sit on the same grid
+(spacing exactly 2r) and one-sided variants are used at the domain edge so
+the bumps still sum to one inside the domain.  The model is given only the
+features of each cell.
 
 ``RfmModel.supports`` is the one place that decides which expansions hold a
 point: the one owning patch of kind "a", every patch whose bump reaches it
@@ -243,8 +244,6 @@ class Patch:
     k: np.ndarray
     b: np.ndarray
     activation: str = "tanh"
-    clamp_lo: np.ndarray | None = None
-    clamp_hi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.center = np.atleast_1d(np.asarray(self.center, float))
@@ -258,10 +257,6 @@ class Patch:
             raise ValueError("feature arrays have inconsistent shapes")
         if self.activation not in ACTIVATIONS:
             raise ValueError("unknown activation %r" % self.activation)
-        if self.clamp_lo is None:
-            self.clamp_lo = np.zeros(d, bool)
-        if self.clamp_hi is None:
-            self.clamp_hi = np.zeros(d, bool)
 
     @property
     def dim(self) -> int:
@@ -312,13 +307,14 @@ def feature_block(
 class RfmModel:
     """A full random feature expansion over the patch grid of a domain.
 
-    ``draws`` gives each cell of ``grid_patch_layout(domain, patch_counts)``,
-    in its order, its features ``(k, b)``, shaped as ``Patch`` takes them;
-    ``global_draw`` adds the global patch, whose support is the whole domain
-    and whose PoU factor is 1.  ``expansions`` lists the local patches, then
-    the global patch (if any); every per-patch method takes an index into
-    it.  Columns of the collocation system are ordered component-major, then
-    by expansion, so the global features come last inside each component block.
+    ``grid`` is ``grid_patch_layout(domain, patch_counts)``, and ``draws``
+    gives each of its cells, in grid order, its features ``(k, b)``, shaped
+    as ``Patch`` takes them; ``global_draw`` adds the global patch, whose
+    support is the whole domain and whose PoU factor is 1.  ``expansions``
+    lists the local patches, then the global patch (if any); every
+    per-patch method takes an index into it.  Columns of the collocation
+    system are ordered component-major, then by expansion, so the global
+    features come last inside each component block.
     """
 
     domain: Domain
@@ -332,14 +328,13 @@ class RfmModel:
     def __post_init__(self) -> None:
         if self.pou not in ("a", "b"):
             raise ValueError("unknown PoU kind %r" % self.pou)
-        layout = grid_patch_layout(self.domain, self.patch_counts)
-        if len(self.draws) != len(layout):
-            raise ValueError(
-                "%d feature draws for a grid of %d patches" % (len(self.draws), len(layout))
-            )
+        self.grid = grid_patch_layout(self.domain, self.patch_counts)
+        cells = len(self.grid.centers)
+        if len(self.draws) != cells:
+            raise ValueError("%d feature draws for a grid of %d patches" % (len(self.draws), cells))
         self.patches = [
-            Patch(center, radius, k, b, self.activation, clamp_lo, clamp_hi)
-            for (center, radius, clamp_lo, clamp_hi), (k, b) in zip(layout, self.draws)
+            Patch(center, self.grid.radius, k, b, self.activation)
+            for center, (k, b) in zip(self.grid.centers, self.draws)
         ]
         self.global_patch = None
         if self.global_draw is not None:
@@ -352,11 +347,6 @@ class RfmModel:
         self._offsets = np.concatenate(
             [[0], np.cumsum([p.n_features for p in self.expansions])]
         )
-        # the patch boxes as (patches, 1, axes), for supports
-        self._centers = np.array([p.center for p in self.patches])[:, None]
-        self._radii = np.array([p.radius for p in self.patches])[:, None]
-        self._clamp_lo = np.array([p.clamp_lo for p in self.patches])[:, None]
-        self._clamp_hi = np.array([p.clamp_hi for p in self.patches])[:, None]
 
     # ------------------------------------------------------------------
     # column layout
@@ -402,36 +392,36 @@ class RfmModel:
         domain boundary).  The global patch holds every point.
         """
         points = np.atleast_2d(np.asarray(points, float))
+        grid = self.grid
         # (patches, points, axes), as Patch.normalize computes it
-        xt = (points - self._centers) / self._radii
+        xt = (points - grid.centers[:, None]) / grid.radius
         if self.pou == "a":
-            held = np.all((xt >= -1.0) & np.where(self._clamp_hi, xt <= 1.0, xt < 1.0), axis=2)
+            held = np.all((xt >= -1.0) & np.where(grid.clamp_hi[:, None], xt <= 1.0, xt < 1.0), axis=2)
             near = np.all(np.abs(xt) <= 1.0 + FACET_TOL, axis=2)
             last_near = len(near) - 1 - np.argmax(near[::-1], axis=0)
             fallback = np.where(near.any(axis=0), last_near, -1)
             owner = np.where(held.sum(axis=0) == 1, np.argmax(held, axis=0), fallback)
             local = owner == np.arange(len(self.patches))[:, None]
         else:
-            lo = np.where(self._clamp_lo, -np.inf, -1.25)
-            hi = np.where(self._clamp_hi, np.inf, 1.25)
+            lo = np.where(grid.clamp_lo[:, None], -np.inf, -1.25)
+            hi = np.where(grid.clamp_hi[:, None], np.inf, 1.25)
             local = np.all((xt >= lo) & (xt <= hi), axis=2)
         if self.global_patch is None:
             return local
         return np.vstack([local, np.ones(len(points), bool)])
 
-    def _axis_factors(
-        self, p: Patch, xt: np.ndarray, max_order: int
-    ) -> list[list[np.ndarray]]:
-        """factors[axis][order]: derivative ``order`` of the patch's kind-"b"
+    def _axis_factors(self, n: int, xt: np.ndarray, max_order: int) -> list[list[np.ndarray]]:
+        """factors[axis][order]: derivative ``order`` of patch n's kind-"b"
         PoU factor along ``axis`` at normalized points ``xt``, in physical
         coordinates; psi_n is their product."""
+        grid = self.grid
         return [
             [
-                pou_eval(xt[:, ax], o, bool(p.clamp_lo[ax]), bool(p.clamp_hi[ax]))
-                / p.radius[ax] ** o
+                pou_eval(xt[:, ax], o, bool(grid.clamp_lo[n, ax]), bool(grid.clamp_hi[n, ax]))
+                / grid.radius[ax] ** o
                 for o in range(max_order + 1)
             ]
-            for ax in range(p.dim)
+            for ax in range(self.dim)
         ]
 
     def pou_weight(self, patch_index: int, points: np.ndarray, alpha=None) -> np.ndarray:
@@ -443,7 +433,7 @@ class RfmModel:
         alpha = (0,) * p.dim if alpha is None else alpha
         if self.pou == "a":
             return self.supports(points)[patch_index] * float(not any(alpha))
-        return _pou_product(self._axis_factors(p, p.normalize(points), max(alpha)), alpha)
+        return _pou_product(self._axis_factors(patch_index, p.normalize(points), max(alpha)), alpha)
 
     def basis_block(
         self,
@@ -469,7 +459,7 @@ class RfmModel:
             {tuple(g) for a in alphas for g in np.ndindex(*[i + 1 for i in a])}
         )
         phi = feature_block(p, comp, points, phis_needed)
-        axis_fac = self._axis_factors(p, p.normalize(points), max(max(a) for a in alphas))
+        axis_fac = self._axis_factors(patch_index, p.normalize(points), max(max(a) for a in alphas))
         out = {}
         for a in alphas:
             total = np.zeros((len(points), p.n_features))
@@ -551,12 +541,14 @@ def model_bytes(
     these arguments, computed without drawing.
 
     Each expansion keeps its features, K*J*(d+1) floats in ``k`` and ``b``,
-    and five arrays (center, clamps, ``k`` and ``b``), each with a header.
-    The Patch objects themselves are not counted.
+    and three arrays (center, ``k`` and ``b``), each with a header.  The
+    patch grid keeps per cell and axis an integer index, a center and two
+    clamp flags, 18 bytes.  The Patch objects themselves are not counted.
     """
     cells = prod(axis_counts(patch_counts, domain.dim, "patch_counts"))
     floats = n_components * (domain.dim + 1) * (cells * features_per_patch + global_features)
-    return 8 * floats + 5 * ARRAY_HEADER_BYTES * (cells + (global_features > 0))
+    grid = 18 * cells * domain.dim
+    return 8 * floats + grid + 3 * ARRAY_HEADER_BYTES * (cells + (global_features > 0))
 
 
 def build_model(

@@ -25,7 +25,7 @@ from .assembly import assemble, check_memory
 from .basis import FeatureSampler, build_model, model_bytes, select_rm_from_forcing
 from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid, evaluation_grid_bytes
-from .geometry import axis_counts, build_collocation, grid_patch_layout
+from .geometry import axis_counts, build_collocation, grid_patch_layout, interface_bytes
 from .solver import solve_system
 from .problems import PROBLEMS, PdeProblem, _is_integral, _is_real
 
@@ -177,7 +177,7 @@ def _resolve_rm(config: ExperimentConfig, problem: PdeProblem) -> float:
     if config.rm != "auto":
         return float(config.rm)
     lo, hi = problem.domain.bounds
-    _, radius, _, _ = grid_patch_layout(problem.domain, config.patch_counts)[0]
+    radius = grid_patch_layout(problem.domain, config.patch_counts).radius
     best = 1.0
     for axis in range(problem.domain.dim):
         ts = np.linspace(lo[axis], hi[axis], 2049)
@@ -197,9 +197,9 @@ def build_run(config: ExperimentConfig):
     """Problem, model, and collocation set for a config (no solve).
 
     The interior counts are resolved, and their point arrays checked to fit
-    in memory, before anything is sampled; the model's features and patches
-    are checked before rm is resolved (``rm: "auto"`` lists the patch grid)
-    or any feature is drawn.
+    in memory, before anything is sampled; the model's features and patches,
+    and then the interface points, are checked before rm is resolved or any
+    feature is drawn.
     """
     problem = make_problem(config.problem)
     domain = problem.domain
@@ -217,6 +217,12 @@ def build_run(config: ExperimentConfig):
         "('features_per_patch') and %d global features ('global_features')"
         % (k, _grid(patch_counts), config.features_per_patch, glob),
         "its features and patches",
+    )
+    check_memory(
+        interface_bytes(domain, patch_counts, config.interface_per_edge),
+        "sampling %d points on each facet ('interface_per_edge') of a %s patch grid"
+        % (config.interface_per_edge, _grid(patch_counts)),
+        "the interface points",
     )
     rm = _resolve_rm(config, problem)
     sampler = FeatureSampler(rm=rm, mode=config.feature_mode, seed=config.seed)

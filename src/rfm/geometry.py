@@ -270,28 +270,37 @@ def disk(center: tuple[float, float], radius: float) -> Domain:
 # ----------------------------------------------------------------------
 
 
-def grid_patch_layout(
-    domain: Domain, counts: int | tuple[int, ...]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Regular patch grid over the bounding box.
+@dataclass(frozen=True, eq=False)
+class PatchGrid:
+    """A regular grid of patches over a domain's bounding box, one row per
+    cell, cells in grid order (first axis slowest).
 
-    Returns (center, radius, clamp_lo, clamp_hi) per patch, ordered
-    lexicographically by axis.  ``counts`` follows ``axis_counts``, and
-    every axis needs at least one patch.
+    Cell n sits at ``index[n]`` on the grid's ``counts``, centered at
+    ``centers[n]`` with the grid's common ``radius``; ``clamp_lo[n]`` and
+    ``clamp_hi[n]`` flag its sides that face the domain boundary, where its
+    index is 0 or the count - 1.
     """
+
+    counts: tuple[int, ...]
+    index: np.ndarray  # (cells, axes)
+    centers: np.ndarray  # (cells, axes)
+    radius: np.ndarray  # (axes,)
+    clamp_lo: np.ndarray  # (cells, axes)
+    clamp_hi: np.ndarray  # (cells, axes)
+
+
+def grid_patch_layout(domain: Domain, counts: int | tuple[int, ...]) -> PatchGrid:
+    """The regular patch grid over the bounding box: cell i on an axis is
+    centered at ``lo + (2i + 1) r``.  ``counts`` follows ``axis_counts``, and
+    every axis needs at least one patch."""
     counts = axis_counts(counts, domain.dim, "patch_counts")
     if 0 in counts:
         raise ValueError("'patch_counts' must be >= 1 on every axis, got %r" % (list(counts),))
     lo, hi = domain.bounds
     radius = (hi - lo) / (2.0 * np.asarray(counts, float))
-    layout = []
-    for idx in np.ndindex(*counts):
-        i = np.asarray(idx, float)
-        center = lo + (2.0 * i + 1.0) * radius
-        clamp_lo = np.array([j == 0 for j in idx])
-        clamp_hi = np.array([idx[a] == counts[a] - 1 for a in range(domain.dim)])
-        layout.append((center, radius, clamp_lo, clamp_hi))
-    return layout
+    index = np.indices(counts).reshape(len(counts), -1).T.copy()
+    centers = lo + (2.0 * index + 1.0) * radius
+    return PatchGrid(counts, index, centers, radius, index == 0, index == np.subtract(counts, 1))
 
 
 @dataclass
@@ -311,13 +320,8 @@ class InterfaceSet:
         return len(self.points)
 
 
-def sample_interface(
-    domain: Domain,
-    patch_counts: int | tuple[int, ...],
-    per_edge: int,
-) -> InterfaceSet:
-    """Sample the shared facets of the patch grid ``grid_patch_layout(domain,
-    patch_counts)``.
+def sample_interface(domain: Domain, grid: PatchGrid, per_edge: int) -> InterfaceSet:
+    """Sample the shared facets of the patch grid ``grid`` over ``domain``.
 
     Patches m and n that are index neighbours along an axis share the facet
     at ``center + radius`` of the lower patch m on that axis.  It gets
@@ -333,23 +337,40 @@ def sample_interface(
             "'interface_per_edge' must be 0 or 1 on a 1D domain, whose patch facets "
             "are points, got %d" % per_edge
         )
-    counts = axis_counts(patch_counts, dim, "patch_counts")
-    layout = grid_patch_layout(domain, counts)
-    cells = list(np.ndindex(*counts))
-    pts, nrm, prs = [np.zeros((0, dim))], [np.zeros((0, dim))], [np.zeros((0, 2), dtype=int)]
+    per_facet = per_edge ** (dim - 1)  # a 1D facet is one point
+    pts, nrm, prs = [], [], []
     for axis in range(dim):
-        step = prod(counts[axis + 1 :])
-        lower = sorted((idx[axis], m) for m, idx in enumerate(cells) if idx[axis] < counts[axis] - 1)
-        for _, m in lower:
-            center, radius = layout[m][:2]
-            lo, hi = center - radius, center + radius
-            axes = [[hi[a]] if a == axis else cell_centres(lo[a], hi[a], per_edge) for a in range(dim)]
-            p = grid_points(axes)
-            p = p[domain.strictly_inside(p)]
-            pts.append(p)
-            nrm.append(np.broadcast_to(np.eye(dim)[axis], p.shape))
-            prs.append(np.broadcast_to([m, m + step], (len(p), 2)))
+        lower = np.flatnonzero(~grid.clamp_hi[:, axis])
+        m = lower[np.argsort(grid.index[lower, axis], kind="stable")]
+        lo, hi = grid.centers[m] - grid.radius, grid.centers[m] + grid.radius
+        p = np.empty((len(m), per_facet, dim))
+        p[..., axis] = hi[:, axis, None]
+        if dim == 2:  # cell-centered along the facet
+            p[..., 1 - axis] = cell_centres(lo[:, 1 - axis, None], hi[:, 1 - axis, None], per_edge)
+        p = p.reshape(-1, dim)
+        keep = domain.strictly_inside(p)
+        pts.append(p[keep])
+        nrm.append(np.broadcast_to(np.eye(dim)[axis], pts[-1].shape))
+        pairs = np.column_stack([m, m + prod(grid.counts[axis + 1 :])])
+        prs.append(np.repeat(pairs, per_facet, axis=0)[keep])
     return InterfaceSet(np.concatenate(pts), np.concatenate(nrm), np.concatenate(prs))
+
+
+def interface_bytes(domain: Domain, patch_counts: int | tuple[int, ...], per_edge: int) -> int:
+    """A lower bound on the peak bytes of the interface points that
+    ``build_collocation`` samples, ``per_edge`` to a facet of the patch grid
+    of ``patch_counts``, computed without sampling.
+
+    ``sample_interface`` holds every point on one axis's facets at once, and
+    ``strictly_inside`` takes one distance array per boundary segment and
+    their stacked copy beside them.  The points kept from earlier axes are
+    not counted, since holes drop a share that only sampling tells.
+    """
+    if per_edge == 0:
+        return 0
+    counts = axis_counts(patch_counts, domain.dim, "patch_counts")
+    facets = max(prod(c - (b == a) for b, c in enumerate(counts)) for a in range(domain.dim))
+    return 8 * facets * per_edge ** (domain.dim - 1) * (domain.dim + 2 * len(domain.segments))
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +414,7 @@ def build_collocation(
     interior = domain.sample_interior(interior_counts)
     bp, bn, bt = domain.sample_boundary(boundary_counts)
     if patch_counts is not None and interface_per_edge > 0:
-        iface = sample_interface(domain, patch_counts, interface_per_edge)
+        iface = sample_interface(domain, grid_patch_layout(domain, patch_counts), interface_per_edge)
     else:
         d = domain.dim
         iface = InterfaceSet(np.zeros((0, d)), np.zeros((0, d)), np.zeros((0, 2), dtype=int))

@@ -189,7 +189,7 @@ def solve_system(
     factors = _take_tall_factors(system, weights, len(kept))
     short = list(zip([groups[i] for i in which], system.blocks(which)))
     for g, block in short:
-        weights[g.rows] = row_weights(block, system.scale)[0]
+        weights[g.rows] = row_weights(block, system.scale, rhs[g.rows])[0]
     if factors and _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)  # the freed blocks' pages, before the buffer is mapped
     a = np.zeros((len(kept) + sum(len(at.rows) for at, _, _, _ in factors), n_cols), order="F")
@@ -230,7 +230,7 @@ def _take_tall_factors(
         if not g.tall:
             continue
         (block,) = system.blocks([i])
-        weights[g.rows] = row_weights(block, system.scale)[0]
+        weights[g.rows] = row_weights(block, system.scale, system.rhs[g.rows])[0]
         rc, rho = _group_r(g.rows, block, weights, system.rhs)
         del block  # freed before the next group is filled
         n = len(rc)

@@ -504,7 +504,7 @@ def test_filling_groups_one_at_a_time_matches_one_pass(case, data):
         (block,) = system.blocks([i])
         assert np.array_equal(block, whole[i])
         rows = system.groups[i].rows
-        weights[rows], zero[rows] = row_weights(block, system.scale)
+        weights[rows], zero[rows] = row_weights(block, system.scale, system.rhs[rows])
     assert np.array_equal(system.weights, weights)
     assert np.array_equal(system.zero_rows, zero)
 

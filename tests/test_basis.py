@@ -495,17 +495,13 @@ def test_dominant_frequencies_never_takes_the_svd_of_the_wide_hankel_matrix(monk
 
 def test_grid_patch_layout_centers_and_radii():
     dom = box((0.0, 0.0), (8.0, 8.0))
-    layout = grid_patch_layout(dom, (2, 2))
-    centers = [entry[0] for entry in layout]
-    radii = [entry[1] for entry in layout]
-    assert np.allclose(radii, 2.0)
-    want = {(2.0, 2.0), (2.0, 6.0), (6.0, 2.0), (6.0, 6.0)}
-    assert {tuple(c) for c in centers} == want
+    grid = grid_patch_layout(dom, (2, 2))
+    assert np.allclose(grid.radius, 2.0)
+    assert grid.centers.tolist() == [[2.0, 2.0], [2.0, 6.0], [6.0, 2.0], [6.0, 6.0]]
+    assert grid.index.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     # clamps mark the outward-facing sides of edge patches
-    first = layout[0]
-    assert first[2].tolist() == [True, True] and first[3].tolist() == [False, False]
-    last = layout[-1]
-    assert last[2].tolist() == [False, False] and last[3].tolist() == [True, True]
+    assert grid.clamp_lo[0].tolist() == [True, True] and grid.clamp_hi[0].tolist() == [False, False]
+    assert grid.clamp_lo[-1].tolist() == [False, False] and grid.clamp_hi[-1].tolist() == [True, True]
 
 
 def test_grid_patch_layout_refuses_more_counts_than_axes():

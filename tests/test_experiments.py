@@ -704,6 +704,76 @@ def test_evaluation_grid_bytes_is_a_lower_bound_on_what_the_grid_allocates(suite
     assert 0 < evaluation_grid_bytes(domain, counts) <= peak
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_interface_bytes_is_a_lower_bound_on_what_interface_sampling_allocates(suite):
+    import tracemalloc
+
+    from rfm.geometry import grid_patch_layout, interface_bytes, sample_interface
+
+    config = load_suite(suite)[0]
+    domain = make_problem(config.problem).domain
+    grid = grid_patch_layout(domain, config.patch_counts)
+    tracemalloc.start()
+    try:
+        sample_interface(domain, grid, config.interface_per_edge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < interface_bytes(domain, config.patch_counts, config.interface_per_edge) <= peak
+
+
+def test_cli_run_refuses_interface_points_that_would_not_fit_before_sampling(
+    tmp_path, monkeypatch, capsys
+):
+    """The guard runs before any point is sampled or feature drawn."""
+    from rfm import assembly
+    from rfm.cli import main
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("points were sampled for interface points that do not fit")
+
+    cfg = load_suite("poisson-pou")[0].to_dict()
+    cfg["interface_per_edge"] = 10**9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**8)
+    monkeypatch.setattr(experiments, "build_model", unreachable)
+    monkeypatch.setattr(experiments, "build_collocation", unreachable)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "sampling 1000000000 points on each facet ('interface_per_edge') of a 2x2 patch grid "
+        "needs 160000.0 MB for the interface points, but only 100.0 MB" in err
+    )
+
+
+@pytest.mark.parametrize(
+    "suite,scale",
+    [
+        ("helmholtz-adaptive", 5e-324),
+        ("helmholtz-adaptive", 1e-322),
+        ("helmholtz-adaptive", 1e307),
+        ("poisson-pou", 5e-324),
+        ("poisson-pou", 1e307),
+    ],
+)
+def test_cli_run_refuses_a_rescale_scale_that_leaves_the_float_range(tmp_path, capsys, suite, scale):
+    """A row weight that is subnormal or zero drops the row's rank, and a
+    weighted right-hand side that overflows stops the solve: both are
+    refused, naming the key, with no overflow warning."""
+    from rfm.cli import main
+
+    cfg = load_suite(suite)[0].to_dict()
+    cfg["rescale_scale"] = scale
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "'rescale_scale' must keep every row weight" in err and repr(scale) in err
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [

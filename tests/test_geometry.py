@@ -10,11 +10,14 @@ from rfm.geometry import (
     axis_counts,
     box,
     build_collocation,
+    cell_centres,
     disk,
     grid_patch_layout,
+    grid_points,
     interval,
     sample_interface,
 )
+from rfm.problems import STOKES_HOLES
 
 
 def test_interval_membership_includes_endpoints():
@@ -148,12 +151,12 @@ def test_interval_ends_are_single_points():
     with pytest.raises(ValueError, match=r"boundary 'left' of an interval is one point: .* 0 or 1, got 5"):
         dom.sample_boundary({"left": 5, "right": 1})
     with pytest.raises(ValueError, match=r"'interface_per_edge' must be 0 or 1 on a 1D domain"):
-        sample_interface(dom, 4, per_edge=5)
+        sample_interface(dom, grid_patch_layout(dom, 4), per_edge=5)
 
 
 def test_interface_1d_junction_points():
     dom = interval(0.0, 8.0)
-    iface = sample_interface(dom, 4, per_edge=1)
+    iface = sample_interface(dom, grid_patch_layout(dom, 4), per_edge=1)
     assert len(iface) == 3
     assert np.allclose(sorted(iface.points[:, 0]), [2.0, 4.0, 6.0])
     assert np.allclose(iface.normals, 1.0)
@@ -164,7 +167,7 @@ def test_interface_1d_junction_points():
 
 def test_interface_2d_facets_and_hole_filtering():
     dom = box((0.0, 0.0), (1.0, 1.0))
-    iface = sample_interface(dom, (2, 2), per_edge=4)
+    iface = sample_interface(dom, grid_patch_layout(dom, (2, 2)), per_edge=4)
     # 4 shared facets (2 vertical + 2 horizontal), 4 points each
     assert len(iface) == 16
     vertical = np.isclose(iface.points[:, 0], 0.5) & (iface.normals[:, 0] == 1.0)
@@ -172,7 +175,7 @@ def test_interface_2d_facets_and_hole_filtering():
     assert vertical.sum() == 8 and horizontal.sum() == 8
 
     holed = box((0.0, 0.0), (1.0, 1.0), holes=(Hole((0.5, 0.5), 0.2),))
-    filtered = sample_interface(holed, (2, 2), per_edge=8)
+    filtered = sample_interface(holed, grid_patch_layout(holed, (2, 2)), per_edge=8)
     assert len(filtered) < 32
     assert np.all(np.hypot(*(filtered.points - 0.5).T) > 0.2)
 
@@ -258,20 +261,76 @@ def test_boundary_samples_lie_on_the_boundary_with_outward_normals(dom, data):
 def test_interface_pairs_are_grid_neighbours_on_their_shared_facet(dom, data):
     counts = tuple(data.draw(st.integers(1, 4)) for _ in range(dom.dim))
     per_edge = 1 if dom.dim == 1 else data.draw(st.integers(1, 5))
-    iface = sample_interface(dom, counts, per_edge)
-    layout = grid_patch_layout(dom, counts)
+    grid = grid_patch_layout(dom, counts)
+    iface = sample_interface(dom, grid, per_edge)
     for p, e, (m, n) in zip(iface.points, iface.normals, iface.pairs):
         axis = int(np.argmax(e))
         assert np.array_equal(e, np.eye(dom.dim)[axis])
         step = np.subtract(np.unravel_index(n, counts), np.unravel_index(m, counts))
         assert np.array_equal(step, np.eye(dom.dim, dtype=int)[axis])
         for k in (m, n):
-            center, radius = layout[k][:2]
-            assert np.all(np.abs(p - center) <= radius * (1 + 1e-12))
-        lower_hi = layout[m][0][axis] + layout[m][1][axis]
-        upper_lo = layout[n][0][axis] - layout[n][1][axis]
+            assert np.all(np.abs(p - grid.centers[k]) <= grid.radius * (1 + 1e-12))
+        lower_hi = grid.centers[m, axis] + grid.radius[axis]
+        upper_lo = grid.centers[n, axis] - grid.radius[axis]
         assert p[axis] == lower_hi and upper_lo == pytest.approx(lower_hi, abs=1e-12)
     assert np.all(dom.strictly_inside(iface.points))
     if not dom.holes and not dom.disk:
         facets = sum((c - 1) * np.prod(counts) // c for c in counts)
         assert len(iface) == per_edge * facets
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(domains(), st.data())
+def test_grid_patch_layout_is_the_per_cell_formula(dom, data):
+    """Cell i on an axis is centered at lo + (2i + 1) r, clamped below at
+    i = 0 and above at i = count - 1, cells in ``np.ndindex`` order."""
+    counts = tuple(data.draw(st.integers(1, 6)) for _ in range(dom.dim))
+    grid = grid_patch_layout(dom, counts)
+    lo, hi = dom.bounds
+    radius = (hi - lo) / (2.0 * np.asarray(counts, float))
+    cells = list(np.ndindex(*counts))
+    assert grid.counts == counts
+    assert np.array_equal(grid.radius, radius)
+    assert np.array_equal(grid.index, np.array(cells).reshape(-1, dom.dim))
+    for n, idx in enumerate(cells):
+        assert np.array_equal(grid.centers[n], lo + (2.0 * np.asarray(idx, float) + 1.0) * radius)
+        assert grid.clamp_lo[n].tolist() == [i == 0 for i in idx]
+        assert grid.clamp_hi[n].tolist() == [i == c - 1 for i, c in zip(idx, counts)]
+
+
+def _facet_by_facet(domain, counts, per_edge):
+    """The interface points, normals and pairs sampled one facet at a time:
+    the reference that ``sample_interface`` must reproduce bit for bit."""
+    dim = domain.dim
+    lo_box, hi_box = domain.bounds
+    radius = (hi_box - lo_box) / (2.0 * np.asarray(counts, float))
+    cells = list(np.ndindex(*counts))
+    pts, nrm, prs = [np.zeros((0, dim))], [np.zeros((0, dim))], [np.zeros((0, 2), dtype=int)]
+    for axis in range(dim):
+        step = int(np.prod(counts[axis + 1 :]))
+        lower = sorted((idx[axis], m) for m, idx in enumerate(cells) if idx[axis] < counts[axis] - 1)
+        for _, m in lower:
+            center = lo_box + (2.0 * np.asarray(cells[m], float) + 1.0) * radius
+            lo, hi = center - radius, center + radius
+            axes = [[hi[a]] if a == axis else cell_centres(lo[a], hi[a], per_edge) for a in range(dim)]
+            p = grid_points(axes)
+            p = p[domain.strictly_inside(p)]
+            pts.append(p)
+            nrm.append(np.broadcast_to(np.eye(dim)[axis], p.shape))
+            prs.append(np.broadcast_to([m, m + step], (len(p), 2)))
+    return np.concatenate(pts), np.concatenate(nrm), np.concatenate(prs)
+
+
+STOKES_DOMAIN = box((0.0, 0.0), (1.0, 1.0), holes=STOKES_HOLES)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(domains(), st.just(STOKES_DOMAIN), st.just(disk((0.0, 0.0), 1.0))), st.data())
+def test_sample_interface_equals_sampling_facet_by_facet(dom, data):
+    counts = tuple(data.draw(st.integers(1, 6)) for _ in range(dom.dim))
+    per_edge = 1 if dom.dim == 1 else data.draw(st.integers(1, 5))
+    iface = sample_interface(dom, grid_patch_layout(dom, counts), per_edge)
+    points, normals, pairs = _facet_by_facet(dom, counts, per_edge)
+    assert np.array_equal(iface.points, points)
+    assert np.array_equal(iface.normals, normals)
+    assert np.array_equal(iface.pairs, pairs) and iface.pairs.dtype == pairs.dtype
