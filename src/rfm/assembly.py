@@ -513,10 +513,7 @@ def assemble(
     whose blocks are filled on request (see the module docstring)."""
     if model.dim != problem.domain.dim or model.n_components != problem.n_components:
         raise ValueError("model does not match the problem layout")
-    sampled = set(colloc.boundary_tags)
-    missing = [t for t in problem.domain.boundary_tags() if t not in sampled]
-    if missing:
-        raise ValueError("boundary segments %s have no collocation points" % missing)
+    problem.domain.check_every_segment(set(colloc.boundary_tags))
 
     if colloc.n_interface and model.pou != "a":
         raise ValueError(

@@ -42,6 +42,12 @@ GLOBAL_STREAM = 2**32 - 1
 # Points per chunk of RfmModel.eval_many and of assembly.
 EVAL_CHUNK = 2048
 
+# The partition-of-unity kinds: "a" sharp, "b" smooth (module docstring).
+POU_KINDS = ("a", "b")
+
+# How FeatureSampler draws frequencies and phases.
+FEATURE_MODES = ("uniform_random", "equispaced_grid")
+
 # Kind-"a" points this close to a patch facet, in normalized coordinates, are
 # assigned to one patch by RfmModel.supports.
 FACET_TOL = 1e-9
@@ -185,12 +191,24 @@ class FeatureSampler:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("uniform_random", "equispaced_grid"):
+        if self.mode not in FEATURE_MODES:
             raise ValueError("unknown sampling mode %r" % self.mode)
         if self.rm <= 0:
             raise ValueError("rm must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+
+def grid_levels(count: int, dim: int, name: str) -> int:
+    """The levels G per axis of an ``equispaced_grid`` draw of ``count``
+    features in ``dim`` axes, whose (k, b) grid has G^(dim + 1) points; any
+    other count raises ValueError naming ``name``."""
+    g = round(count ** (1.0 / (dim + 1)))
+    if g ** (dim + 1) != count:
+        raise ValueError(
+            "%r must be G^%d for equispaced_grid features in %dD, got %d" % (name, dim + 1, dim, count)
+        )
+    return g
 
 
 def sample_features(
@@ -213,11 +231,7 @@ def sample_features(
         b = rng.uniform(-r, r, size=count)
         return k, b
     # equispaced grid: full factorial over (k, b)
-    g = round(count ** (1.0 / (dim + 1)))
-    if g ** (dim + 1) != count:
-        raise ValueError(
-            "grid sampling needs count = G^%d, got %d" % (dim + 1, count)
-        )
+    g = grid_levels(count, dim, "count")
     vals = -r + 2.0 * r * np.arange(1, g + 1) / g
     grids = np.meshgrid(*([vals] * (dim + 1)), indexing="ij")
     cols = [grid.ravel() for grid in grids]
@@ -326,7 +340,7 @@ class RfmModel:
     rm: float | None = None  # the rm the features were drawn with
 
     def __post_init__(self) -> None:
-        if self.pou not in ("a", "b"):
+        if self.pou not in POU_KINDS:
             raise ValueError("unknown PoU kind %r" % self.pou)
         self.grid = grid_patch_layout(self.domain, self.patch_counts)
         cells = len(self.grid.centers)

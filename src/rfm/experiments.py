@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import assemble, check_memory
+from .basis import ACTIVATIONS, FEATURE_MODES, POU_KINDS, grid_levels
 from .basis import FeatureSampler, build_model, model_bytes, select_rm_from_forcing
 from .blas import blas_threads
 from .evaluation import ErrorReport, evaluate_error, evaluation_grid, evaluation_grid_bytes
@@ -37,69 +38,92 @@ _STRESS_LABELS = ("sx", "sy", "txy")
 # ----------------------------------------------------------------------
 
 
+def _rule(claim=None, ok=None, convert=None, **kw):
+    """A config field with its rule: unless ``ok(value)``, a ValueError
+    "'<key>' <claim>, got <value>"; ``convert`` gives the value kept.  A
+    field whose default is None also takes None."""
+    return field(metadata={"rule": (claim, ok, convert)}, **kw)
+
+
+def _string(*choices):
+    """A string, one of ``choices`` if any are given."""
+    claim = "must be a string" + (", one of %s" % list(choices) if choices else "")
+    return claim, lambda v: isinstance(v, str) and (not choices or v in choices)
+
+
+def _integer(least):
+    claim = "must be an integer >= %d" % least
+    return claim, lambda v: isinstance(v, (int, np.integer)) and _is_real(v) and v >= least
+
+
+def _positive(v) -> bool:
+    return _is_real(v) and 0.0 < v <= sys.float_info.max
+
+
+def _counts(values) -> bool:
+    return all(_is_integral(c) and c > 0 for c in values)
+
+
+def _per_axis(counts) -> np.ndarray:
+    return np.ravel(np.asarray(counts, object))
+
+
+# one count per axis, or one for every axis (build_run checks the domain's axes)
+_AXIS_COUNTS = (
+    "counts must be integers and must be positive",
+    lambda v: _counts(_per_axis(v)),
+    lambda v: tuple(int(c) for c in _per_axis(v)),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs; round-trips losslessly through JSON."""
+    """Everything one run needs; round-trips losslessly through JSON.
 
-    suite: str
-    name: str
-    problem: dict
-    patch_counts: tuple[int, ...]
-    features_per_patch: int
-    interior: tuple[int, ...]
-    boundary: dict[str, int]
-    pou: str = "a"
-    activation: str = "tanh"
-    rm: float | str = 1.0  # a number, or "auto" for frequency-guided choice
-    feature_mode: str = "uniform_random"
-    global_features: int = 0
-    interface_per_edge: int = 0
-    rescale_on: bool = True
-    rescale_scale: float = 100.0
-    rank_tol: float | None = None
-    eval_counts: tuple[int, ...] | None = None
-    seed: int = 0
+    Each field states its rule (``_rule``), and ``__post_init__`` applies
+    them; ``build_run`` applies the rules that need the problem's domain."""
+
+    suite: str = _rule(*_string())
+    name: str = _rule(*_string())
+    problem: dict = _rule()  # make_problem checks it, and the factory its id names
+    patch_counts: tuple[int, ...] = _rule(*_AXIS_COUNTS)
+    features_per_patch: int = _rule(*_integer(1))
+    interior: tuple[int, ...] = _rule(*_AXIS_COUNTS)
+    boundary: dict[str, int] = _rule(
+        "must map boundary tags to counts, which must be integers and must be positive",
+        lambda v: isinstance(v, Mapping) and _counts(v.values()),
+        lambda v: {tag: int(c) for tag, c in v.items()},
+    )
+    pou: str = _rule(*_string(*POU_KINDS), default="a")
+    activation: str = _rule(*_string(*ACTIVATIONS), default="tanh")
+    rm: float | str = _rule(
+        "must be 'auto' or a positive finite number", lambda v: v == "auto" or _positive(v), default=1.0
+    )
+    feature_mode: str = _rule(*_string(*FEATURE_MODES), default="uniform_random")
+    global_features: int = _rule(*_integer(0), default=0)
+    interface_per_edge: int = _rule(*_integer(0), default=0)
+    rescale_on: bool = _rule("must be true or false", lambda v: isinstance(v, bool), default=True)
+    rescale_scale: float = _rule("must be a positive and finite number", _positive, default=100.0)
+    rank_tol: float | None = _rule(
+        "must be null or a number in [0, 1)", lambda v: _is_real(v) and 0.0 <= v < 1.0, default=None
+    )
+    eval_counts: tuple[int, ...] | None = _rule(*_AXIS_COUNTS, default=None)
+    seed: int = _rule(*_integer(0), default=0)
 
     def __post_init__(self) -> None:
-        for key in ("suite", "name", "pou", "activation", "feature_mode"):
-            if not isinstance(getattr(self, key), str):
-                raise ValueError("%r must be a string, got %r" % (key, getattr(self, key)))
-        if not isinstance(self.rescale_on, bool):
-            raise ValueError("'rescale_on' must be true or false, got %r" % (self.rescale_on,))
-        for key in ("patch_counts", "interior", "boundary", "eval_counts"):
-            value = getattr(self, key)
-            if value is None and key == "eval_counts":
+        for f in fields(self):
+            value, (claim, ok, convert) = getattr(self, f.name), f.metadata["rule"]
+            if ok is None or value is None and f.default is None:
                 continue
-            if key == "boundary" and not isinstance(value, Mapping):
-                raise ValueError("'boundary' must map boundary tags to counts, got %r" % (value,))
-            values = value.values() if key == "boundary" else np.ravel(np.asarray(value, object))
-            if not all(_is_integral(c) for c in values):
-                raise ValueError("%r counts must be integers, got %r" % (key, value))
-            if any(c <= 0 for c in values):
-                raise ValueError("%r counts must be positive, got %r" % (key, value))
-            if key == "boundary":
-                object.__setattr__(self, key, {tag: int(c) for tag, c in value.items()})
-            else:
-                object.__setattr__(self, key, tuple(int(c) for c in values))
-        for key, least in (
-            ("features_per_patch", 1), ("global_features", 0), ("interface_per_edge", 0), ("seed", 0)
-        ):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError("%r must be an integer >= %d, got %r" % (key, least, value))
+            if not ok(value):
+                raise ValueError("%r %s, got %r" % (f.name, claim, value))
+            if convert:
+                object.__setattr__(self, f.name, convert(value))
         if self.pou == "b" and self.interface_per_edge:
             raise ValueError(
                 "'interface_per_edge' must be 0 with pou 'b': the smooth partition "
                 "has no interface conditions"
             )
-        if self.rm != "auto" and not (_is_real(self.rm) and 0.0 < self.rm <= sys.float_info.max):
-            raise ValueError("'rm' must be 'auto' or a positive finite number, got %r" % (self.rm,))
-        if not (_is_real(self.rescale_scale) and 0.0 < self.rescale_scale <= sys.float_info.max):
-            raise ValueError(
-                "'rescale_scale' must be a positive and finite number, got %r" % (self.rescale_scale,)
-            )
-        if self.rank_tol is not None and not (_is_real(self.rank_tol) and 0.0 <= self.rank_tol < 1.0):
-            raise ValueError("'rank_tol' must be null or a number in [0, 1), got %r" % (self.rank_tol,))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -159,7 +183,7 @@ def make_problem(params: dict) -> PdeProblem:
     kw = dict(params)
     pid = kw.pop("id")
     if pid not in PROBLEMS:
-        raise ValueError("unknown problem id %r (known: %s)" % (pid, ", ".join(PROBLEMS)))
+        raise ValueError("unknown 'problem' id %r (known: %s)" % (pid, ", ".join(PROBLEMS)))
     unknown = set(kw) - _PROBLEM_KEYS[pid]
     if unknown:
         raise ValueError(
@@ -196,20 +220,30 @@ def _grid(counts: tuple[int, ...]) -> str:
 def build_run(config: ExperimentConfig):
     """Problem, model, and collocation set for a config (no solve).
 
-    The interior counts are resolved, and their point arrays checked to fit
-    in memory, before anything is sampled; the model's features and patches,
-    and then the interface points, are checked before rm is resolved or any
-    feature is drawn.
+    The config's rules that need the problem's domain are applied first:
+    the per-axis counts, the boundary tags both ways (a tag the domain
+    lacks, a segment the config leaves out) and an interval end's count, a
+    1D ``interface_per_edge``, and the feature counts of an
+    ``equispaced_grid`` draw.  Then the point arrays, the model's features
+    and patches, and the interface points are checked to fit in memory.
+    Only then is rm resolved, any feature drawn or any point sampled.
     """
     problem = make_problem(config.problem)
     domain = problem.domain
     interior = axis_counts(config.interior, domain.dim, "interior")
+    patch_counts = axis_counts(config.patch_counts, domain.dim, "patch_counts")
+    _eval_counts(config, domain.dim)
+    domain.check_boundary_counts(config.boundary)
+    domain.check_every_segment(config.boundary)
+    domain.facet_points(config.interface_per_edge)
+    if config.feature_mode == "equispaced_grid":
+        grid_levels(config.features_per_patch, domain.dim, "features_per_patch")
+        grid_levels(config.global_features, domain.dim, "global_features")  # 0 is 0^(d+1)
     check_memory(
         domain.sampling_bytes(interior, config.boundary),
         "sampling a %s-point interior grid and its boundary" % _grid(interior),
         "the point arrays",
     )
-    patch_counts = axis_counts(config.patch_counts, domain.dim, "patch_counts")
     k, glob = problem.n_components, config.global_features
     check_memory(
         model_bytes(domain, patch_counts, config.features_per_patch, k, glob),

@@ -81,11 +81,6 @@ def _side(lo: np.ndarray, hi: np.ndarray, axis: int, upper: bool) -> Segment:
     normal[axis] = sign
 
     def sample(count: int) -> tuple[np.ndarray, np.ndarray]:
-        if dim == 1 and count > 1:
-            raise ValueError(
-                "boundary %r of an interval is one point: its count must be 0 or 1, got %d"
-                % (tag, count)
-            )
         axes = [[at] if a == axis else cell_centres(lo[a], hi[a], count) for a in range(dim)]
         pts = grid_points(axes)
         return pts, np.broadcast_to(normal, pts.shape)
@@ -226,21 +221,54 @@ class Domain:
         edge = sum(c for t, c in boundary_counts.items() if t in tags)
         return 8 * self.dim * max(2 * grid, 3 * edge)
 
+    def check_boundary_counts(self, counts: dict[str, int]) -> None:
+        """Refuse a tag of ``counts`` that names no boundary segment, or a
+        count above 1 on an interval end, which is one point."""
+        tags = self.boundary_tags()
+        unknown = [t for t in counts if t not in tags]
+        if unknown:
+            raise ValueError(
+                "unknown boundary tags in 'boundary': %s (the domain's: %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(map(repr, tags)))
+            )
+        over = [(t, c) for t, c in counts.items() if c > 1] if self.dim == 1 else []
+        if over:
+            raise ValueError(
+                "boundary %r of an interval is one point: its count must be 0 or 1, got %d" % over[0]
+            )
+
+    def check_every_segment(self, tags) -> None:
+        """Refuse a boundary segment that ``tags`` leaves out, which would
+        get no collocation rows."""
+        missing = [t for t in self.boundary_tags() if t not in tags]
+        if missing:
+            raise ValueError("boundary segments %s have no collocation points" % missing)
+
+    def facet_points(self, per_edge: int) -> int:
+        """Points on one shared facet of a patch grid over the domain, with
+        ``per_edge`` along each of its axes.  A 1D facet is one point, so
+        there ``per_edge`` must be 0 or 1."""
+        if self.dim == 1 and per_edge > 1:
+            raise ValueError(
+                "'interface_per_edge' must be 0 or 1 on a 1D domain, whose patch facets "
+                "are points, got %d" % per_edge
+            )
+        return per_edge ** (self.dim - 1)
+
     def sample_boundary(
         self, counts: dict[str, int]
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Uniform points on each requested boundary segment, in the order of
         ``segments``.
 
-        ``counts`` maps segment tags to point counts.  Box edges are sampled
+        ``counts`` maps segment tags to point counts, which
+        ``check_boundary_counts`` checks first.  Box edges are sampled
         cell-centered in arc length (no corner duplicates); an interval end
         is one point, so its count is 0 or 1; circles are sampled uniformly
         in angle starting at angle 0.  Normals point out of the domain, which
         on a hole means toward the hole center.
         """
-        unknown = set(counts) - set(self.boundary_tags())
-        if unknown:
-            raise ValueError("unknown boundary tags: %s" % sorted(unknown))
+        self.check_boundary_counts(counts)
         pieces = [(s.tag, *s.sample(counts[s.tag])) for s in self.segments if counts.get(s.tag, 0)]
         if not pieces:
             return np.zeros((0, self.dim)), np.zeros((0, self.dim)), []
@@ -326,18 +354,13 @@ def sample_interface(domain: Domain, grid: PatchGrid, per_edge: int) -> Interfac
     Patches m and n that are index neighbours along an axis share the facet
     at ``center + radius`` of the lower patch m on that axis.  It gets
     ``per_edge`` points cell-centered along the other axes; in 1D the facet
-    is one point, so ``per_edge`` must be 0 or 1.  Facets come axis by
-    axis, and on each axis by the lower patch's index on that axis, then by
-    its patch index.  Points outside the domain interior (inside a hole,
-    outside a disk) are dropped.
+    is one point, so ``per_edge`` must be 0 or 1 (``Domain.facet_points``).
+    Facets come axis by axis, and on each axis by the lower patch's index on
+    that axis, then by its patch index.  Points outside the domain interior
+    (inside a hole, outside a disk) are dropped.
     """
     dim = domain.dim
-    if dim == 1 and per_edge > 1:
-        raise ValueError(
-            "'interface_per_edge' must be 0 or 1 on a 1D domain, whose patch facets "
-            "are points, got %d" % per_edge
-        )
-    per_facet = per_edge ** (dim - 1)  # a 1D facet is one point
+    per_facet = domain.facet_points(per_edge)
     pts, nrm, prs = [], [], []
     for axis in range(dim):
         lower = np.flatnonzero(~grid.clamp_hi[:, axis])
@@ -370,7 +393,7 @@ def interface_bytes(domain: Domain, patch_counts: int | tuple[int, ...], per_edg
         return 0
     counts = axis_counts(patch_counts, domain.dim, "patch_counts")
     facets = max(prod(c - (b == a) for b, c in enumerate(counts)) for a in range(domain.dim))
-    return 8 * facets * per_edge ** (domain.dim - 1) * (domain.dim + 2 * len(domain.segments))
+    return 8 * facets * domain.facet_points(per_edge) * (domain.dim + 2 * len(domain.segments))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,15 @@ def test_config_json_round_trip_holds_for_generated_configs(config):
     back = ExperimentConfig.from_json(config.to_json())
     assert back == config
     assert back.config_hash == config.config_hash
+
+
+def test_readme_config_table_gives_every_field_once():
+    """README "Command line" has one row per config field, in field order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0].splitlines()
+    table = section[section.index("| field | rule | default |") + 2 :]
+    rows = takewhile(lambda line: line.startswith("|"), table)
+    assert [row.split("|")[1].strip(" `") for row in rows] == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_config_validation_rejects_bad_counts():
@@ -494,130 +504,95 @@ def _one_d() -> dict:
     return load_suite("helmholtz-adaptive")[0].to_dict()
 
 
-@pytest.mark.parametrize(
-    "edit,key,word",
-    [
-        (lambda cfg: cfg["problem"].update(holez=3), "holez", "unknown"),
-        (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee", "unknown"),
-        (lambda cfg: cfg.pop("boundary"), "boundary", "missing"),
-        (lambda cfg: cfg["boundary"].pop("hole0"), "hole0", "no collocation points"),
-        (lambda cfg: cfg.update(pou="b"), "interface_per_edge", "must be 0 with pou 'b'"),
-        (lambda cfg: cfg.update(interface_per_edge=-1), "interface_per_edge", "integer >= 0"),
-        (lambda cfg: cfg.update(global_features=-3), "global_features", "integer >= 0"),
-        (lambda cfg: cfg.update(features_per_patch=2.5), "features_per_patch", "integer >= 1"),
-        (lambda cfg: cfg.update(rescale_scale=0.0), "rescale_scale", "positive and finite"),
-        (lambda cfg: cfg.update(rescale_scale=-1.0), "rescale_scale", "positive and finite"),
-        (lambda cfg: cfg.update(rescale_scale=float("inf")), "rescale_scale", "positive and finite"),
-        (lambda cfg: cfg.update(rank_tol=-1.0), "rank_tol", "[0, 1)"),
-        (lambda cfg: cfg.update(rank_tol="0.1"), "rank_tol", "[0, 1)"),
-        (lambda cfg: cfg.update(rank_tol=False), "rank_tol", "[0, 1)"),
-        (lambda cfg: cfg.update(rescale_scale="100"), "rescale_scale", "positive and finite"),
-        (lambda cfg: cfg.update(rescale_scale=True), "rescale_scale", "positive and finite"),
-        (lambda cfg: cfg.update(rescale_on="no"), "rescale_on", "true or false"),
-        (lambda cfg: cfg.update(name=7), "name", "must be a string"),
-        (lambda cfg: cfg.update(suite=None), "suite", "must be a string"),
-        (lambda cfg: cfg.update(pou=["a"]), "pou", "must be a string"),
-        (lambda cfg: cfg.update(activation=1), "activation", "must be a string"),
-        (lambda cfg: cfg.update(feature_mode=False), "feature_mode", "must be a string"),
-        (lambda cfg: cfg.update(eval_counts=[0]), "eval_counts", "must be positive"),
-        (lambda cfg: cfg.update(interior=[200.7]), "interior", "must be integers"),
-        (lambda cfg: cfg.update(patch_counts=[4.9, 2]), "patch_counts", "must be integers"),
-        (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
-        (lambda cfg: cfg.update(boundary=[10, 10]), "boundary", "must map boundary tags"),
-        (lambda cfg: cfg.update(_one_d(), boundary={"left": 5, "right": 1}), "left", "0 or 1"),
-        (lambda cfg: cfg.update(_one_d(), interface_per_edge=5), "interface_per_edge", "0 or 1"),
-        (lambda cfg: cfg.update(interior=None), "interior", "must be integers"),
-        (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
-        (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
-        (lambda cfg: cfg.update(rm=float("nan")), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(rm=float("inf")), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(rm=True), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(rm="1e400"), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(rm="fast"), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(rm=10**400), "rm", "positive finite number"),
-        (lambda cfg: cfg.update(eval_counts=[21, 21, 99]), "eval_counts", "needs 1 or 2 counts"),
-        (lambda cfg: cfg.update(eval_counts=[]), "eval_counts", "needs 1 or 2 counts"),
-        (lambda cfg: cfg.update(interior=[10, 10, 10]), "interior", "needs 1 or 2 counts"),
-        (lambda cfg: cfg.update(interior=[]), "interior", "needs 1 or 2 counts"),
-        (lambda cfg: cfg.update(patch_counts=[2, 2, 2]), "patch_counts", "needs 1 or 2 counts"),
-        (lambda cfg: cfg.update(seed=1.5), "seed", "integer >= 0"),
-        (lambda cfg: cfg.update(seed=True), "seed", "integer >= 0"),
-        (lambda cfg: cfg.update(seed=-1), "seed", "integer >= 0"),
-        (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": "x"}), "lam", "finite number"),
-        (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": True}), "lam", "finite number"),
-        (lambda cfg: cfg.update(problem={"id": "poisson", "b_high": float("nan")}), "b_high", "finite number"),
-        (lambda cfg: cfg.update(problem={"id": "varcoef", "coef_seed": 1.5}), "coef_seed", "integer >= 0"),
-        (lambda cfg: cfg.update(problem={"id": "varcoef", "bound": -2}), "bound", "integer >= 0"),
-        (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": "x"}), "solution", "one of"),
-        (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": ["x"]}), "solution", "one of"),
-        (lambda cfg: cfg.update(problem={"id": "plate", "holes": [1]}), "holes", "[x, y, radius]"),
-        (lambda cfg: cfg.update(problem={"id": "plate", "holes": 3}), "holes", "[x, y, radius]"),
-        (lambda cfg: cfg.update(problem=[1]), "problem", "mapping with a string 'id'"),
-        (lambda cfg: cfg.update(problem={}), "problem", "mapping with a string 'id'"),
-        (lambda cfg: cfg.update(problem={"id": 3}), "problem", "mapping with a string 'id'"),
-    ],
-    ids=[
-        "problem-key",
-        "top-level-key",
-        "missing-key",
-        "missing-boundary-count",
-        "pou-b-interfaces",
-        "negative-interface-count",
-        "negative-global-features",
-        "fractional-features",
-        "zero-rescale-scale",
-        "negative-rescale-scale",
-        "infinite-rescale-scale",
-        "negative-rank-tol",
-        "string-rank-tol",
-        "bool-rank-tol",
-        "string-rescale-scale",
-        "bool-rescale-scale",
-        "string-rescale-on",
-        "numeric-name",
-        "null-suite",
-        "list-pou",
-        "numeric-activation",
-        "bool-feature-mode",
-        "zero-eval-count",
-        "fractional-interior-count",
-        "fractional-patch-count",
-        "fractional-boundary-count",
-        "list-boundary",
-        "interval-end-count",
-        "1d-interface-count",
-        "null-interior",
-        "fractional-eval-count",
-        "bool-interior-count",
-        "nan-rm",
-        "infinite-rm",
-        "bool-rm",
-        "overflowing-rm-string",
-        "word-rm",
-        "overflowing-rm-integer",
-        "three-eval-counts",
-        "empty-eval-counts",
-        "three-interior-counts",
-        "empty-interior-counts",
-        "three-patch-counts",
-        "fractional-seed",
-        "bool-seed",
-        "negative-seed",
-        "word-lam",
-        "bool-lam",
-        "nan-b-high",
-        "fractional-coef-seed",
-        "negative-bound",
-        "unknown-solution",
-        "list-solution",
-        "malformed-holes",
-        "numeric-holes",
-        "list-problem",
-        "empty-problem",
-        "numeric-problem-id",
-    ],
-)
-def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
+# malformed edits of stokes-exact's first config: id -> (edit, the key the
+# error names, a word of the error)
+MALFORMED = {
+    "problem-key": (lambda cfg: cfg["problem"].update(holez=3), "holez", "unknown"),
+    "top-level-key": (lambda cfg: cfg.update(interface_per_edgee=2), "interface_per_edgee", "unknown"),
+    "missing-key": (lambda cfg: cfg.pop("boundary"), "boundary", "missing"),
+    "missing-boundary-count": (lambda cfg: cfg["boundary"].pop("hole0"), "hole0", "no collocation points"),
+    "pou-b-interfaces": (lambda cfg: cfg.update(pou="b"), "interface_per_edge", "must be 0 with pou 'b'"),
+    "negative-interface-count": (lambda cfg: cfg.update(interface_per_edge=-1), "interface_per_edge", "integer >= 0"),
+    "negative-global-features": (lambda cfg: cfg.update(global_features=-3), "global_features", "integer >= 0"),
+    "fractional-features": (lambda cfg: cfg.update(features_per_patch=2.5), "features_per_patch", "integer >= 1"),
+    "zero-rescale-scale": (lambda cfg: cfg.update(rescale_scale=0.0), "rescale_scale", "positive and finite"),
+    "negative-rescale-scale": (lambda cfg: cfg.update(rescale_scale=-1.0), "rescale_scale", "positive and finite"),
+    "infinite-rescale-scale": (lambda cfg: cfg.update(rescale_scale=float("inf")), "rescale_scale", "positive and finite"),
+    "negative-rank-tol": (lambda cfg: cfg.update(rank_tol=-1.0), "rank_tol", "[0, 1)"),
+    "string-rank-tol": (lambda cfg: cfg.update(rank_tol="0.1"), "rank_tol", "[0, 1)"),
+    "bool-rank-tol": (lambda cfg: cfg.update(rank_tol=False), "rank_tol", "[0, 1)"),
+    "string-rescale-scale": (lambda cfg: cfg.update(rescale_scale="100"), "rescale_scale", "positive and finite"),
+    "bool-rescale-scale": (lambda cfg: cfg.update(rescale_scale=True), "rescale_scale", "positive and finite"),
+    "string-rescale-on": (lambda cfg: cfg.update(rescale_on="no"), "rescale_on", "true or false"),
+    "numeric-name": (lambda cfg: cfg.update(name=7), "name", "must be a string"),
+    "null-suite": (lambda cfg: cfg.update(suite=None), "suite", "must be a string"),
+    "list-pou": (lambda cfg: cfg.update(pou=["a"]), "pou", "must be a string"),
+    "numeric-activation": (lambda cfg: cfg.update(activation=1), "activation", "must be a string"),
+    "bool-feature-mode": (lambda cfg: cfg.update(feature_mode=False), "feature_mode", "must be a string"),
+    "zero-eval-count": (lambda cfg: cfg.update(eval_counts=[0]), "eval_counts", "must be positive"),
+    "fractional-interior-count": (lambda cfg: cfg.update(interior=[200.7]), "interior", "must be integers"),
+    "fractional-patch-count": (lambda cfg: cfg.update(patch_counts=[4.9, 2]), "patch_counts", "must be integers"),
+    "fractional-boundary-count": (lambda cfg: cfg["boundary"].update(left=1.5), "boundary", "must be integers"),
+    "list-boundary": (lambda cfg: cfg.update(boundary=[10, 10]), "boundary", "must map boundary tags"),
+    "interval-end-count": (lambda cfg: cfg.update(_one_d(), boundary={"left": 5, "right": 1}), "left", "0 or 1"),
+    "1d-interface-count": (lambda cfg: cfg.update(_one_d(), interface_per_edge=5), "interface_per_edge", "0 or 1"),
+    "null-interior": (lambda cfg: cfg.update(interior=None), "interior", "must be integers"),
+    "fractional-eval-count": (lambda cfg: cfg.update(eval_counts=[31.5]), "eval_counts", "must be integers"),
+    "bool-interior-count": (lambda cfg: cfg.update(interior=[True, 10]), "interior", "must be integers"),
+    "nan-rm": (lambda cfg: cfg.update(rm=float("nan")), "rm", "positive finite number"),
+    "infinite-rm": (lambda cfg: cfg.update(rm=float("inf")), "rm", "positive finite number"),
+    "bool-rm": (lambda cfg: cfg.update(rm=True), "rm", "positive finite number"),
+    "overflowing-rm-string": (lambda cfg: cfg.update(rm="1e400"), "rm", "positive finite number"),
+    "word-rm": (lambda cfg: cfg.update(rm="fast"), "rm", "positive finite number"),
+    "overflowing-rm-integer": (lambda cfg: cfg.update(rm=10**400), "rm", "positive finite number"),
+    "three-eval-counts": (lambda cfg: cfg.update(eval_counts=[21, 21, 99]), "eval_counts", "needs 1 or 2 counts"),
+    "empty-eval-counts": (lambda cfg: cfg.update(eval_counts=[]), "eval_counts", "needs 1 or 2 counts"),
+    "three-interior-counts": (lambda cfg: cfg.update(interior=[10, 10, 10]), "interior", "needs 1 or 2 counts"),
+    "empty-interior-counts": (lambda cfg: cfg.update(interior=[]), "interior", "needs 1 or 2 counts"),
+    "three-patch-counts": (lambda cfg: cfg.update(patch_counts=[2, 2, 2]), "patch_counts", "needs 1 or 2 counts"),
+    "fractional-seed": (lambda cfg: cfg.update(seed=1.5), "seed", "integer >= 0"),
+    "bool-seed": (lambda cfg: cfg.update(seed=True), "seed", "integer >= 0"),
+    "negative-seed": (lambda cfg: cfg.update(seed=-1), "seed", "integer >= 0"),
+    "word-lam": (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": "x"}), "lam", "finite number"),
+    "bool-lam": (lambda cfg: cfg.update(problem={"id": "helmholtz", "lam": True}), "lam", "finite number"),
+    "nan-b-high": (lambda cfg: cfg.update(problem={"id": "poisson", "b_high": float("nan")}), "b_high", "finite number"),
+    "fractional-coef-seed": (lambda cfg: cfg.update(problem={"id": "varcoef", "coef_seed": 1.5}), "coef_seed", "integer >= 0"),
+    "negative-bound": (lambda cfg: cfg.update(problem={"id": "varcoef", "bound": -2}), "bound", "integer >= 0"),
+    "unknown-solution": (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": "x"}), "solution", "one of"),
+    "list-solution": (lambda cfg: cfg.update(problem={"id": "helmholtz", "solution": ["x"]}), "solution", "one of"),
+    "malformed-holes": (lambda cfg: cfg.update(problem={"id": "plate", "holes": [1]}), "holes", "[x, y, radius]"),
+    "numeric-holes": (lambda cfg: cfg.update(problem={"id": "plate", "holes": 3}), "holes", "[x, y, radius]"),
+    "list-problem": (lambda cfg: cfg.update(problem=[1]), "problem", "mapping with a string 'id'"),
+    "empty-problem": (lambda cfg: cfg.update(problem={}), "problem", "mapping with a string 'id'"),
+    "numeric-problem-id": (lambda cfg: cfg.update(problem={"id": 3}), "problem", "mapping with a string 'id'"),
+    "unknown-problem-id": (lambda cfg: cfg.update(problem={"id": "heat"}), "problem", "unknown"),
+    "unknown-pou": (lambda cfg: cfg.update(pou="c"), "pou", "one of ["),
+    "unknown-activation": (lambda cfg: cfg.update(activation="relu"), "activation", "one of ["),
+    "unknown-feature-mode": (lambda cfg: cfg.update(feature_mode="sobol"), "feature_mode", "one of ["),
+    "unknown-boundary-tag": (lambda cfg: cfg["boundary"].update(front=4), "boundary", "unknown boundary tags"),
+    "missing-side-count": (lambda cfg: cfg["boundary"].pop("top"), "top", "no collocation points"),
+    "grid-feature-count": (lambda cfg: cfg.update(feature_mode="equispaced_grid"), "features_per_patch", "G^3"),
+    "grid-global-count": (lambda cfg: cfg.update(feature_mode="equispaced_grid", features_per_patch=64, global_features=10), "global_features", "G^3"),
+}
+
+# errors that a config's own rules, or build_run's checks against the problem's
+# domain, refuse before any feature is drawn
+REFUSED_BEFORE_DRAWING = [
+    "unknown-pou",
+    "unknown-activation",
+    "unknown-feature-mode",
+    "unknown-boundary-tag",
+    "missing-side-count",
+    "missing-boundary-count",
+    "grid-feature-count",
+    "grid-global-count",
+    "interval-end-count",
+    "1d-interface-count",
+    "three-eval-counts",
+]
+
+
+def _rejects(tmp_path, capsys, edit, key, word):
     from rfm.cli import main
 
     cfg = load_suite("stokes-exact")[0].to_dict()
@@ -627,6 +602,22 @@ def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert word in err and repr(key) in err
+
+
+@pytest.mark.parametrize("edit,key,word", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_run_rejects_a_malformed_config(tmp_path, capsys, edit, key, word):
+    _rejects(tmp_path, capsys, edit, key, word)
+
+
+@pytest.mark.parametrize("case", REFUSED_BEFORE_DRAWING)
+def test_cli_run_rejects_a_malformed_config_before_drawing(tmp_path, monkeypatch, capsys, case):
+    """The case exits 1 naming its key with the model's draw made unreachable."""
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("features were drawn for a malformed config")
+
+    monkeypatch.setattr(experiments, "build_model", unreachable)
+    _rejects(tmp_path, capsys, *MALFORMED[case])
 
 
 def test_cli_run_refuses_points_that_would_not_fit_before_sampling(tmp_path, monkeypatch, capsys):
