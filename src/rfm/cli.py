@@ -1,10 +1,10 @@
 """Command-line interface: run one config, run a suite table, ablate row
 rescaling, or print a suite config.
 
-A run picks its BLAS thread count from the size of its system
-(``rfm.blas``), never above the count the OpenBLAS pools load with, which
-``OPENBLAS_NUM_THREADS`` sets.  ``rfm run`` prints it as ``threads=N``,
-after the rm the run used as ``rm=``.
+A run uses one OpenBLAS, numpy's, with one thread pool.  It picks the
+pool's thread count from the size of its system (``rfm.blas``), never above
+the count the pool loads with, which ``OPENBLAS_NUM_THREADS`` sets.  ``rfm
+run`` prints it as ``threads=N``, after the rm the run used as ``rm=``.
 """
 
 from __future__ import annotations

@@ -64,15 +64,12 @@ def _counts(values) -> bool:
     return all(_is_integral(c) and c > 0 for c in values)
 
 
-def _per_axis(counts) -> np.ndarray:
-    return np.ravel(np.asarray(counts, object))
-
-
-# one count per axis, or one for every axis (build_run checks the domain's axes)
+# a list of counts, one per axis or one for every axis (build_run checks the
+# domain's axes); a bare count or a nested list is refused
 _AXIS_COUNTS = (
-    "counts must be integers and must be positive",
-    lambda v: _counts(_per_axis(v)),
-    lambda v: tuple(int(c) for c in _per_axis(v)),
+    "must be a list of counts, which must be integers and must be positive",
+    lambda v: isinstance(v, (list, tuple)) and _counts(v),
+    lambda v: tuple(int(c) for c in v),
 )
 
 
@@ -314,7 +311,7 @@ class RunRecord:
     loss: float = _shown(csv=("loss", "%.6e"), text="loss=%.3e", seeds="median")
     wall_time_s: float = _shown(csv=("wall_time_s", "%.3f"), text="wall=%.2fs", seeds="median")
     rm: float = _shown(text="rm=%.6g")  # the rm the features were drawn with, "auto" resolved
-    blas_threads: int | None = _shown(text="threads=%d", default=None)  # None: no thread control
+    blas_threads: int = _shown(text="threads=%d")
     name: str = _shown(csv=("label", "%s"))
 
     def text(self) -> str:
@@ -324,7 +321,7 @@ class RunRecord:
             value, fmt = getattr(self, f.name), f.metadata["text"]
             if fmt and isinstance(value, dict) and value:
                 lines.append(f"  {f.name}: " + " ".join(fmt % kv for kv in sorted(value.items())))
-            elif fmt and value is not None and not isinstance(value, dict):
+            elif fmt and not isinstance(value, dict):
                 head.append(fmt % value)
         return "\n".join([" ".join(head), *lines])
 
@@ -368,8 +365,8 @@ def run_experiment(
     so a dense copy that would not fit stops the run before any solve.  The
     evaluation grid's counts are resolved, and its points checked to fit in
     memory, before assembly, so a malformed or oversized ``eval_counts``
-    fails before any solve.  Both
-    BLAS pools run on one thread until the system is assembled, then on the
+    fails before any solve.  The
+    BLAS pool runs on one thread until the system is assembled, then on the
     count that ``rfm.blas.threads_for`` gives its shape; the record keeps
     that count.
     """

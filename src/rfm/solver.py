@@ -18,6 +18,10 @@ buffer.  The system keeps no block, so it is left as it was.  With the tall
 blocks gone the loss is kept per group: the R factor of ``[W A | W b]`` is
 ``[R c; 0 rho]``, and as the orthogonal factor keeps the norm, the group's
 part of the squared loss is ||R x - c||^2 + rho^2.
+
+Both LAPACK routines, ``dgeqrf`` and ``dgelsd``, are called through
+``rfm.blas`` in numpy's bundled OpenBLAS, the one library and thread pool
+that also runs assembly's and evaluation's matmuls.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dgeqrf_lwork
 
 from .assembly import RowGroup, WeightedSystem, row_weights, scaled_norm
+from .blas import gelsd, geqrf
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -92,37 +95,34 @@ def solve_min_norm(
     feature expansions stable.
 
     ``a`` is copied once into Fortran order and gelsd factorizes the copy in
-    place.  With ``overwrite_a`` the caller hands over ``a`` itself (ideally
-    a Fortran-ordered float64 array, which gelsd then destroys); the report's
-    residual norm is NaN because ``a`` no longer holds the matrix.  A NaN or
-    inf in ``a`` or ``b`` raises ValueError.
+    place.  With ``overwrite_a`` the caller hands over ``a`` itself: a
+    writable Fortran-ordered float64 array is factorized, and so destroyed,
+    as it is, any other array is copied once; the report's residual norm
+    is NaN because ``a`` no longer holds the matrix.  A NaN or inf in ``a``
+    or ``b`` raises ValueError, and an SVD that does not converge
+    ``numpy.linalg.LinAlgError``.
     """
-    a = np.asarray(a, float)
+    a = np.asarray(a)
     b = np.asarray(b, float)
     m, n = a.shape
     if b.shape[0] != m:
         raise ValueError("matrix has %d rows but the right-hand side %d" % (m, b.shape[0]))
-    work = a if overwrite_a else np.array(a, order="F")
+    work = np.require(a, float, "FW") if overwrite_a else np.array(a, float, order="F")
     # gelsd returns the solution in the right-hand side, which needs max(m, n) rows
-    rhs = np.zeros((max(m, n),) + b.shape[1:])
+    rhs = np.zeros((max(m, n),) + b.shape[1:], order="F")
     rhs[:m] = b
     _require_finite(work)
     _require_finite(rhs)
     if rank_tol is None:
         rank_tol = np.finfo(float).eps * max(m, n)
     t0 = time.perf_counter()
-    lwork, iwork, info = dgelsd_lwork(m, n, 1 if b.ndim == 1 else b.shape[1], rank_tol)
-    if info != 0:
-        raise ValueError("gelsd workspace query failed (info=%d)" % info)
-    x, sv, rank, info = dgelsd(
-        work, rhs, int(lwork), iwork, rank_tol, overwrite_a=1, overwrite_b=1
-    )
+    sv, rank, info = gelsd(work, rhs, rank_tol)
     wall = time.perf_counter() - t0
     if info > 0:
-        raise LinAlgError("SVD did not converge in linear least squares")
+        raise np.linalg.LinAlgError("SVD did not converge in linear least squares")
     if info < 0:
         raise ValueError("illegal value in argument %d of gelsd" % -info)
-    x = x[:n]
+    x = rhs[:n]
     sigma_max = float(sv[0]) if len(sv) else 0.0
     sigma_min_kept = float(sv[rank - 1]) if rank > 0 else 0.0
     residual = np.nan if overwrite_a else float(np.linalg.norm(a @ x - b))
@@ -254,10 +254,7 @@ def _group_r(
     np.multiply(weights[rows, None], block, out=work[:, :n])
     np.multiply(weights[rows], rhs[rows], out=work[:, n])
     _require_finite(work)
-    lwork, info = dgeqrf_lwork(*work.shape)
-    if info != 0:
-        raise ValueError("geqrf workspace query failed (info=%d)" % info)
-    qr, _, _, info = dgeqrf(work, lwork=int(lwork), overwrite_a=1)
+    _, info = geqrf(work)
     if info != 0:
         raise ValueError("illegal value in argument %d of geqrf" % -info)
-    return np.triu(qr[:n]), float(qr[n, n])
+    return np.triu(work[:n]), float(work[n, n])

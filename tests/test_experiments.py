@@ -550,6 +550,9 @@ MALFORMED = {
     "three-interior-counts": (lambda cfg: cfg.update(interior=[10, 10, 10]), "interior", "needs 1 or 2 counts"),
     "empty-interior-counts": (lambda cfg: cfg.update(interior=[]), "interior", "needs 1 or 2 counts"),
     "three-patch-counts": (lambda cfg: cfg.update(patch_counts=[2, 2, 2]), "patch_counts", "needs 1 or 2 counts"),
+    "nested-interior-counts": (lambda cfg: cfg.update(interior=[[20], [20]]), "interior", "must be a list of counts"),
+    "nested-patch-counts": (lambda cfg: cfg.update(patch_counts=[[2, 2]]), "patch_counts", "must be a list of counts"),
+    "bare-interior-count": (lambda cfg: cfg.update(interior=20), "interior", "must be a list of counts"),
     "fractional-seed": (lambda cfg: cfg.update(seed=1.5), "seed", "integer >= 0"),
     "bool-seed": (lambda cfg: cfg.update(seed=True), "seed", "integer >= 0"),
     "negative-seed": (lambda cfg: cfg.update(seed=-1), "seed", "integer >= 0"),
@@ -589,6 +592,9 @@ REFUSED_BEFORE_DRAWING = [
     "interval-end-count",
     "1d-interface-count",
     "three-eval-counts",
+    "nested-interior-counts",
+    "nested-patch-counts",
+    "bare-interior-count",
 ]
 
 

@@ -1,6 +1,9 @@
-"""Every module-level import in the package is read by its module."""
+"""The package's imports: every module-level import is read by its module,
+and no run needs scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,17 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_module_level_import_is_read(path):
     assert _unused_imports(path) == []
+
+
+def test_a_run_needs_no_scipy():
+    """With scipy made unimportable, rfm imports and a suite config runs."""
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from rfm.experiments import run_experiment, suite_config\n"
+        "record = run_experiment(suite_config('stokes-exact', 'M=400 Q=100'))\n"
+        "print(record.rank, sorted(record.errors))\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy') and sys.modules[m]]\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "u_l2rel" in done.stdout

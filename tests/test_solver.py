@@ -1,13 +1,13 @@
 """Minimum-norm least squares: hand-checkable oracles, rank reporting,
-null-space behavior, scaling equivariance, agreement with scipy's gelsd
-least squares on random matrices and on every suite, and exactness of the
-row compression that solve_system applies first."""
+null-space behavior, scaling equivariance, agreement with
+numpy.linalg.lstsq (gelsd in the same OpenBLAS) on random matrices and on
+every suite, and exactness of the row compression that solve_system
+applies first."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -98,6 +98,21 @@ def test_report_fields_and_condition():
     assert report.wall_time_s >= 0.0
 
 
+@pytest.mark.parametrize(
+    "order, dtype, writable", [("F", float, True), ("C", float, True), ("F", np.float32, True), ("F", float, False)]
+)
+def test_overwrite_a_factorizes_a_writable_fortran_float_array_in_place_and_copies_any_other(order, dtype, writable):
+    a = np.array(RNG.integers(-9, 10, (12, 5)), dtype, order=order)
+    a.flags.writeable = writable
+    b = RNG.standard_normal(12)
+    before = a.copy()
+    x, report = solve_min_norm(a, b, overwrite_a=True)
+    x_ref, _ = solve_min_norm(before, b)
+    assert np.array_equal(x, x_ref) and np.isnan(report.residual_norm)
+    in_place = order == "F" and dtype is float and writable
+    assert np.array_equal(a, before) != in_place
+
+
 def test_uniform_row_scaling_equivariance():
     a = RNG.standard_normal((30, 10))
     b = RNG.standard_normal(30)
@@ -107,7 +122,7 @@ def test_uniform_row_scaling_equivariance():
 
 
 # ----------------------------------------------------------------------
-# agreement with scipy.linalg.lstsq(..., lapack_driver="gelsd")
+# agreement with numpy.linalg.lstsq, which calls gelsd in the same library
 # ----------------------------------------------------------------------
 
 # tenths in [-10, 10]: zeros and repeats make rank deficiency common, and no
@@ -115,9 +130,9 @@ def test_uniform_row_scaling_equivariance():
 ENTRIES = st.integers(-100, 100).map(lambda k: k / 10)
 
 
-def _assert_matches_scipy(x, report, a, b, rank_tol=None):
+def _assert_matches_numpy_lstsq(x, report, a, b, rank_tol=None):
     cond = np.finfo(float).eps * max(a.shape) if rank_tol is None else rank_tol
-    x_ref, _, rank, sv = scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsd")
+    x_ref, _, rank, sv = np.linalg.lstsq(a, b, rcond=cond)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     assert report.rank == rank
     assert report.sigma_max == pytest.approx(sv[0], rel=1e-12)
@@ -147,12 +162,12 @@ def _problems(draw, kind):
 @pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient"])
 @settings(max_examples=60, deadline=None, database=None)
 @given(data=st.data())
-def test_solve_min_norm_matches_scipy_gelsd(kind, data):
+def test_solve_min_norm_matches_numpy_lstsq(kind, data):
     a, b = data.draw(_problems(kind))
     a_before, b_before = a.copy(), b.copy()
     x, report = solve_min_norm(a, b)
     assert x.shape == (a.shape[1],)
-    _assert_matches_scipy(x, report, a, b)
+    _assert_matches_numpy_lstsq(x, report, a, b)
     assert report.residual_norm == np.linalg.norm(a @ x - b)
     # the caller's arrays are copied, never factorized in place
     assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
@@ -194,7 +209,7 @@ def suite_solve(request):
 @pytest.mark.parametrize(
     "suite_solve", SUITE_CASES[: len(SUITE_NAMES)], ids=SUITE_NAMES, indirect=True
 )
-def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
+def test_solve_system_matches_numpy_lstsq_on_each_suite(suite_solve):
     """The LAPACK wrapper on the full weighted system of every suite.
 
     solve_system itself compresses rows first, which moves the solution
@@ -203,7 +218,7 @@ def test_solve_system_matches_scipy_gelsd_on_each_suite(suite_solve):
     """
     system, rank_tol, x, report, _ = suite_solve
     a, b = system.weighted_matrix(), system.weighted_rhs()
-    _assert_matches_scipy(x, report, a, b, rank_tol)
+    _assert_matches_numpy_lstsq(x, report, a, b, rank_tol)
     assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
 
 
