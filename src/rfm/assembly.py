@@ -23,7 +23,9 @@ sets with their supports and term coefficients, the row groups' rows and
 columns, and the right-hand side.  A system keeps no block: each use fills
 the blocks it needs, from the points that own rows in them, and lets them
 go, so a solved system stays usable.  ``solve_system`` fills the tall groups
-one at a time, so only one tall block is alive at once.  The system is
+one at a time, so only one tall block is alive at once.  The layout also
+names the wide expansions (``wide_expansions``), whose columns the solver
+replaces by the L factor of their LQ (see ``rfm.solver``).  The system is
 stored unweighted; ``rescale`` keeps only its scale, and each row's weight
 is taken from its group's block, so rescaling is exactly reproducible and
 can be recomputed at any time.
@@ -40,14 +42,22 @@ import numpy as np
 from . import basis
 # feature_block stays importable here: perfbench/bench.py traces rfm.assembly.feature_block
 from .basis import RfmModel, feature_block  # noqa: F401
-from .blas import blas_threads
+from .blas import blas_threads, gelsd_workspace
 from .geometry import CollocationSet, available_memory_bytes
 from .problems import PdeProblem, Stencil, Term
+
 
 def _tall(n_rows, width):
     """Whether the solver replaces a row group by its R factor: more rows than
     its column count + 1 (elementwise for arrays)."""
     return n_rows > width + 1
+
+
+def _wide(n_rows, width):
+    """Whether the solver replaces an expansion's columns by the L factor of
+    their LQ: fewer rows of the row-compressed system touch them than there
+    are columns, the dual of ``_tall``."""
+    return n_rows < width
 
 
 @dataclass
@@ -82,6 +92,25 @@ class RowGroup:
             width = c.stop - c.start
             out[at, c] = values[:, offset : offset + width]
             offset += width
+
+
+def wide_expansions(groups: list[RowGroup], model: RfmModel) -> list[tuple[list[slice], int]]:
+    """Each wide expansion's column blocks, one per component in column order,
+    and the number of rows of the row-compressed system that touch them.
+
+    A group that is not tall enters with its rows, a tall one with its R
+    factor, one row per column of the group, whenever one of the group's
+    column blocks is one of the expansion's (``_wide`` decides).
+    """
+    out = []
+    for n in range(len(model.expansions)):
+        cols = [model.col_slice(comp, n) for comp in range(model.n_components)]
+        rows = sum(
+            g.width if g.tall else len(g.rows) for g in groups if any(c in cols for c in g.cols)
+        )
+        if _wide(rows, sum(c.stop - c.start for c in cols)):
+            out.append((cols, rows))
+    return out
 
 
 def row_weights(
@@ -157,6 +186,11 @@ class WeightedSystem:
     @property
     def groups(self) -> list[RowGroup]:
         return self.layout.groups
+
+    @property
+    def wide(self) -> list[tuple[list[slice], int]]:
+        """The wide expansions' column blocks and row counts (``wide_expansions``)."""
+        return self.layout.wide
 
     def blocks(self, which) -> list[np.ndarray]:
         """New blocks of groups ``which``, filled in one pass; none is kept."""
@@ -292,10 +326,12 @@ class _GroupFill:
     extra width (the Dirichlet rows of a patch join its interior rows).
     Kept per group: its rows and columns (``groups``), ``local`` (a system
     row's row in its group's block), and where each (component, expansion)
-    column block sits in the block; per point set, once a fill asks for some
-    groups only, its points ordered by the groups they own rows in
-    (``owners``).  ``blocks`` fills new blocks of any groups, walking only
-    their points, and keeps none of them.
+    column block sits in the block; per expansion that is wide once the tall
+    groups are compressed, its column blocks and row count (``wide``, see
+    ``wide_expansions``); per point set, once a fill asks for some groups
+    only, its points ordered by the groups they own rows in (``owners``).
+    ``blocks`` fills new blocks of any groups, walking only their points,
+    and keeps none of them.
     """
 
     def __init__(self, model: RfmModel, sets: list[_PointSet], touched: np.ndarray):
@@ -336,6 +372,7 @@ class _GroupFill:
                 width += blocks[j].stop - blocks[j].start
             self.groups.append(RowGroup(rows, cols))
             self.offsets.append(offsets)
+        self.wide = wide_expansions(self.groups, model)
 
     @cached_property
     def owners(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -464,28 +501,40 @@ def _interface_stencil(model: RfmModel) -> Stencil:
 
 
 def _check_memory(
-    shape: tuple[int, int], sizes: list[tuple[int, int]], available: int | None
+    shape: tuple[int, int],
+    sizes: list[tuple[int, int]],
+    wide: list[tuple[int, int]],
+    available: int | None,
 ) -> None:
     """Refuse a system whose row groups and solve buffers would not fit in memory.
 
-    ``sizes`` gives each row group's (rows, columns).  A solve first fills
-    each tall group in turn, takes its R factor, with its rotated
-    right-hand side, from a weighted copy of the group, and frees the
-    group's block; it then fills the groups that are not tall and the
-    weighted buffer that the SVD factorizes in place (one full-width row for
-    each row of a group that is not tall, and for each column of a tall
-    one).  The budget is the R factors plus the larger of the two phases:
-    the largest tall block with its weighted copy, or the blocks of the
-    groups that are not tall with the buffer.  ``available`` is the memory
-    available in bytes, or None to skip the check.
+    ``sizes`` gives each row group's (rows, columns), and ``wide`` each wide
+    expansion's (rows touching it, columns).  A solve first fills each tall
+    group in turn, takes its R factor, with its rotated right-hand side,
+    from a weighted copy of the group, and frees the group's block; it then
+    fills the groups that are not tall, the weighted buffer that the SVD
+    factorizes in place (one row for each row of a group that is not tall,
+    and for each column of a tall one; one column for each column of an
+    expansion that is not wide, and for each row touching a wide one), the
+    wide expansions' LQ reflectors (rows x columns each), which stay until
+    the solution is expanded, and gelsd's workspace for the buffer.  The
+    budget is the R factors plus the larger of the two phases: the largest
+    tall block with its weighted copy, or the blocks of the groups that are
+    not tall with the buffer, the reflectors and the workspace.
+    ``available`` is the memory available in bytes, or None to skip the
+    check.
     """
     n_rows, n_cols = shape
     tall = [(r, w) for r, w in sizes if _tall(r, w)]
     solved = n_rows - sum(r for r, _ in tall) + sum(w for _, w in tall)
+    solved_cols = n_cols - sum(w for _, w in wide) + sum(r for r, _ in wide)
     short_blocks = sum(r * w for r, w in sizes) - sum(r * w for r, w in tall)
     factors = sum(w * (w + 1) for _, w in tall)
+    reflectors = sum(r * w for r, w in wide)
     largest = max((r * w + r * (w + 1) for r, w in tall), default=0)
-    need = 8 * (factors + max(largest, short_blocks + solved * n_cols))
+    workspace = sum(gelsd_workspace(solved, solved_cols))
+    second = short_blocks + solved * solved_cols + reflectors + workspace
+    need = 8 * (factors + max(largest, second))
     _refuse_unless_fits(
         need, available, "a %dx%d system" % shape, "its row groups and solve buffers"
     )
@@ -590,7 +639,8 @@ def assemble(
 
     layout = _GroupFill(model, sets, touched)
     sizes = [(len(g.rows), g.width) for g in layout.groups]
-    _check_memory((n_rows, model.n_columns), sizes, available)
+    wide = [(rows, sum(c.stop - c.start for c in cols)) for cols, rows in layout.wide]
+    _check_memory((n_rows, model.n_columns), sizes, wide, available)
     return WeightedSystem(
         layout=layout,
         rhs=b,

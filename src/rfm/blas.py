@@ -4,13 +4,17 @@ rule that sizes that pool.
 numpy's wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_*``, an
 ILP64 build (64-bit integer arguments) whose symbols carry a ``scipy_``
 prefix and a ``64_`` suffix.  numpy loads it for its matmuls; this module
-opens the already loaded copy through ``ctypes`` and binds four of its
+opens the already loaded copy through ``ctypes`` and binds five of its
 symbols: the thread getter and setter of its one pool of worker threads,
-and the LAPACK routines ``dgelsd`` (the SVD solve) and ``dgeqrf`` (the QR
-of a tall row group).  So the matmuls of feature evaluation, assembly and
-evaluation and the LAPACK calls of the solve run in one library on one
-pool.  Where numpy loaded no such library (an MKL or system-BLAS numpy),
-importing this module raises ImportError naming the missing symbol.
+and the LAPACK routines ``dgelsd`` (the SVD solve), ``dgeqrf`` (the QR of
+a tall row group, and the LQ of a wide expansion's columns, taken as the QR
+of their transpose) and ``dormqr`` (which applies the orthogonal factor of
+that LQ to the solution of the compressed system).  ``gelsd_workspace``
+asks ``dgelsd`` for the workspace it takes, for the memory budget.  So the
+matmuls of feature evaluation, assembly and evaluation and the LAPACK
+calls of the solve run in one library on one pool.  Where numpy loaded no
+such library (an MKL or system-BLAS numpy), importing this module raises
+ImportError naming the missing symbol.
 
 The rule: a run builds and assembles on one thread, since those calls are
 small (the feature matmuls have an inner dimension of the space dimension,
@@ -90,6 +94,13 @@ _DGELSD = bind(
 )
 # dgeqrf(m, n, a, lda, tau, work, lwork, info)
 _DGEQRF = bind(_LIB, "scipy_dgeqrf_64_", None, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _INT)
+# dormqr(side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork, info), then
+# the hidden lengths of its two character arguments, which gfortran appends
+_DORMQR = bind(
+    _LIB, "scipy_dormqr_64_", None,
+    ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
+    _DOUBLE, _INT, _INT, ctypes.c_size_t, ctypes.c_size_t,
+)
 
 
 def _in_place(*arrays: np.ndarray) -> None:
@@ -115,16 +126,28 @@ def gelsd(a: np.ndarray, b: np.ndarray, rcond: float) -> tuple[np.ndarray, int, 
         raise ValueError("gelsd needs b of 1 or 2 axes and max(m, n) = %d rows, got shape %s"
                          % (max(m, n), b.shape))
     c = ctypes.c_int64
+    nrhs = 1 if b.ndim == 1 else b.shape[1]
+    size, isize = gelsd_workspace(m, n, nrhs)
     s, rank, info = np.empty(min(m, n)), c(), c()
-    head = (c(m), c(n), c(1 if b.ndim == 1 else b.shape[1]), _ptr(a), c(max(1, m)), _ptr(b),
-            c(max(1, len(b))), _ptr(s), ctypes.c_double(rcond), rank)
-    size, isize = np.zeros(1), np.zeros(1, np.int64)
-    _DGELSD(*head, _ptr(size), c(-1), _ptr(isize), info)
+    work, iwork = np.empty(size), np.empty(isize, np.int64)
+    _DGELSD(c(m), c(n), c(nrhs), _ptr(a), c(max(1, m)), _ptr(b), c(max(1, len(b))), _ptr(s),
+            ctypes.c_double(rcond), rank, _ptr(work), c(len(work)), _ptr(iwork), info)
+    return s, rank.value, info.value
+
+
+def gelsd_workspace(m: int, n: int, nrhs: int = 1) -> tuple[int, int]:
+    """The lengths of the float64 ``work`` and int64 ``iwork`` arrays that
+    ``gelsd`` allocates for an m x n system with ``nrhs`` right-hand sides,
+    from LAPACK's workspace query, which reads no matrix.  Where n is well
+    above m, gelsd first takes an LQ factorization and ``work`` holds an m
+    x m block.  A failed query raises ValueError."""
+    c = ctypes.c_int64
+    size, isize, rank, info, unread = np.zeros(1), np.zeros(1, np.int64), c(), c(), np.zeros(1)
+    _DGELSD(c(m), c(n), c(nrhs), _ptr(unread), c(max(1, m)), _ptr(unread), c(max(1, m, n)),
+            _ptr(unread), ctypes.c_double(0.0), rank, _ptr(size), c(-1), _ptr(isize), info)
     if info.value != 0:
         raise ValueError("gelsd workspace query failed (info=%d)" % info.value)
-    work, iwork = np.empty(max(1, int(size[0]))), np.empty(max(1, int(isize[0])), np.int64)
-    _DGELSD(*head, _ptr(work), c(len(work)), _ptr(iwork), info)
-    return s, rank.value, info.value
+    return max(1, int(size[0])), max(1, int(isize[0]))
 
 
 def geqrf(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -142,6 +165,32 @@ def geqrf(a: np.ndarray) -> tuple[np.ndarray, int]:
     work = np.empty(max(1, int(size[0])))
     _DGEQRF(*head, _ptr(work), c(len(work)), info)
     return tau, info.value
+
+
+def ormqr(a: np.ndarray, tau: np.ndarray, c: np.ndarray, trans: str = "N") -> int:
+    """LAPACK ``dormqr`` from the left, in place: ``c`` (m rows, 1 or 2
+    axes) becomes Q c, or Q^T c with ``trans`` "T", where Q is the m x m
+    orthogonal factor that ``geqrf`` left in ``a`` (m x k) and ``tau``.
+    LAPACK restores what it overwrites of ``a`` during the call, so ``a``
+    must be writable too.  Returns LAPACK's ``info``; a failed workspace
+    query raises ValueError."""
+    _in_place(a, c)
+    m, k = a.shape
+    if c.ndim not in (1, 2) or len(c) != m or tau.shape != (k,) or k > m or trans not in ("N", "T"):
+        raise ValueError("ormqr needs a of m x k with k <= m, tau of k, c of m rows and trans "
+                         "'N' or 'T', got a %s, tau %s, c %s, trans %r"
+                         % (a.shape, tau.shape, c.shape, trans))
+    tau = np.require(tau, np.float64, "C")
+    n = 1 if c.ndim == 1 else c.shape[1]
+    i, info, size, one = ctypes.c_int64, ctypes.c_int64(), np.zeros(1), ctypes.c_size_t(1)
+    head = (b"L", trans.encode(), i(m), i(n), i(k), _ptr(a), i(max(1, m)), _ptr(tau), _ptr(c),
+            i(max(1, m)))
+    _DORMQR(*head, _ptr(size), i(-1), info, one, one)
+    if info.value != 0:
+        raise ValueError("ormqr workspace query failed (info=%d)" % info.value)
+    work = np.empty(max(1, int(size[0])))
+    _DORMQR(*head, _ptr(work), i(len(work)), info, one, one)
+    return info.value
 
 
 def threads_for(shape: tuple[int, int], cap: int) -> int:

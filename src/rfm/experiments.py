@@ -301,6 +301,10 @@ class RunRecord:
     m_features: int = _shown(csv=("M", "%d"), text="M=%d")
     n_rows: int = _shown(csv=("N", "%d"), text="N=%d")
     n_columns: int = _shown(text="columns=%d")
+    # the SVD's shape after row and column compression, one per layout, so
+    # the same at every seed
+    solved_rows: int = _shown(csv=("solved_rows", "%d"), text="solved_rows=%d")
+    solved_cols: int = _shown(csv=("solved_cols", "%d"), text="solved_cols=%d")
     seed_count: int = _shown(csv=("seed_count", "%d"), seeds="sum", default=1)
     errors: dict[str, float] = _shown(
         csv=("err_%s", "%.6e"), text="%s=%.3e", seeds="median", default_factory=dict
@@ -403,6 +407,8 @@ def run_experiment(
             m_features=model.n_features,
             n_rows=n_rows,
             n_columns=n_columns,
+            solved_rows=report.solved_rows,
+            solved_cols=report.solved_cols,
             rank=report.rank,
             sigma_max=report.sigma_max,
             sigma_min_kept=report.sigma_min_kept,

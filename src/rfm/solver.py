@@ -1,27 +1,41 @@
 """Minimum-norm least-squares solve and conditioning diagnostics.
 
-A collocation system is solved in two steps.  Assembly lays it out as row
+A collocation system is solved in three steps.  Assembly lays it out as row
 groups, the rows that touch the same column blocks (see ``rfm.assembly``); a
 group with at least two more rows than columns is replaced by the R factor
 of its orthogonal QR, as in TSQR (Demmel, Grigori, Hoemmen & Langou, SISC
 2012).  An orthogonal transform of a row group leaves A^T A and A^T b
 unchanged, so the singular values, the set of minimizers and the
-minimum-norm solution are those of the full system.  The compressed system
-then goes through one SVD solve (gelsd).
+minimum-norm solution are those of the full system.
+
+The dual step cuts columns.  An expansion is wide when fewer rows of the
+row-compressed system touch its columns, over all its components, than it
+has columns (r_n < w_n, ``rfm.assembly.wide_expansions``).  Let C be those
+r_n rows over its w_n columns, and C^T = Q [R; 0] the QR of its transpose.
+The expansion's columns times Q are [R^T 0] at those rows and zero at every
+other row, so its w_n columns become the r_n columns of L = R^T, and after
+the solve its coefficients are Q [y; 0].  V = blockdiag(Q_n, I) is
+orthogonal, so the nonzero singular values and the minimum-norm solution
+x = V y are again those of the full system, and the rank cut-off stays
+eps * max(rows, cols) of the full shape.  The compressed system then goes
+through one SVD solve (gelsd); the report's ``solved_rows`` and
+``solved_cols`` give its shape.
 
 The solve works through the tall groups in group order: it fills a
 group's block, weighs its rows, takes its R factor from a weighted copy and
 drops the block before the next group is filled, so one tall block is
 alive at a time.  It then fills the other groups in one pass, hands the
 heap's free pages back to the system, and only then allocates the gelsd
-buffer.  The system keeps no block, so it is left as it was.  With the tall
+buffer, at the compressed width, and each wide expansion's C^T, which its
+QR overwrites with the reflectors kept for the expansion of the solution.
+The system keeps no block, so it is left as it was.  With the tall
 blocks gone the loss is kept per group: the R factor of ``[W A | W b]`` is
 ``[R c; 0 rho]``, and as the orthogonal factor keeps the norm, the group's
 part of the squared loss is ||R x - c||^2 + rho^2.
 
-Both LAPACK routines, ``dgeqrf`` and ``dgelsd``, are called through
-``rfm.blas`` in numpy's bundled OpenBLAS, the one library and thread pool
-that also runs assembly's and evaluation's matmuls.
+The LAPACK routines, ``dgeqrf``, ``dormqr`` and ``dgelsd``, are called
+through ``rfm.blas`` in numpy's bundled OpenBLAS, the one library and
+thread pool that also runs assembly's and evaluation's matmuls.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import RowGroup, WeightedSystem, row_weights, scaled_norm
-from .blas import gelsd, geqrf
+from .blas import gelsd, geqrf, ormqr
 
 # Elements per block of the finiteness check (8 MB of float64).
 FINITE_CHECK_BLOCK = 1 << 20
@@ -61,6 +75,7 @@ class LstsqReport:
     n_rows: int
     n_cols: int
     solved_rows: int  # rows the SVD factorized, after any row compression
+    solved_cols: int  # columns the SVD factorized, after any column compression
     rank: int
     sigma_max: float
     sigma_min_kept: float
@@ -130,6 +145,7 @@ def solve_min_norm(
         n_rows=m,
         n_cols=n,
         solved_rows=m,
+        solved_cols=n,
         rank=int(rank),
         sigma_max=sigma_max,
         sigma_min_kept=sigma_min_kept,
@@ -165,21 +181,25 @@ def solve_system(
     (glibc ``malloc_trim``), and the weighted, compressed system is written
     into one Fortran-ordered buffer that gelsd factorizes in place: the
     rows of the other groups first, in their order in the system, then the
-    R factors.  At its peak a solve holds either one tall block, its
+    R factors; the columns of the expansions that are not wide, in their
+    order, then, per wide expansion (``WeightedSystem.wide``), the L factor
+    of the LQ of its columns, whose rows are gathered from every group that
+    touches it.  At its peak a solve holds either one tall block, its
     weighted copy and the R factors taken so far, or the short groups'
-    blocks, all R factors and the buffer.  Each group is filled once, and
-    the system keeps none of the blocks, so it is left as it was and can
-    be used, or solved, again.  The rank cut-off is taken from the full
-    system's shape.
+    blocks, all R factors, the buffer and the wide expansions' reflectors.
+    Each group is filled once, and the system keeps none of the blocks, so
+    it is left as it was and can be used, or solved, again.  The rank
+    cut-off is taken from the full system's shape.
 
-    The report's ``n_rows`` is the system's row count, ``solved_rows`` the
-    compressed one, and its residual norm is the system's weighted loss at
-    the solution.  The short groups' part of it is taken from their blocks
-    as ``WeightedSystem.loss`` takes it, over a full-length residual that is
-    zero at the tall groups' rows; a tall group's part is ||R x - c||^2 +
-    rho^2, where ``[R c; 0 rho]`` tops the R factor of ``[W A | W b]`` over
-    the group: the orthogonal factor keeps the norm, so the sum is exact,
-    and it is the direct loss where no group is tall.
+    The report's ``n_rows`` and ``n_cols`` are the system's shape,
+    ``solved_rows`` and ``solved_cols`` the compressed one's, and its
+    residual norm is the system's weighted loss at the solution.  The short
+    groups' part of it is taken from their blocks as ``WeightedSystem.loss``
+    takes it, over a full-length residual that is zero at the tall groups'
+    rows; a tall group's part is ||R x - c||^2 + rho^2, where ``[R c; 0
+    rho]`` tops the R factor of ``[W A | W b]`` over the group: the
+    orthogonal factor keeps the norm, so the sum is exact, and it is the
+    direct loss where no group is tall.
     """
     n_rows, n_cols = system.shape
     rhs, groups = system.rhs, system.groups
@@ -192,17 +212,24 @@ def solve_system(
         weights[g.rows] = row_weights(block, system.scale, rhs[g.rows])[0]
     if factors and _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)  # the freed blocks' pages, before the buffer is mapped
-    a = np.zeros((len(kept) + sum(len(at.rows) for at, _, _, _ in factors), n_cols), order="F")
+    # the groups of the row-compressed system, at their rows of the buffer
+    placed = [RowGroup(np.searchsorted(kept, g.rows), g.cols) for g, _ in short]
+    placed += [at for at, _, _, _ in factors]
+    columns = _ColumnCompression(system.wide, placed, n_cols)
+    solved = len(kept) + sum(len(at.rows) for at, _, _, _ in factors)
+    a = np.zeros((solved, columns.width), order="F")
     b = np.empty(len(a))
     b[: len(kept)] = weights[kept] * rhs[kept]
-    for g, block in short:
-        g.place(a, np.searchsorted(kept, g.rows), weights[g.rows, None] * block)
+    for at, (g, block) in zip(placed, short):
+        columns.place(a, at, weights[g.rows, None] * block)
     for at, r, c, _ in factors:
-        at.place(a, at.rows, r)
+        columns.place(a, at, r)
         b[at.rows] = c
+    columns.compress(a)
     if rank_tol is None:
         rank_tol = np.finfo(float).eps * max(n_rows, n_cols)
-    x, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
+    y, report = solve_min_norm(a, b, rank_tol, overwrite_a=True)
+    x = columns.expand(y)
     residual = np.zeros(n_rows)
     residual[kept] = -rhs[kept]
     for g, block in short:
@@ -211,7 +238,117 @@ def solve_system(
         scaled_norm(weights * residual),
         *(scaled_norm(np.append(r @ at.take(x) - c, rho)) for at, r, c, rho in factors),
     )
-    return x, replace(report, n_rows=n_rows, residual_norm=loss)
+    return x, replace(report, n_rows=n_rows, n_cols=n_cols, residual_norm=loss)
+
+
+@dataclass
+class _WideColumns:
+    """A wide expansion in the solve buffer: its columns in the system, the
+    buffer rows that touch them, ``lq`` (first the transpose of those rows
+    over those columns, then its QR as ``geqrf`` leaves it), its scalars
+    ``tau``, and the first buffer column of its L factor."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+    lq: np.ndarray
+    first: int
+    tau: np.ndarray | None = None
+
+
+class _ColumnCompression:
+    """The columns of the solve buffer: those of the expansions that are not
+    wide, in their order, then each wide expansion's L factor.
+
+    ``place`` writes a group's block into the buffer, or, at a wide
+    expansion's columns, into that expansion's ``lq``; ``compress`` takes
+    each ``lq``'s QR, C^T = Q [R; 0], and writes L = R^T into the buffer,
+    since the expansion's columns times Q are [R^T 0] at its rows and zero
+    at every other row; ``expand`` turns the buffer's solution y into the
+    system's, x = Q [y; 0] at each wide expansion's columns.  The column
+    transform is orthogonal, so the singular values and the minimum-norm
+    solution do not change.
+
+    The column map is kept as runs of columns, not as arrays over them, and
+    where nothing is wide ``expand`` returns y itself, so such a solve
+    allocates no array it did not allocate before.  That matters for peak
+    memory: once glibc has raised its mmap threshold, a buffer comes from
+    the heap, and a small array allocated after one buffer is freed can
+    split it, so that the next buffer extends the heap while the old one
+    stays resident (square-1d's peak RSS went 70 -> 89 MB that way in one
+    checkout when the map was a mask and an index array).
+    """
+
+    def __init__(self, wide: list[tuple[list[slice], int]], placed: list[RowGroup], n_cols: int):
+        bounds = sorted((c.start, c.stop) for cols, _ in wide for c in cols)
+        starts, stops = [0] + [b for _, b in bounds], [a for a, _ in bounds] + [n_cols]
+        # the runs of system columns that no wide expansion holds, as (start, stop)
+        self.kept = [(lo, hi) for lo, hi in zip(starts, stops) if hi > lo]
+        self.n_cols = n_cols
+        self.wide: list[_WideColumns] = []
+        self.where: dict[tuple[int, int], tuple[_WideColumns, int]] = {}
+        first = sum(hi - lo for lo, hi in self.kept)
+        for cols, _ in wide:
+            rows = [at.rows for at in placed if any(c in cols for c in at.cols)]
+            rows = np.sort(np.concatenate(rows + [np.empty(0, int)]))
+            index = np.concatenate([np.arange(c.start, c.stop) for c in cols])
+            w = _WideColumns(index, rows, np.zeros((len(index), len(rows)), order="F"), first)
+            offset = 0
+            for c in cols:
+                self.where[c.start, c.stop] = w, offset
+                offset += c.stop - c.start
+            self.wide.append(w)
+            first += len(rows)
+        self.width = first
+
+    def _column(self, j: int) -> int:
+        """The buffer column of system column ``j``, which no wide expansion holds."""
+        offset = 0
+        for lo, hi in self.kept:
+            if j < hi:
+                return offset + j - lo
+            offset += hi - lo
+        return offset
+
+    def place(self, a: np.ndarray, at: RowGroup, values: np.ndarray) -> None:
+        """Write ``values``, rows ``at.rows`` of the buffer ``a`` over the
+        group's columns, at the buffer's columns or a wide expansion's."""
+        offset = 0
+        for c in at.cols:
+            width = c.stop - c.start
+            part = values[:, offset : offset + width]
+            if (c.start, c.stop) in self.where:
+                w, col = self.where[c.start, c.stop]
+                w.lq.T[np.searchsorted(w.rows, at.rows), col : col + width] = part
+            else:
+                start = self._column(c.start)
+                a[at.rows, start : start + width] = part
+            offset += width
+
+    def compress(self, a: np.ndarray) -> None:
+        """Write each wide expansion's L factor into the buffer ``a``.  A NaN
+        or inf in an expansion's rows raises ValueError."""
+        for w in self.wide:
+            w.tau = _qr(w.lq)
+            n = len(w.rows)
+            a[w.rows, w.first : w.first + n] = np.triu(w.lq[:n]).T
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """The system's solution from the buffer's solution ``y``."""
+        if not self.wide:
+            return y
+        x = np.empty(self.n_cols)
+        offset = 0
+        for lo, hi in self.kept:
+            x[lo:hi] = y[offset : offset + hi - lo]
+            offset += hi - lo
+        for w in self.wide:
+            c = np.zeros(len(w.cols))
+            c[: len(w.rows)] = y[w.first : w.first + len(w.rows)]
+            info = ormqr(w.lq, w.tau, c)
+            if info != 0:
+                raise ValueError("illegal value in argument %d of ormqr" % -info)
+            x[w.cols] = c
+        return x
 
 
 def _take_tall_factors(
@@ -253,8 +390,15 @@ def _group_r(
     work = np.empty((len(rows), n + 1), order="F")
     np.multiply(weights[rows, None], block, out=work[:, :n])
     np.multiply(weights[rows], rhs[rows], out=work[:, n])
+    _qr(work)
+    return np.triu(work[:n]), float(work[n, n])
+
+
+def _qr(work: np.ndarray) -> np.ndarray:
+    """``geqrf`` of ``work`` in place; returns tau.  A NaN or inf in
+    ``work`` raises ValueError."""
     _require_finite(work)
-    _, info = geqrf(work)
+    tau, info = geqrf(work)
     if info != 0:
         raise ValueError("illegal value in argument %d of geqrf" % -info)
-    return np.triu(work[:n]), float(work[n, n])
+    return tau

@@ -16,6 +16,7 @@ from given_blocks import given_system
 from rfm import assembly, basis
 from rfm.assembly import RowGroup, assemble, load_system_dump, row_weights, scaled_norm
 from rfm.basis import FeatureSampler, RfmModel, build_model, feature_block
+from rfm.blas import gelsd_workspace
 from rfm.experiments import build_run, load_suite, suite_config
 from rfm.geometry import CollocationSet, InterfaceSet, build_collocation, interval
 from rfm.problems import (
@@ -520,14 +521,24 @@ def test_every_row_lies_in_exactly_one_group(pou):
         assert block.shape == (len(g.rows), sum(c.stop - c.start for c in g.cols))
 
 
-def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
+@pytest.mark.parametrize(
+    "suite,name,shape,solved",
+    [
+        ("timoshenko", "M=800 Q=6400", (14400, 1600), (3200, 1600)),
+        ("holed-plate", None, (1082, 6392), (1082, 1790)),
+    ],
+)
+def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix(suite, name, shape, solved):
     """Assembly fills no block, and the solve fills each tall group when it
     reaches it and frees the block once its R factor is taken, so the peak is
     the R factors plus the larger of two phases: one tall block with its
-    weighted copy, or the short groups' blocks with the gelsd buffer.  On
-    this beam that is 50 MB, where the blocks alone take 72 MB and the
-    dense matrix would take 184 MB."""
-    config = suite_config("timoshenko", "M=800 Q=6400")
+    weighted copy, or the short groups' blocks with the gelsd buffer, at the
+    compressed width, the wide expansions' reflectors and gelsd's
+    workspace.  On the beam that
+    is 50 MB, where the blocks alone take 72 MB and the dense matrix would
+    take 184 MB; on the holed plate, whose columns are compressed, the
+    buffer is 1082x1790 where the dense matrix is 1082x6392."""
+    config = suite_config(suite, name)
     problem, model, colloc = build_run(config)
     tracemalloc.start()
     try:
@@ -537,16 +548,19 @@ def test_assemble_rescale_solve_peak_stays_below_one_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.shape == (14400, 1600)
+    assert system.shape == shape
     tall = [(r, w) for r, w in sizes if r > w + 1]
     factors = sum(w * (w + 1) for _, w in tall)
-    one_tall = max(r * w + r * (w + 1) for r, w in tall)
+    one_tall = max((r * w + r * (w + 1) for r, w in tall), default=0)
     short = sum(r * w for r, w in sizes) - sum(r * w for r, w in tall)
-    budget = 8 * (factors + max(one_tall, short + report.solved_rows * system.shape[1]))
-    assert peak <= 1.1 * budget
-    # the Dirichlet rows join their patch's tall group: each patch reaches the
-    # SVD as 640 rows, next to eight interface groups of 80
-    assert report.solved_rows == 3200
+    reflectors = sum(r * sum(c.stop - c.start for c in cols) for cols, r in system.wide)
+    buffer = report.solved_rows * report.solved_cols
+    workspace = sum(gelsd_workspace(report.solved_rows, report.solved_cols))
+    budget = 8 * (factors + max(one_tall, short + buffer + reflectors + workspace))
+    assert peak <= 1.1 * budget < 8 * shape[0] * shape[1]
+    # the beam: the Dirichlet rows join their patch's tall group, so each
+    # patch reaches the SVD as 640 rows, next to eight interface groups of 80
+    assert (report.solved_rows, report.solved_cols) == solved
 
 
 def test_dump_and_load_round_trip(tmp_path):
@@ -587,9 +601,10 @@ def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     problem, model, colloc = _single_feature_setup()
     # the 3x1 system is one tall group.  While its R factor is taken the solve
     # holds its block (3 values) and its weighted copy with the right-hand
-    # side (6); that outweighs the second phase, the solve buffer (1).  R with
-    # the rotated right-hand side (2) is held in both
-    need = (3 + 6 + 2) * 8
+    # side (6); the second phase holds the solve buffer (1) and gelsd's
+    # workspace for it, several hundred values, so it outweighs the first.
+    # R with the rotated right-hand side (2) is held in both
+    need = (2 + max(3 + 6, 1 + sum(gelsd_workspace(1, 1)))) * 8
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=r"3x1 system needs 0.0 MB .* only 0.0 MB"):
         assemble(problem, model, colloc)
@@ -599,13 +614,21 @@ def test_assemble_refuses_a_system_that_would_not_fit(monkeypatch):
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: None)
     assert assemble(problem, model, colloc).shape == (3, 1)
     # a 21x8 system with two tall groups of 10x2 and a short one of 1x4: the R
-    # factors (2 x 6) and one tall block with its weighted copy (20 + 30), the
-    # other tall block not yet filled, outweigh the short block and the
-    # buffer of 1 + 2 + 2 rows (4 + 40)
+    # factors (2 x 6), and the larger of one tall block with its weighted
+    # copy (20 + 30), the other tall block not yet filled, or the short block,
+    # the buffer of 1 + 2 + 2 rows (4 + 40) and gelsd's workspace for it
     sizes = [(10, 2), (10, 2), (1, 4)]
-    assembly._check_memory((21, 8), sizes, 8 * 62)
+    need = 12 + max(50, 44 + sum(gelsd_workspace(5, 8)))
+    assembly._check_memory((21, 8), sizes, [], 8 * need)
     with pytest.raises(ValueError, match=r"21x8 system needs 0.0 MB"):
-        assembly._check_memory((21, 8), sizes, 8 * 62 - 1)
+        assembly._check_memory((21, 8), sizes, [], 8 * need - 1)
+    # a 3x10 system of one short group, whose one expansion is wide: its
+    # block (30), the buffer of 3 x 3 columns (9), the reflectors (30) and
+    # gelsd's workspace for the buffer
+    need = 30 + 9 + 30 + sum(gelsd_workspace(3, 3))
+    assembly._check_memory((3, 10), [(3, 10)], [(3, 10)], 8 * need)
+    with pytest.raises(ValueError, match=r"3x10 system needs 0.0 MB"):
+        assembly._check_memory((3, 10), [(3, 10)], [(3, 10)], 8 * need - 1)
 
 
 def test_a_dense_copy_that_would_not_fit_is_refused(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
-"""The one OpenBLAS of a run: its LAPACK calls against numpy's, the refusal
-of a numpy without it, the thread-size rule, the pool it drives during a
-run, the cap the entry count sets, and restoring that count afterwards."""
+"""The one OpenBLAS of a run: its LAPACK calls against numpy's, dormqr's
+orthogonal factor against numpy's QR, the refusal of a numpy without it,
+the thread-size rule, the pool it drives during a run, the cap the entry
+count sets, and restoring that count afterwards."""
 
 import subprocess
 import sys
@@ -99,6 +100,47 @@ def test_geqrf_gives_numpy_qr_r_bit_for_bit():
     tau, info = blas.geqrf(work)
     assert info == 0 and tau.shape == (7,)
     assert np.array_equal(np.triu(work[:7]), np.linalg.qr(a, mode="r"))
+
+
+def _reflectors(a):
+    """``a``'s QR as geqrf leaves it: the reflectors in a Fortran copy, and tau."""
+    work = np.array(a, order="F")
+    tau, info = blas.geqrf(work)
+    assert info == 0
+    return work, tau
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (30, 30), (12, 1), (5, 0)])
+def test_ormqr_applies_the_q_of_numpy_qr_and_its_transpose_undoes_it(shape):
+    """Q from dormqr on the identity is numpy.linalg.qr's complete Q (both
+    take dgeqrf's reflectors; numpy forms Q with dorgqr), and Q^T (Q c) = c."""
+    m = shape[0]
+    a = RNG.standard_normal(shape)
+    work, tau = _reflectors(a)
+    q = np.eye(m, order="F")
+    assert blas.ormqr(work, tau, q) == 0
+    assert np.abs(q - np.linalg.qr(a, mode="complete")[0]).max() <= 1e-13
+    c = RNG.standard_normal(m)
+    back = c.copy()
+    assert blas.ormqr(work, tau, back) == 0 and blas.ormqr(work, tau, back, "T") == 0
+    assert np.abs(back - c).max() <= 1e-13
+
+
+def test_ormqr_refuses_an_array_it_cannot_work_on_in_place():
+    work, tau = _reflectors(RNG.standard_normal((6, 3)))
+    read_only = np.zeros(6)
+    read_only.flags.writeable = False
+    for c in (np.zeros((6, 2)), read_only):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            blas.ormqr(work, tau, c)
+    work.flags.writeable = False
+    with pytest.raises(ValueError, match="Fortran-ordered float64"):
+        blas.ormqr(work, tau, np.zeros(6))
+    work.flags.writeable = True
+    with pytest.raises(ValueError, match="ormqr needs"):
+        blas.ormqr(work, tau, np.zeros(5))
+    with pytest.raises(ValueError, match="ormqr needs"):
+        blas.ormqr(work, tau, np.zeros(6), "")
 
 
 @pytest.mark.parametrize(

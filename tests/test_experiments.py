@@ -180,7 +180,7 @@ def test_run_experiment_writes_csv_and_snapshot(tmp_path):
     assert len(rows) == 1
     assert list(rows[0]) == list(CSV_COLUMNS)
     assert list(CSV_COLUMNS) == [
-        "suite", "M", "N", "seed_count",
+        "suite", "M", "N", "solved_rows", "solved_cols", "seed_count",
         "err_u_linf", "err_u_l2rel", "err_v_linf", "err_v_l2rel", "err_p_linf", "err_p_l2rel",
         "err_sx_linf", "err_sx_l2rel", "err_sy_linf", "err_sy_l2rel",
         "err_txy_linf", "err_txy_l2rel",
@@ -254,6 +254,8 @@ def _seed_records(draw):
             m_features=200,
             n_rows=208,
             n_columns=200,
+            solved_rows=208,
+            solved_cols=200,
             rank=draw(st.integers(0, 200)),
             sigma_max=draw(floats),
             sigma_min_kept=draw(floats),
@@ -473,7 +475,7 @@ def test_cli_run_refuses_a_system_that_would_not_fit(tmp_path, monkeypatch, caps
     _fast_config().save(path)
     monkeypatch.setattr(assembly, "available_memory_bytes", lambda: 10**5)
     assert main(["run", "--config", str(path)]) == 1
-    assert "208x200 system needs 0.4 MB" in capsys.readouterr().err
+    assert "208x200 system needs 0.6 MB" in capsys.readouterr().err
 
 
 def test_cli_run_refuses_a_dump_that_would_not_fit_before_the_solve(
@@ -861,7 +863,9 @@ def test_cli_config_rejects_an_unknown_suite_or_name(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
-TABLE_HEAD = ["suite", "M", "N", "seed_count", "err_u_linf", "err_u_l2rel"]
+TABLE_HEAD = [
+    "suite", "M", "N", "solved_rows", "solved_cols", "seed_count", "err_u_linf", "err_u_l2rel"
+]
 TABLE_TAIL = ["rank", "loss", "wall_time_s", "label"]
 
 

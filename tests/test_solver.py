@@ -1,8 +1,8 @@
 """Minimum-norm least squares: hand-checkable oracles, rank reporting,
 null-space behavior, scaling equivariance, agreement with
 numpy.linalg.lstsq (gelsd in the same OpenBLAS) on random matrices and on
-every suite, and exactness of the row compression that solve_system
-applies first."""
+every suite, and exactness of the row and column compression that
+solve_system applies first."""
 
 from dataclasses import replace
 
@@ -184,11 +184,19 @@ def _system(suite, name=None):
     return system, config.rank_tol
 
 
-# (suite, config name or None for the first, whether it has a tall row group):
-# the first config of every suite, and a larger beam
-SUITE_CASES = [(suite, None, suite == "poisson-multiscale") for suite in SUITE_NAMES] + [
-    ("timoshenko", "M=800 Q=1600", True)
-]
+# the suites whose first config has a tall row group, and those whose first
+# config has a wide expansion
+COMPRESS_ROWS = {"poisson-multiscale"}
+COMPRESS_COLS = {
+    "poisson-pou", "helmholtz-adaptive", "poisson-adaptive", "timoshenko", "holed-plate",
+    "stokes-exact", "homogenization-desk",
+}
+# (suite, config name or None for the first, whether the solve compresses
+# rows, whether it compresses columns): the first config of every suite, a
+# larger beam, and square-1d's system, which compresses nothing
+SUITE_CASES = [
+    (suite, None, suite in COMPRESS_ROWS, suite in COMPRESS_COLS) for suite in SUITE_NAMES
+] + [("timoshenko", "M=800 Q=1600", True, False), ("helmholtz-pou", "pou-a M=1600", False, False)]
 
 
 @pytest.fixture(scope="module")
@@ -200,10 +208,10 @@ def suite_solve(request):
     full-system solve per case: pytest runs the tests of one case together
     and drops the system before the next case.
     """
-    suite, name, compresses = request.param
+    suite, name, rows, cols = request.param
     system, rank_tol = _system(suite, name)
     x, report = solve_min_norm(system.weighted_matrix(), system.weighted_rhs(), rank_tol)
-    return system, rank_tol, x, report, compresses
+    return system, rank_tol, x, report, rows, cols
 
 
 @pytest.mark.parametrize(
@@ -216,10 +224,11 @@ def test_solve_system_matches_numpy_lstsq_on_each_suite(suite_solve):
     along near-null directions; test_row_compression_matches_direct_gelsd
     covers it against this direct solve.
     """
-    system, rank_tol, x, report, _ = suite_solve
+    system, rank_tol, x, report, _, _ = suite_solve
     a, b = system.weighted_matrix(), system.weighted_rhs()
     _assert_matches_numpy_lstsq(x, report, a, b, rank_tol)
-    assert (report.n_rows, report.n_cols, report.solved_rows) == system.shape + system.shape[:1]
+    assert (report.solved_rows, report.solved_cols) == system.shape
+    assert (report.n_rows, report.n_cols) == system.shape
 
 
 def _assert_loss_matches_direct(report, direct, system, x):
@@ -240,16 +249,24 @@ def _assert_loss_matches_direct(report, direct, system, x):
 @pytest.mark.parametrize(
     "suite_solve",
     SUITE_CASES,
-    ids=[f"{s}-{n or 'first'}" for s, n, _ in SUITE_CASES],
+    ids=[f"{s}-{n or 'first'}" for s, n, _, _ in SUITE_CASES],
     indirect=True,
 )
 def test_row_compression_matches_direct_gelsd(suite_solve):
-    system, rank_tol, x_d, direct, compresses = suite_solve
+    """Row and column compression against the direct gelsd of the full
+    weighted system.  Both are exact, so the rank and sigma_max agree; the
+    fitted values W A x agree to 1e-8 of ||W b||, or, where the system's
+    conditioning moves the direct solve itself further (helmholtz-adaptive,
+    rank 48 of 208), to twice the shift of the direct solve of one seeded
+    row and column permutation.  The loss agrees to 1e-4, or, where it is
+    rounding (a consistent system), within 4 eps (||W b|| + sigma_max ||x||).
+    """
+    system, rank_tol, x_d, direct, rows, cols = suite_solve
     x, report = solve_system(system, rank_tol)
     assert (report.n_rows, report.n_cols) == system.shape
     _assert_loss_matches_direct(report, direct, system, x)
-    assert (report.solved_rows < report.n_rows) == compresses
-    if not compresses:
+    assert (report.solved_rows < report.n_rows, report.solved_cols < report.n_cols) == (rows, cols)
+    if not (rows or cols):
         # nothing compressed: the same gelsd call on the same bits
         assert np.array_equal(x, x_d)
         ignore = dict(wall_time_s=0.0, residual_norm=0.0)
@@ -257,9 +274,24 @@ def test_row_compression_matches_direct_gelsd(suite_solve):
         return
     assert report.rank == direct.rank
     assert report.sigma_max == pytest.approx(direct.sigma_max, rel=1e-12)
-    fitted = system.weights * (system.matrix @ (x - x_d))
-    assert np.linalg.norm(fitted) <= 1e-8 * np.linalg.norm(system.weighted_rhs())
-    assert report.residual_norm == pytest.approx(system.loss(x_d), rel=1e-4)
+    wb = np.linalg.norm(system.weighted_rhs())
+    bound, shift = 1e-8 * wb, _fitted(system, x - x_d)
+    if shift > bound:
+        a, b = system.weighted_matrix(), system.weighted_rhs()
+        rng = np.random.default_rng(0)
+        p, q = rng.permutation(a.shape[0]), rng.permutation(a.shape[1])
+        x_p = np.empty_like(x_d)
+        x_p[q] = solve_min_norm(a[p][:, q], b[p], rank_tol)[0]
+        bound = max(bound, 2 * _fitted(system, x_p - x_d))
+    assert shift <= bound
+    loss = system.loss(x_d)
+    rounding = 4 * np.finfo(float).eps * (wb + direct.sigma_max * np.linalg.norm(x))
+    assert abs(report.residual_norm - loss) <= max(1e-4 * loss, rounding)
+
+
+def _fitted(system, dx):
+    """||W A dx||, the change in the weighted fitted values."""
+    return np.linalg.norm(system.weights * (system.matrix @ dx))
 
 
 @st.composite
@@ -314,6 +346,78 @@ def test_row_compression_is_exact_on_random_block_systems(system):
     x, report = solve_system(system)
     assert report.solved_rows < report.n_rows == system.shape[0]
     assert report.rank == direct.rank == system.shape[1]
+    assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
+    _assert_loss_matches_direct(report, direct, system, x)
+
+
+@st.composite
+def _wide_systems(draw):
+    """A weighted system on a two-component column layout whose row-compressed
+    form has full row rank, with a wide expansion: expansion 0 has one tall
+    group over its first component only and, on its second, one short group
+    of fewer rows than that component has columns, and no other group
+    touches it.  Every other column block is either a tall block, in one of
+    up to three tall groups, or a free one, which at most one short group
+    owns.  A short group owns one free block, with at most as many rows as
+    it has columns, and touches any blocks of other expansions besides.  So
+    each R row and each short row has columns of its own, and the Gaussian
+    rows are independent.  A free block that no group owns is touched only
+    as another group's extra block, or not at all."""
+    f = draw(st.integers(2, 6))
+    model = build_model(
+        interval(0.0, 1.0),
+        draw(st.integers(1, 3)),
+        f,
+        FeatureSampler(rm=1.0, mode="uniform_random", seed=0),
+        n_components=2,
+        global_features=draw(st.sampled_from([0, 3])),
+    )
+    n_exp = len(model.expansions)
+    blocks = [model.col_slice(comp, n) for comp in range(2) for n in range(n_exp)]
+    first = (0, n_exp)  # the blocks of expansion 0, one per component
+    others = [j for j in range(len(blocks)) if j not in first]
+    # each other block joins tall group 0, 1 or 2, or is free (-1); a free
+    # block has an owner or none
+    labels = {j: draw(st.integers(-1, 2)) for j in others}
+    free = [j for j in others if labels[j] < 0 and draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    some_others = st.sets(st.sampled_from(others)) if others else st.just(set())
+    parts = [([first[0]], draw(st.integers(f + 2, 2 * f + 4)))]
+    parts += [
+        ([j for j in others if labels[j] == k], None) for k in range(3)
+        if any(labels[j] == k for j in others)
+    ]
+    second = [first[1]] + ([first[0]] if draw(st.booleans()) else [])
+    parts += [(second, draw(st.integers(1, f - 1)))]
+    for j in free:
+        width = blocks[j].stop - blocks[j].start
+        parts.append((sorted({j} | draw(some_others)), draw(st.integers(1, width))))
+    sized = []
+    for chosen, count in parts:
+        cols = [blocks[j] for j in sorted(chosen)]
+        width = sum(c.stop - c.start for c in cols)
+        count = count or draw(st.integers(width + 2, 2 * width + 4))
+        scales = 10.0 ** rng.uniform(-3, 3, (count, 1))
+        sized.append((cols, rng.standard_normal((count, width)) * scales))
+    n = sum(len(block) for _, block in sized)
+    order = rng.permutation(n)
+    groups, top = [], 0
+    for cols, block in sized:
+        groups.append(RowGroup(np.sort(order[top : top + len(block)]), cols))
+        top += len(block)
+    arrays = [block for _, block in sized]
+    return given_system(groups, arrays, rng.standard_normal(n), model).rescale()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(system=_wide_systems())
+def test_column_compression_is_exact_on_random_wide_systems(system):
+    cols, rows = system.wide[0]
+    assert any(g.tall and g.cols == cols[:1] for g in system.groups)
+    x_d, direct = solve_min_norm(system.weighted_matrix(), system.weighted_rhs())
+    x, report = solve_system(system)
+    assert report.solved_cols < report.n_cols == system.shape[1]
+    assert report.rank == direct.rank == report.solved_rows
     assert np.linalg.norm(x - x_d) <= 1e-10 * np.linalg.norm(x_d)
     _assert_loss_matches_direct(report, direct, system, x)
 
@@ -404,12 +508,15 @@ def _with_nan(system, tall: bool, where: str):
         blocks[i][0, np.flatnonzero(blocks[i][0])[0]] = np.nan
     else:
         system.rhs[system.groups[i].rows[0]] = np.nan
-    return replace(system, layout=GivenBlocks(system.groups, blocks))
+    return replace(system, layout=GivenBlocks(system.groups, blocks, system.model))
 
 
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
-def test_solve_system_rejects_nan(where):
-    system, rank_tol = _system("helmholtz-pou")
+@pytest.mark.parametrize("suite", ["helmholtz-pou", "helmholtz-adaptive"])
+def test_solve_system_rejects_nan(suite, where):
+    """Also where the NaN sits at a wide expansion's columns (every
+    expansion of helmholtz-adaptive is wide), so its LQ meets it first."""
+    system, rank_tol = _system(suite)
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_system(_with_nan(system, False, where), rank_tol)
 
